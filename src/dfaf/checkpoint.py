@@ -23,6 +23,7 @@ from typing import BinaryIO
 
 import numpy as np
 
+from .binio import read_exact, read_str, read_struct, write_str
 from .model import ModelConfig, ModelParams, build_model, config_of
 
 MAGIC = b"DFAF"
@@ -33,33 +34,13 @@ class CheckpointError(ValueError):
     """Checkpoint file is malformed or inconsistent with expectations."""
 
 
-def _write_str(fh: BinaryIO, s: str) -> None:
-    raw = s.encode("utf-8")
-    if len(raw) > 0xFFFF:
-        raise CheckpointError(f"string too long for format: {len(raw)} bytes")
-    fh.write(struct.pack("<H", len(raw)))
-    fh.write(raw)
-
-
-def _read_exact(fh: BinaryIO, n: int, what: str) -> bytes:
-    raw = fh.read(n)
-    if len(raw) != n:
-        raise CheckpointError(f"truncated checkpoint: expected {n} bytes of {what}")
-    return raw
-
-
-def _read_str(fh: BinaryIO, what: str) -> str:
-    (n,) = struct.unpack("<H", _read_exact(fh, 2, f"{what} length"))
-    return _read_exact(fh, n, what).decode("utf-8")
-
-
 def _write_array(fh: BinaryIO, arr: np.ndarray) -> None:
     fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
 def _read_array(fh: BinaryIO, shape: tuple[int, ...], what: str) -> np.ndarray:
     count = int(np.prod(shape, dtype=np.int64))
-    raw = _read_exact(fh, 8 * count, what)
+    raw = read_exact(fh, 8 * count, what, CheckpointError)
     return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
 
 
@@ -90,10 +71,10 @@ def save_checkpoint(
             )
         )
         for s in (config.fusion, config.order, config.attention_type):
-            _write_str(fh, s)
+            write_str(fh, s, CheckpointError)
         fh.write(struct.pack("<I", len(named)))
         for name, tensor in named:
-            _write_str(fh, name)
+            write_str(fh, name, CheckpointError)
             fh.write(struct.pack("<I", tensor.ndim))
             fh.write(struct.pack(f"<{tensor.ndim}I", *tensor.shape))
             _write_array(fh, tensor.data)
@@ -123,13 +104,13 @@ def load_checkpoint(
         magic = fh.read(4)
         if magic != MAGIC:
             raise CheckpointError(f"bad checkpoint magic {magic!r}, expected {MAGIC!r}")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4, "version"))
+        (version,) = read_struct(fh, "<I", "version", CheckpointError)
         if version != VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version}")
-        nums = struct.unpack("<7I", _read_exact(fh, 28, "config"))
-        fusion = _read_str(fh, "fusion")
-        order = _read_str(fh, "order")
-        attention_type = _read_str(fh, "attention_type")
+        nums = read_struct(fh, "<7I", "config", CheckpointError)
+        fusion = read_str(fh, "fusion", CheckpointError)
+        order = read_str(fh, "order", CheckpointError)
+        attention_type = read_str(fh, "attention_type", CheckpointError)
         try:
             config = ModelConfig(
                 dim=nums[0],
@@ -148,29 +129,33 @@ def load_checkpoint(
 
         params = build_model(config, np.random.default_rng(0))
         named = list(params.named_parameters())
-        (count,) = struct.unpack("<I", _read_exact(fh, 4, "tensor count"))
+        (count,) = read_struct(fh, "<I", "tensor count", CheckpointError)
         if count != len(named):
             raise CheckpointError(
                 f"checkpoint holds {count} tensors, architecture needs {len(named)}"
             )
         for expect_name, tensor in named:
-            name = _read_str(fh, "tensor name")
+            name = read_str(fh, "tensor name", CheckpointError)
             if name != expect_name:
                 raise CheckpointError(
                     f"tensor order mismatch: found {name!r}, expected {expect_name!r}"
                 )
-            (ndim,) = struct.unpack("<I", _read_exact(fh, 4, "tensor rank"))
-            shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, "tensor shape"))
+            (ndim,) = read_struct(fh, "<I", "tensor rank", CheckpointError)
+            if ndim != tensor.ndim:
+                raise CheckpointError(
+                    f"{name}: stored rank {ndim} != architecture rank {tensor.ndim}"
+                )
+            shape = read_struct(fh, f"<{ndim}I", "tensor shape", CheckpointError)
             if shape != tensor.shape:
                 raise CheckpointError(
                     f"{name}: stored shape {shape} != architecture shape {tensor.shape}"
                 )
             tensor.data = _read_array(fh, shape, f"{name} data")
 
-        (flag,) = struct.unpack("<B", _read_exact(fh, 1, "optimizer flag"))
+        (flag,) = read_struct(fh, "<B", "optimizer flag", CheckpointError)
         optimizer_state = None
         if flag == 1:
-            (step,) = struct.unpack("<Q", _read_exact(fh, 8, "step count"))
+            (step,) = read_struct(fh, "<Q", "step count", CheckpointError)
             moments, inf_norms = [], []
             for name, tensor in named:
                 moments.append(_read_array(fh, tensor.shape, f"{name} moment"))

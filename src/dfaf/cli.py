@@ -22,28 +22,22 @@ import numpy as np
 
 from .attention import AttentionRecord, dyintra_maf_forward, inter_maf_forward
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .config import (
-    ConfigError,
-    RunConfig,
-    as_model_config,
-    as_task_spec,
-    as_train_config,
-    config_dict,
-    load_run_config,
-)
+from .config import ConfigError, RunConfig, config_dict, load_run_config, sub_config
 from .data import (
     FeatureFileError,
+    ToyTaskSpec,
     dataset_summary,
     generate_feature_dataset,
     read_feature_file,
     write_feature_file,
 )
 from .gradcheck import run_gradcheck
-from .model import ModelParams, build_model, embed_inputs, predict
+from .model import ModelConfig, ModelParams, build_model, embed_inputs, predict
 from .tensor import ShapeError, Tensor
 from .training import (
     AdamaxState,
     DivergenceError,
+    TrainConfig,
     evaluate_by_template,
     train,
 )
@@ -58,7 +52,7 @@ def _emit(payload: dict) -> None:
 
 
 def cmd_gen_data(cfg: RunConfig, args: argparse.Namespace) -> int:
-    spec = as_task_spec(cfg)
+    spec = sub_config(cfg, ToyTaskSpec)
     dataset = generate_feature_dataset(spec, cfg.n_instances)
     write_feature_file(args.out, dataset)
     _log(f"wrote {cfg.n_instances} instances to {args.out}")
@@ -75,7 +69,7 @@ def cmd_gen_data(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
     dataset = read_feature_file(args.data)
-    model_config = as_model_config(cfg, dataset.n_answers)
+    model_config = sub_config(cfg, ModelConfig, n_answers=dataset.n_answers)
     if model_config.d_v != dataset.regions.shape[2] or model_config.d_w != dataset.tokens.shape[2]:
         raise ShapeError(
             f"config expects features {model_config.d_v}x{model_config.d_w}, "
@@ -108,7 +102,7 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
         )
 
     metrics, state = train(
-        model, dataset, as_train_config(cfg), state=state, on_epoch=stream
+        model, dataset, sub_config(cfg, TrainConfig), state=state, on_epoch=stream
     )
     save_checkpoint(args.ckpt_out, model, model_config, state.as_checkpoint_trailer())
     _emit(

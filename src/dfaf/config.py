@@ -14,7 +14,7 @@ is fixed in one round trip, not one message at a time.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields
+from dataclasses import Field, field, fields, make_dataclass
 from typing import Callable, Mapping, Sequence
 
 from .data import ToyTaskSpec, answer_vocabulary
@@ -32,56 +32,44 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.errors))
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Effective configuration of one command invocation."""
+def _fields_of(cls: type, skip: tuple[str, ...] = ()) -> list[tuple[str, object, Field]]:
+    return [(f.name, f.type, field(default=f.default)) for f in fields(cls) if f.name not in skip]
 
-    # toy-task generation
-    grid_rows: int = 3
-    grid_cols: int = 4
-    n_colors: int = 4
-    n_shapes: int = 4
-    templates: tuple[str, ...] = ("attribute", "relational", "existence", "counting")
-    max_count: int = 4
-    token_len: int = 6
-    d_v: int = 64
-    d_w: int = 32
-    noise_std: float = 0.0
-    relational_direct_fraction: float = 0.3
-    codebook_seed: int = 7777
-    n_instances: int = 1000
 
-    # model architecture
-    dim: int = 64
-    heads: int = 4
-    n_blocks: int = 1
-    hidden: int = 128
-    fusion: str = "multiply"
-    order: str = "r_then_e"
-    attention_type: str = "full"
+# Task, model and training keys are the sub-configs' own fields and defaults;
+# only the keys no sub-config owns are declared here.  Field order is the
+# key order of config_dict.
+RunConfig = make_dataclass(
+    "RunConfig",
+    _fields_of(ToyTaskSpec, skip=("seed",))
+    + [("n_instances", int, field(default=1000))]
+    + _fields_of(ModelConfig, skip=("d_v", "d_w", "n_answers"))
+    + _fields_of(TrainConfig, skip=("seed",))
+    + [
+        # shared by generation, training, and checking
+        ("seed", int, field(default=0)),
+        # optional checkpoint to continue training from ("" = fresh start)
+        ("resume_from", str, field(default="")),
+        # gradient-check harness
+        ("gradcheck_regions", int, field(default=5)),
+        ("gradcheck_words", int, field(default=4)),
+        ("gradcheck_threshold", float, field(default=1e-4)),
+        ("gradcheck_eps", float, field(default=1e-5)),
+        ("gradcheck_corrupt", str, field(default="")),
+    ],
+    frozen=True,
+    namespace={
+        "__doc__": "Effective configuration of one command invocation.",
+        "__module__": __name__,
+    },
+)
 
-    # optimization
-    base_lr: float = 1e-3
-    epochs: int = 30
-    batch_size: int = 32
-    clip: float = 0.25
-    clip_mode: str = "global_norm"
-    dropout: float = 0.1
-    schedule_breakpoints: tuple[int, ...] = (2, 10)
-    eval_batch_size: int = 256
 
-    # shared by generation, training, and checking
-    seed: int = 0
-
-    # optional checkpoint to continue training from ("" = fresh start)
-    resume_from: str = ""
-
-    # gradient-check harness
-    gradcheck_regions: int = 5
-    gradcheck_words: int = 4
-    gradcheck_threshold: float = 1e-4
-    gradcheck_eps: float = 1e-5
-    gradcheck_corrupt: str = ""
+def sub_config(cfg: RunConfig, cls: type, **extra):
+    """A ``cls`` instance from the run-config fields it shares by name, plus
+    ``extra`` for fields the run config does not hold (``n_answers``)."""
+    shared = {f.name: getattr(cfg, f.name) for f in fields(cls) if f.name not in extra}
+    return cls(**shared, **extra)
 
 
 def _parse_int(text: str) -> int:
@@ -160,68 +148,21 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
     return pairs
 
 
-def as_task_spec(cfg: RunConfig) -> ToyTaskSpec:
-    return ToyTaskSpec(
-        grid_rows=cfg.grid_rows,
-        grid_cols=cfg.grid_cols,
-        n_colors=cfg.n_colors,
-        n_shapes=cfg.n_shapes,
-        templates=cfg.templates,
-        max_count=cfg.max_count,
-        token_len=cfg.token_len,
-        d_v=cfg.d_v,
-        d_w=cfg.d_w,
-        noise_std=cfg.noise_std,
-        relational_direct_fraction=cfg.relational_direct_fraction,
-        seed=cfg.seed,
-        codebook_seed=cfg.codebook_seed,
-    )
-
-
-def as_model_config(cfg: RunConfig, n_answers: int) -> ModelConfig:
-    return ModelConfig(
-        dim=cfg.dim,
-        heads=cfg.heads,
-        n_blocks=cfg.n_blocks,
-        hidden=cfg.hidden,
-        d_v=cfg.d_v,
-        d_w=cfg.d_w,
-        n_answers=n_answers,
-        fusion=cfg.fusion,
-        order=cfg.order,
-        attention_type=cfg.attention_type,
-    )
-
-
-def as_train_config(cfg: RunConfig) -> TrainConfig:
-    return TrainConfig(
-        base_lr=cfg.base_lr,
-        epochs=cfg.epochs,
-        batch_size=cfg.batch_size,
-        clip=cfg.clip,
-        clip_mode=cfg.clip_mode,
-        dropout=cfg.dropout,
-        seed=cfg.seed,
-        schedule_breakpoints=cfg.schedule_breakpoints,
-        eval_batch_size=cfg.eval_batch_size,
-    )
-
-
 def _semantic_errors(cfg: RunConfig) -> list[str]:
     """Cross-field validation, one message per failing sub-config."""
     errors = []
     n_answers = 2
     try:
-        spec = as_task_spec(cfg)
+        spec = sub_config(cfg, ToyTaskSpec)
         n_answers = len(answer_vocabulary(spec))
     except ValueError as exc:
         errors.append(f"task: {exc}")
     try:
-        as_model_config(cfg, n_answers)
+        sub_config(cfg, ModelConfig, n_answers=n_answers)
     except ValueError as exc:
         errors.append(f"model: {exc}")
     try:
-        as_train_config(cfg)
+        sub_config(cfg, TrainConfig)
     except ValueError as exc:
         errors.append(f"training: {exc}")
     if cfg.n_instances < 1:

@@ -34,11 +34,14 @@ Templates, each with an exact symbolic oracle over the scene graph:
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
-from typing import BinaryIO, Iterator
+from typing import Iterator
 
 import numpy as np
+
+from .binio import read_str, read_struct, write_str
 
 MAGIC = b"DFFT"
 VERSION = 1
@@ -465,31 +468,28 @@ def generate_feature_dataset(spec: ToyTaskSpec, n: int) -> FeatureDataset:
     )
 
 
-def _write_str(fh: BinaryIO, s: str) -> None:
-    raw = s.encode("utf-8")
-    fh.write(struct.pack("<H", len(raw)))
-    fh.write(raw)
-
-
-def _read_exact(fh: BinaryIO, count: int, what: str) -> bytes:
-    raw = fh.read(count)
-    if len(raw) != count:
-        raise TruncatedPayloadError(
-            f"truncated feature file: wanted {count} bytes of {what}, got {len(raw)}"
-        )
-    return raw
-
-
-def _read_str(fh: BinaryIO, what: str) -> str:
-    (n,) = struct.unpack("<H", _read_exact(fh, 2, f"{what} length"))
-    return _read_exact(fh, n, what).decode("utf-8")
+def _record_dtype(mu: int, token_len: int, d_v: int, d_w: int) -> np.dtype:
+    """One packed payload record per instance."""
+    return np.dtype(
+        [
+            ("regions", "<f8", (mu, d_v)),
+            ("tokens", "<f8", (token_len, d_w)),
+            ("answer", "<u4"),
+            ("template", "<u4"),
+        ]
+    )
 
 
 def write_feature_file(path: str, dataset: FeatureDataset) -> None:
-    """Header, name tables, then per-instance regions/tokens/answer/template
-    (float64 and u32, little-endian throughout)."""
+    """Header, name tables, then one record per instance: regions, tokens,
+    answer, template (float64 and u32, little-endian throughout)."""
     n, mu, d_v = dataset.regions.shape
     _, token_len, d_w = dataset.tokens.shape
+    records = np.empty(n, dtype=_record_dtype(mu, token_len, d_v, d_w))
+    records["regions"] = dataset.regions
+    records["tokens"] = dataset.tokens
+    records["answer"] = dataset.answers
+    records["template"] = dataset.template_ids
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(
@@ -498,64 +498,63 @@ def write_feature_file(path: str, dataset: FeatureDataset) -> None:
             )
         )
         fh.write(struct.pack("<I", len(dataset.template_names)))
-        for name in dataset.template_names:
-            _write_str(fh, name)
-        for name in dataset.answer_names:
-            _write_str(fh, name)
-        for i in range(n):
-            fh.write(np.ascontiguousarray(dataset.regions[i], dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(dataset.tokens[i], dtype="<f8").tobytes())
-            fh.write(
-                struct.pack(
-                    "<2I", int(dataset.answers[i]), int(dataset.template_ids[i])
-                )
-            )
+        for name in dataset.template_names + dataset.answer_names:
+            write_str(fh, name, FeatureFileError)
+        fh.write(records)
 
 
 def read_feature_file(path: str) -> FeatureDataset:
+    """The payload size the header promises is checked against the bytes
+    left in the file before anything is allocated for it. The returned
+    columns are views into one record array."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != MAGIC:
             raise BadMagicError(f"bad feature-file magic {magic!r}, expected {MAGIC!r}")
-        version, n, mu, token_len, d_v, d_w, n_answers = struct.unpack(
-            "<7I", _read_exact(fh, 28, "header")
+        version, n, mu, token_len, d_v, d_w, n_answers = read_struct(
+            fh, "<7I", "header", TruncatedPayloadError
         )
         if version != VERSION:
             raise VersionMismatchError(
                 f"unsupported feature-file version {version}, expected {VERSION}"
             )
-        (n_templates,) = struct.unpack("<I", _read_exact(fh, 4, "template count"))
-        template_names = [_read_str(fh, "template name") for _ in range(n_templates)]
-        answer_names = [_read_str(fh, "answer name") for _ in range(n_answers)]
-
-        regions = np.empty((n, mu, d_v))
-        tokens = np.empty((n, token_len, d_w))
-        answers = np.empty(n, dtype=np.intp)
-        template_ids = np.empty(n, dtype=np.intp)
-        r_bytes, t_bytes = mu * d_v * 8, token_len * d_w * 8
-        for i in range(n):
-            regions[i] = np.frombuffer(
-                _read_exact(fh, r_bytes, f"instance {i} regions"), dtype="<f8"
-            ).reshape(mu, d_v)
-            tokens[i] = np.frombuffer(
-                _read_exact(fh, t_bytes, f"instance {i} tokens"), dtype="<f8"
-            ).reshape(token_len, d_w)
-            answers[i], template_ids[i] = struct.unpack(
-                "<2I", _read_exact(fh, 8, f"instance {i} labels")
+        if min(n, mu, token_len, d_v, d_w) < 1:
+            raise FeatureFileError(
+                f"feature-file header has an empty axis: {n} instances of "
+                f"{mu}x{d_v} regions and {token_len}x{d_w} tokens"
             )
-        if fh.read(1):
+        (n_templates,) = read_struct(fh, "<I", "template count", TruncatedPayloadError)
+        template_names = [
+            read_str(fh, "template name", TruncatedPayloadError) for _ in range(n_templates)
+        ]
+        answer_names = [
+            read_str(fh, "answer name", TruncatedPayloadError) for _ in range(n_answers)
+        ]
+        need = n * (8 * (mu * d_v + token_len * d_w) + 8)
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if left < need:
+            raise TruncatedPayloadError(
+                f"truncated feature file: header promises {n} instances "
+                f"({need} bytes), file holds {left}"
+            )
+        if left > need:
             raise FeatureFileError("trailing bytes after feature payload")
-    bad = (answers < 0) | (answers >= n_answers)
+        records = np.empty(n, dtype=_record_dtype(mu, token_len, d_v, d_w))
+        if fh.readinto(records) != need:
+            raise TruncatedPayloadError("feature file shrank while being read")
+    answers = records["answer"].astype(np.intp)
+    template_ids = records["template"].astype(np.intp)
+    bad = answers >= n_answers
     if bad.any():
         raise FeatureFileError(f"answer index out of range in instances {np.where(bad)[0][:5]}")
-    bad = (template_ids < 0) | (template_ids >= len(template_names))
+    bad = template_ids >= len(template_names)
     if bad.any():
         raise FeatureFileError(
             f"template index out of range in instances {np.where(bad)[0][:5]}"
         )
     return FeatureDataset(
-        regions=regions,
-        tokens=tokens,
+        regions=records["regions"],
+        tokens=records["tokens"],
         answers=answers,
         template_ids=template_ids,
         template_names=template_names,

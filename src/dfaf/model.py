@@ -207,12 +207,9 @@ def fuse_and_classify(
     r: Tensor,
     e: Tensor,
     p: ModelParams,
-    mode: str = "eval",
     records: list[AttentionRecord] | None = None,
 ) -> Prediction:
     """Pool both modalities, fuse, and score the answer vocabulary."""
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     if r.shape[-2] < 1 or e.shape[-2] < 1:
         raise ShapeError(
             f"cannot pool an empty modality: regions {r.shape}, words {e.shape}"
@@ -243,8 +240,7 @@ def forward(
     """Full pipeline, mode taken from ``ctx`` (None means eval)."""
     r0, e0 = embed_inputs(raw_r, raw_e, p, ctx)
     r_out, e_out = dfaf_stack_forward(r0, e0, p.stack, records=records, ctx=ctx)
-    mode = ctx.mode if ctx is not None else "eval"
-    return fuse_and_classify(r_out, e_out, p, mode=mode, records=records)
+    return fuse_and_classify(r_out, e_out, p, records=records)
 
 
 def predict(raw_r: Tensor, raw_e: Tensor, p: ModelParams, record: bool = False) -> Prediction:

@@ -243,15 +243,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _apply((a, b), a.data + b.data, bwd)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "sub")
-
-    def bwd(g):
-        return g, -g
-
-    return _apply((a, b), a.data - b.data, bwd)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "mul")
     ad, bd = a.data, b.data
@@ -349,18 +340,6 @@ def slice_cols(t: Tensor, start: int, stop: int) -> Tensor:
         return (full,)
 
     return _apply((t,), np.ascontiguousarray(t.data[..., start:stop]), bwd)
-
-
-def reshape(t: Tensor, shape: Sequence[int]) -> Tensor:
-    shape = tuple(shape)
-    if not 1 <= len(shape) <= 3:
-        raise ShapeError(f"tensors take 1-3 axes, got {shape}")
-    old = t.shape
-
-    def bwd(g):
-        return (g.reshape(old),)
-
-    return _apply((t,), t.data.reshape(shape), bwd)
 
 
 def sum_all(t: Tensor) -> Tensor:

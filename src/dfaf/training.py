@@ -162,13 +162,7 @@ def evaluate_accuracy(
     model: ModelParams, dataset: FeatureDataset, batch_size: int = 256
 ) -> float:
     """Fraction of instances whose argmax logit hits the stored answer."""
-    if len(dataset) == 0:
-        raise ValueError("cannot evaluate on an empty dataset")
-    correct = 0
-    for batch in make_batches(dataset, batch_size, mode="sequential"):
-        pred = predict(Tensor(batch.regions), Tensor(batch.tokens), model)
-        correct += int((pred.logits.data.argmax(axis=-1) == batch.answers).sum())
-    return correct / len(dataset)
+    return evaluate_by_template(model, dataset, batch_size)["overall"]
 
 
 def evaluate_by_template(

@@ -156,6 +156,16 @@ class TestTrain:
         assert proc.returncode == 3
         assert "absent.bin" in proc.stderr
 
+    def test_forged_instance_count_exits_3(self, workspace, tmp_path):
+        root, _, _ = workspace
+        blob = bytearray((root / "data.bin").read_bytes())
+        blob[8:12] = (0xFFFFFFFF).to_bytes(4, "little")
+        (tmp_path / "forged.bin").write_bytes(bytes(blob))
+        proc = run_cli(["train", *TINY, "forged.bin", "c.bin"], tmp_path)
+        assert proc.returncode == 3
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("data error:")
+
     def test_divergent_lr_exits_4(self, tmp_path):
         assert run_cli(["gen-data", *TINY, "d.bin"], tmp_path).returncode == 0
         proc = run_cli(
@@ -208,6 +218,17 @@ class TestEval:
         assert proc.returncode == 3
         assert "magic" in proc.stderr
 
+
+    def test_forged_tensor_rank_exits_3(self, workspace, tmp_path):
+        root, _, _ = workspace
+        blob = bytearray((root / "ckpt.bin").read_bytes())
+        at = blob.index(b"region_embed.weight") + len(b"region_embed.weight")
+        blob[at : at + 4] = (0xFFFFFFFF).to_bytes(4, "little")
+        (tmp_path / "forged.bin").write_bytes(bytes(blob))
+        proc = run_cli(["eval", *TINY, "forged.bin", str(root / "data.bin")], tmp_path)
+        assert proc.returncode == 3
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("data error:")
 
 class TestGradcheckCommand:
     SMALL = ["--set", "dim=4", "--set", "heads=2", "--set", "n_blocks=1",

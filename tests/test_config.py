@@ -6,15 +6,15 @@ import pytest
 from dfaf.config import (
     ConfigError,
     RunConfig,
-    as_model_config,
-    as_task_spec,
-    as_train_config,
     config_dict,
     config_lines,
     load_run_config,
     parse_config_text,
+    sub_config,
 )
-from dfaf.data import answer_vocabulary
+from dfaf.data import ToyTaskSpec, answer_vocabulary
+from dfaf.model import ModelConfig
+from dfaf.training import TrainConfig
 
 
 class TestParseText:
@@ -138,20 +138,20 @@ class TestSubConfigs:
         cfg = load_run_config(
             None, ["grid_rows=2", "grid_cols=4", "seed=9", "noise_std=0.1"], env={}
         )
-        spec = as_task_spec(cfg)
+        spec = sub_config(cfg, ToyTaskSpec)
         assert (spec.grid_rows, spec.grid_cols) == (2, 4)
         assert spec.seed == 9
         assert spec.noise_std == 0.1
 
     def test_model_config_gets_answer_count_from_task(self):
         cfg = load_run_config(None, ["templates=attribute"], env={})
-        spec = as_task_spec(cfg)
+        spec = sub_config(cfg, ToyTaskSpec)
         n_answers = len(answer_vocabulary(spec))
-        mc = as_model_config(cfg, n_answers)
+        mc = sub_config(cfg, ModelConfig, n_answers=n_answers)
         assert mc.n_answers == 4
         assert mc.d_v == cfg.d_v
 
     def test_train_config_shares_seed(self):
         cfg = load_run_config(None, ["seed=31"], env={})
-        assert as_train_config(cfg).seed == 31
-        assert as_task_spec(cfg).seed == 31
+        assert sub_config(cfg, TrainConfig).seed == 31
+        assert sub_config(cfg, ToyTaskSpec).seed == 31

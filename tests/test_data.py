@@ -349,6 +349,27 @@ class TestFeatureFile:
         with pytest.raises(TruncatedPayloadError):
             read_feature_file(path)
 
+    def test_forged_instance_count_rejected_before_allocating(self, tmp_path):
+        ds = generate_feature_dataset(ToyTaskSpec(seed=37), 2)
+        path = str(tmp_path / "n.dft")
+        write_feature_file(path, ds)
+        raw = bytearray(open(path, "rb").read())
+        raw[8:12] = (0xFFFFFFFF).to_bytes(4, "little")
+        open(path, "wb").write(bytes(raw))
+        with pytest.raises(TruncatedPayloadError):
+            read_feature_file(path)
+
+    def test_empty_header_axis_rejected(self, tmp_path):
+        ds = generate_feature_dataset(ToyTaskSpec(seed=38), 2)
+        path = str(tmp_path / "z.dft")
+        write_feature_file(path, ds)
+        raw = bytearray(open(path, "rb").read())
+        raw[12:16] = (0xFFFFFFFF).to_bytes(4, "little")  # regions per instance
+        raw[20:24] = (0).to_bytes(4, "little")  # region width
+        open(path, "wb").write(bytes(raw))
+        with pytest.raises(FeatureFileError, match="empty axis"):
+            read_feature_file(path)
+
     def test_trailing_bytes_rejected(self, tmp_path):
         ds = generate_feature_dataset(ToyTaskSpec(seed=36), 4)
         path = str(tmp_path / "g.dft")

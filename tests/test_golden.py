@@ -1,0 +1,73 @@
+"""Golden bytes: the DFFT and DFAF file formats, pinned by SHA-256.
+
+Both files are built from ``np.arange`` values, with no random draws, so the
+digests depend only on the on-disk layout. A change to either writer that
+alters one byte fails here.
+"""
+
+import hashlib
+
+import numpy as np
+
+from dfaf.checkpoint import load_checkpoint, save_checkpoint
+from dfaf.data import FeatureDataset, read_feature_file, write_feature_file
+from dfaf.model import ModelConfig, build_model
+
+FEATURE_SHA256 = "1970e1ae1763c2b3c1227f9fc9369445d88e2951ebdf1e0972cb6423c44832dc"
+CHECKPOINT_SHA256 = "46b1d4de6b547697711aad085cb775cc308ae6043de7f26ad9e59c8da261875a"
+
+
+def sha256_of(path) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def golden_dataset() -> FeatureDataset:
+    n, mu, d_v, length, d_w = 3, 4, 5, 2, 3
+    return FeatureDataset(
+        regions=np.arange(n * mu * d_v, dtype=np.float64).reshape(n, mu, d_v) / 8.0,
+        tokens=-np.arange(n * length * d_w, dtype=np.float64).reshape(n, length, d_w) / 4.0,
+        answers=np.array([2, 0, 1], dtype=np.intp),
+        template_ids=np.array([1, 0, 1], dtype=np.intp),
+        template_names=["attribute", "counting"],
+        answer_names=["no", "yes", "count_é"],
+    )
+
+
+def golden_model():
+    config = ModelConfig(
+        dim=4, heads=2, n_blocks=1, hidden=3, d_v=5, d_w=3, n_answers=3,
+        fusion="concat", order="e_then_r", attention_type="full",
+    )
+    params = build_model(config, np.random.default_rng(0))
+    named = list(params.named_parameters())
+    for i, (_, tensor) in enumerate(named):
+        tensor.data = np.arange(tensor.size, dtype=np.float64).reshape(tensor.shape) / 16.0 + i
+    moments = [np.full(t.shape, 0.5 * i) for i, (_, t) in enumerate(named)]
+    inf_norms = [np.arange(t.size, dtype=np.float64).reshape(t.shape) for _, t in named]
+    return params, config, (7, moments, inf_norms)
+
+
+def test_feature_file_bytes_are_pinned(tmp_path):
+    path = tmp_path / "golden.dft"
+    ds = golden_dataset()
+    write_feature_file(str(path), ds)
+    assert sha256_of(path) == FEATURE_SHA256
+    back = read_feature_file(str(path))
+    assert np.array_equal(back.regions, ds.regions)
+    assert np.array_equal(back.tokens, ds.tokens)
+    assert back.answers.tolist() == [2, 0, 1]
+    assert back.template_ids.tolist() == [1, 0, 1]
+    assert back.answer_names == ds.answer_names
+
+
+def test_checkpoint_bytes_are_pinned(tmp_path):
+    path = tmp_path / "golden.ckpt"
+    params, config, trailer = golden_model()
+    save_checkpoint(str(path), params, config, trailer)
+    assert sha256_of(path) == CHECKPOINT_SHA256
+    loaded, loaded_config, loaded_trailer = load_checkpoint(str(path))
+    assert loaded_config == config
+    assert loaded_trailer[0] == 7
+    for a, b in zip(loaded.parameters(), params.parameters()):
+        assert np.array_equal(a.data, b.data)

@@ -83,7 +83,7 @@ class TestFuseAndClassify:
         p = build_model(cfg, rng)
         r = Tensor(rng.standard_normal((5, 8)))
         v = r.data.mean(axis=0)
-        mul_pred = M.fuse_and_classify(r, Tensor(np.ones((2, 8))), p, mode="eval")
+        mul_pred = M.fuse_and_classify(r, Tensor(np.ones((2, 8))), p)
         p_add = M.ModelParams(
             region_embed=p.region_embed,
             word_embed=p.word_embed,
@@ -92,7 +92,7 @@ class TestFuseAndClassify:
             mlp_out=p.mlp_out,
             fusion="add",
         )
-        add_pred = M.fuse_and_classify(r, Tensor(np.zeros((2, 8))), p_add, mode="eval")
+        add_pred = M.fuse_and_classify(r, Tensor(np.zeros((2, 8))), p_add)
         alone = np.maximum(v @ p.mlp_hidden.weight.data + p.mlp_hidden.bias.data, 0)
         alone = alone @ p.mlp_out.weight.data + p.mlp_out.bias.data
         assert np.allclose(mul_pred.logits.numpy(), alone, atol=1e-12)
@@ -105,7 +105,7 @@ class TestFuseAndClassify:
         for _ in range(20):
             r = Tensor(rng.standard_normal((4, 8)) * 10)
             e = Tensor(rng.standard_normal((3, 8)) * 10)
-            pred = M.fuse_and_classify(r, e, p, mode="eval")
+            pred = M.fuse_and_classify(r, e, p)
             assert abs(pred.probabilities.sum() - 1.0) < 1e-9
             assert np.all(pred.probabilities >= 0)
 
@@ -115,7 +115,7 @@ class TestFuseAndClassify:
         p = build_model(cfg, rng)
         r = rng.standard_normal((6, 8))
         e = rng.standard_normal((4, 8))
-        pred = M.fuse_and_classify(Tensor(r), Tensor(e), p, mode="eval")
+        pred = M.fuse_and_classify(Tensor(r), Tensor(e), p)
         fused = np.concatenate([r.mean(axis=0), e.mean(axis=0)])
         h = np.maximum(fused @ p.mlp_hidden.weight.data + p.mlp_hidden.bias.data, 0)
         logits = h @ p.mlp_out.weight.data + p.mlp_out.bias.data
@@ -126,12 +126,6 @@ class TestFuseAndClassify:
         p = build_model(cfg, np.random.default_rng(7))
         with pytest.raises(ShapeError, match="empty"):
             M.fuse_and_classify(Tensor(np.ones((0, 8))), Tensor(np.ones((2, 8))), p)
-
-    def test_bad_mode_rejected(self):
-        cfg = small_config()
-        p = build_model(cfg, np.random.default_rng(8))
-        with pytest.raises(ValueError, match="mode"):
-            M.fuse_and_classify(Tensor(np.ones((2, 8))), Tensor(np.ones((2, 8))), p, mode="x")
 
 
 class TestCrossEntropyLoss:
@@ -364,6 +358,19 @@ class TestCheckpoint:
             fh.write(b"\x00")
         with pytest.raises(CheckpointError, match="trailing"):
             load_checkpoint(path)
+
+    def test_forged_rank_rejected_before_reading_shape(self, tmp_path):
+        cfg = small_config()
+        p = build_model(cfg, np.random.default_rng(25))
+        path = tmp_path / "r.ckpt"
+        save_checkpoint(str(path), p, cfg)
+        raw = bytearray(path.read_bytes())
+        first = next(p.named_parameters())[0].encode()
+        at = raw.index(first) + len(first)
+        raw[at : at + 4] = (0xFFFFFFFF).to_bytes(4, "little")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="rank"):
+            load_checkpoint(str(path))
 
     def test_loaded_model_predicts_identically(self, tmp_path):
         cfg = small_config()

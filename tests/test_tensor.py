@@ -105,7 +105,6 @@ class TestElementwiseArithmetic:
         a = Tensor([[1.0, -2.0], [0.5, 4.0]])
         b = Tensor([[3.0, 3.0], [-1.0, 0.25]])
         assert np.array_equal(T.add(a, b).numpy(), [[4.0, 1.0], [-0.5, 4.25]])
-        assert np.array_equal(T.sub(a, b).numpy(), [[-2.0, -5.0], [1.5, 3.75]])
         assert np.array_equal(T.mul(a, b).numpy(), [[3.0, -6.0], [-0.5, 1.0]])
 
     def test_shape_mismatch_rejected(self):
@@ -564,14 +563,6 @@ class TestShapesAndMisc:
         rng = np.random.default_rng(27)
         x = rng.standard_normal((3, 5))
         assert np.array_equal(T.transpose(T.transpose(Tensor(x))).numpy(), x)
-
-    def test_reshape_gradient_flows(self):
-        x = Tensor(np.arange(6.0), requires_grad=True)
-        with GradTape() as tape:
-            y = T.reshape(x, (2, 3))
-            loss = T.sum_all(T.mul(y, y))
-        backward(tape, loss)
-        assert np.allclose(x.grad, 2.0 * x.data)
 
     def test_numpy_returns_copy(self):
         t = Tensor([1.0, 2.0])
