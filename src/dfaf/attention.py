@@ -16,9 +16,10 @@ words ``e``), both projected to a shared width ``dim``:
   features are never gated. The naive variant skips gating entirely and is
   fully independent of the other modality. Both use a residual update.
 
-Multi-head attention splits the feature axis into contiguous groups; each
-group attends independently with scaling by the square root of the group
-width. Gates are computed at full width and split alongside the channels.
+Multi-head attention splits the feature axis into contiguous groups: one
+batched pass over a head-major view; same math, each group scaled by the
+square root of the group width. Gates are computed at full width and split
+alongside the channels.
 
 A block is inter-modality flow followed by intra-modality flow; blocks stack
 sequentially. There is no normalization anywhere, and dropout (train mode
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -48,10 +49,11 @@ from .tensor import (
     linear_forward,
     linear_init,
     matmul,
+    merge_heads,
     mul_row,
     scale,
-    slice_cols,
     softmax_rows,
+    split_heads,
     transpose,
 )
 
@@ -259,29 +261,13 @@ def scaled_dot_attention(q: Tensor, k: Tensor) -> Tensor:
     return softmax_rows(logits)
 
 
-def multi_head_apply(
-    attention_fn: Callable[[Tensor, Tensor], Tensor],
-    q: Tensor,
-    k: Tensor,
-    v: Tensor,
-    heads: int,
-) -> tuple[Tensor, list[Tensor]]:
-    """Split q/k/v channels into ``heads`` contiguous groups, attend per
-    group, and concatenate. Returns (merged values, per-head weights)."""
-    dim = q.shape[-1]
-    if dim % heads != 0:
-        raise ShapeError(f"dim {dim} not divisible by {heads} heads")
-    if heads == 1:
-        w = attention_fn(q, k)
-        return matmul(w, v), [w]
-    hd = dim // heads
-    outs, weights = [], []
-    for h in range(heads):
-        lo, hi = h * hd, (h + 1) * hd
-        w = attention_fn(slice_cols(q, lo, hi), slice_cols(k, lo, hi))
-        weights.append(w)
-        outs.append(matmul(w, slice_cols(v, lo, hi)))
-    return concat_cols(*outs), weights
+def multi_head_apply(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, list[Tensor]]:
+    """Attend in ``heads`` contiguous channel groups at once, on the head-major
+    view. Returns (merged values, per-head weights)."""
+    w = scaled_dot_attention(split_heads(q, heads), split_heads(k, heads))
+    merged = merge_heads(matmul(w, split_heads(v, heads)), q.shape[:-1] + v.shape[-1:])
+    by_head = np.moveaxis(w.data.reshape(q.shape[:-2] + (heads,) + w.shape[1:]), -3, 0)
+    return merged, [Tensor(x) for x in by_head]
 
 
 def compute_gates(other_modality_feats: Tensor, gate_layer: LinearLayer) -> Tensor:
@@ -296,10 +282,6 @@ def compute_gates(other_modality_feats: Tensor, gate_layer: LinearLayer) -> Tens
 
 def _project(qkv: QkvProjection, x: Tensor, ctx) -> tuple[Tensor, Tensor, Tensor]:
     return _lin(qkv.query, x, ctx), _lin(qkv.key, x, ctx), _lin(qkv.value, x, ctx)
-
-
-def _detach(t: Tensor) -> np.ndarray:
-    return t.numpy()
 
 
 def inter_maf_forward(
@@ -324,11 +306,11 @@ def inter_maf_forward(
     e_q = _lin(p.word_qkv.query, e, ctx)
 
     def update_regions(keys: Tensor, values: Tensor) -> tuple[Tensor, list[Tensor]]:
-        attended, weights = multi_head_apply(scaled_dot_attention, r_q, keys, values, heads)
+        attended, weights = multi_head_apply(r_q, keys, values, heads)
         return _lin(p.region_out, concat_cols(r, attended), ctx), weights
 
     def update_words(keys: Tensor, values: Tensor) -> tuple[Tensor, list[Tensor]]:
-        attended, weights = multi_head_apply(scaled_dot_attention, e_q, keys, values, heads)
+        attended, weights = multi_head_apply(e_q, keys, values, heads)
         return _lin(p.word_out, concat_cols(e, attended), ctx), weights
 
     def keys_values(qkv: QkvProjection, x: Tensor) -> tuple[Tensor, Tensor]:
@@ -345,8 +327,8 @@ def inter_maf_forward(
         e_new, w_e = update_words(*keys_values(p.region_qkv, r_new))
 
     if record is not None:
-        record.inter_r_from_e = [_detach(w) for w in w_r]
-        record.inter_e_from_r = [_detach(w) for w in w_e]
+        record.inter_r_from_e = [w.numpy() for w in w_r]
+        record.inter_e_from_r = [w.numpy() for w in w_e]
     return r_new, e_new
 
 
@@ -377,17 +359,17 @@ def dyintra_maf_forward(
         r_q, r_k = mul_row(r_q, mult_r), mul_row(r_k, mult_r)
         e_q, e_k = mul_row(e_q, mult_e), mul_row(e_k, mult_e)
 
-    r_att, w_r = multi_head_apply(scaled_dot_attention, r_q, r_k, r_v, heads)
-    e_att, w_e = multi_head_apply(scaled_dot_attention, e_q, e_k, e_v, heads)
+    r_att, w_r = multi_head_apply(r_q, r_k, r_v, heads)
+    e_att, w_e = multi_head_apply(e_q, e_k, e_v, heads)
     r_new = _lin(p.region_out, add(r, r_att), ctx)
     e_new = _lin(p.word_out, add(e, e_att), ctx)
 
     if record is not None:
-        record.intra_r = [_detach(w) for w in w_r]
-        record.intra_e = [_detach(w) for w in w_e]
+        record.intra_r = [w.numpy() for w in w_r]
+        record.intra_e = [w.numpy() for w in w_e]
         if p.dynamic:
-            record.gate_on_regions = _detach(gate_r)
-            record.gate_on_words = _detach(gate_e)
+            record.gate_on_regions = gate_r.numpy()
+            record.gate_on_words = gate_e.numpy()
     return r_new, e_new
 
 
@@ -476,8 +458,6 @@ def init_dfaf_block(
         raise ValueError(
             f"attention_type must be one of {ATTENTION_TYPES}, got {attention_type!r}"
         )
-    if dim % heads != 0:
-        raise ShapeError(f"dim {dim} not divisible by {heads} heads")
     inter = init_inter_maf(dim, rng) if attention_type in ("full", "inter_only") else None
     if attention_type in ("full", "dyintra_only"):
         intra = init_dyintra_maf(dim, rng, dynamic=True)

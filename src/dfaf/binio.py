@@ -31,4 +31,7 @@ def read_struct(fh: BinaryIO, fmt: str, what: str, error: type[Exception]) -> tu
 
 def read_str(fh: BinaryIO, what: str, error: type[Exception]) -> str:
     (count,) = read_struct(fh, "<H", f"{what} length", error)
-    return read_exact(fh, count, what, error).decode("utf-8")
+    try:
+        return read_exact(fh, count, what, error).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} is not valid utf-8 at byte {exc.start}") from None

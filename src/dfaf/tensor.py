@@ -327,19 +327,35 @@ def concat_cols(*tensors: Tensor) -> Tensor:
     return _apply(tensors, np.concatenate([t.data for t in tensors], axis=-1), bwd)
 
 
-def slice_cols(t: Tensor, start: int, stop: int) -> Tensor:
-    """A contiguous block of feature columns, as a copy."""
-    width = t.shape[-1]
-    if not 0 <= start < stop <= width:
-        raise ShapeError(f"column slice [{start}:{stop}] out of range for width {width}")
-    td_shape = t.shape
+def _swap_groups(t: Tensor, grouped: tuple[int, int, int, int], shape: tuple) -> Tensor:
+    # Tape op: view t as ``grouped``, swap axes 1 and 2, copy out as ``shape``.
+    b, x, y, w = grouped
+
+    def move(a: np.ndarray, src: tuple, dst: tuple) -> np.ndarray:
+        return np.ascontiguousarray(a.reshape(src).swapaxes(1, 2)).reshape(dst)
 
     def bwd(g):
-        full = np.zeros(td_shape)
-        full[..., start:stop] = g
-        return (full,)
+        return (move(g, (b, y, x, w), t.shape),)
 
-    return _apply((t,), np.ascontiguousarray(t.data[..., start:stop]), bwd)
+    return _apply((t,), move(t.data, grouped, shape), bwd)
+
+
+def split_heads(t: Tensor, heads: int) -> Tensor:
+    """Head-major copy: (n, d) or (B, n, d) -> (B·heads, n, d/heads). Entry
+    ``b·heads + h`` holds columns [h·d/heads, (h+1)·d/heads) of instance b."""
+    if t.ndim < 2 or heads < 1 or t.shape[-1] % heads:
+        raise ShapeError(f"cannot split {t.shape} into {heads} heads")
+    b, n, d = (1, *t.shape) if t.ndim == 2 else t.shape
+    return _swap_groups(t, (b, n, heads, d // heads), (b * heads, n, d // heads))
+
+
+def merge_heads(t: Tensor, shape: tuple[int, ...]) -> Tensor:
+    """Inverse of ``split_heads``; ``shape`` is (n, d) or (B, n, d)."""
+    b, n, d = (1, *shape) if len(shape) == 2 else shape
+    heads = d // t.shape[-1]
+    if t.shape != (b * heads, n, d // heads) or heads * t.shape[-1] != d:
+        raise ShapeError(f"cannot merge heads of {t.shape} into {tuple(shape)}")
+    return _swap_groups(t, (b, heads, n, d // heads), shape)
 
 
 def sum_all(t: Tensor) -> Tensor:

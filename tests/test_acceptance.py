@@ -196,7 +196,7 @@ def test_criterion_05_multi_head_consistency():
         v = Tensor(rng.standard_normal((m, dim)))
 
         # h=1 must be bit-exact against the unsplit computation.
-        merged, weights = multi_head_apply(scaled_dot_attention, q, k, v, 1)
+        merged, weights = multi_head_apply(q, k, v, 1)
         direct_w = scaled_dot_attention(q, k)
         direct = direct_w.data @ v.data
         assert np.array_equal(weights[0].data, direct_w.data)
@@ -204,7 +204,7 @@ def test_criterion_05_multi_head_consistency():
 
         # h=2 must equal two independent half-width runs, concatenated.
         half = dim // 2
-        merged2, weights2 = multi_head_apply(scaled_dot_attention, q, k, v, 2)
+        merged2, weights2 = multi_head_apply(q, k, v, 2)
         parts = []
         for lo, hi, w2 in ((0, half, weights2[0]), (half, dim, weights2[1])):
             qh = Tensor(q.data[:, lo:hi])

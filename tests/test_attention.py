@@ -139,7 +139,7 @@ class TestMultiHead:
     def test_single_head_is_bit_exact_unsplit(self):
         rng = np.random.default_rng(3)
         q, k, v = (Tensor(rng.standard_normal((4, 8))) for _ in range(3))
-        merged, weights = A.multi_head_apply(A.scaled_dot_attention, q, k, v, 1)
+        merged, weights = A.multi_head_apply(q, k, v, 1)
         direct = T.matmul(A.scaled_dot_attention(q, k), v)
         assert np.array_equal(merged.numpy(), direct.numpy())
         assert len(weights) == 1
@@ -147,11 +147,10 @@ class TestMultiHead:
     def test_two_heads_equal_independent_half_runs(self):
         rng = np.random.default_rng(4)
         q, k, v = (Tensor(rng.standard_normal((5, 8))) for _ in range(3))
-        merged, weights = A.multi_head_apply(A.scaled_dot_attention, q, k, v, 2)
+        merged, weights = A.multi_head_apply(q, k, v, 2)
         halves = []
         for lo, hi in ((0, 4), (4, 8)):
             out_h, w_h = A.multi_head_apply(
-                A.scaled_dot_attention,
                 Tensor(q.data[:, lo:hi]),
                 Tensor(k.data[:, lo:hi]),
                 Tensor(v.data[:, lo:hi]),
@@ -167,7 +166,7 @@ class TestMultiHead:
         q = Tensor(rng.standard_normal((100, 512)))
         k = Tensor(rng.standard_normal((14, 512)))
         v = Tensor(rng.standard_normal((14, 512)))
-        merged, weights = A.multi_head_apply(A.scaled_dot_attention, q, k, v, 8)
+        merged, weights = A.multi_head_apply(q, k, v, 8)
         assert merged.shape == (100, 512)
         assert len(weights) == 8
         assert all(w.shape == (100, 14) for w in weights)
@@ -175,7 +174,7 @@ class TestMultiHead:
     def test_indivisible_heads_rejected(self):
         q = Tensor(np.ones((2, 6)))
         with pytest.raises(ShapeError, match="6"):
-            A.multi_head_apply(A.scaled_dot_attention, q, q, q, 4)
+            A.multi_head_apply(q, q, q, 4)
 
 
 class TestComputeGates:
@@ -514,6 +513,25 @@ class TestDfafStack:
             assert seen == 4 * 2  # four matrix families, two heads
             assert np.all((rec.gate_on_regions > 0) & (rec.gate_on_regions < 1))
             assert np.all((rec.gate_on_words > 0) & (rec.gate_on_words < 1))
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_batched_records_equal_unbatched_bitwise(self, heads):
+        rng = np.random.default_rng(31)
+        blocks = A.init_dfaf_stack(8, heads, 2, rng)
+        r, e = rand_re(rng, mu=4, length=3, dim=8, batch=3)
+        batched = []
+        A.dfaf_stack_forward(r, e, blocks, records=batched)
+        for i in range(3):
+            single = []
+            A.dfaf_stack_forward(Tensor(r.data[i]), Tensor(e.data[i]), blocks, records=single)
+            for rec_b, rec_1 in zip(batched, single):
+                got = list(rec_b.matrices())
+                want = list(rec_1.matrices())
+                assert len(got) == len(want) == 4 * heads
+                for (name, head, w_b), (name_1, head_1, w_1) in zip(got, want):
+                    assert (name, head) == (name_1, head_1)
+                    assert w_b.shape == (3, *w_1.shape)
+                    assert np.array_equal(w_b[i], w_1)
 
     def test_deep_stack_survives_sgd_steps(self):
         rng = np.random.default_rng(30)

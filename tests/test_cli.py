@@ -166,6 +166,16 @@ class TestTrain:
         (line,) = proc.stderr.splitlines()
         assert line.startswith("data error:")
 
+    def test_template_name_not_utf8_exits_3(self, workspace, tmp_path):
+        root, _, _ = workspace
+        blob = bytearray((root / "data.bin").read_bytes())
+        blob[38] = 0xFF  # first byte of the first template name
+        (tmp_path / "bad.bin").write_bytes(bytes(blob))
+        proc = run_cli(["train", *TINY, "bad.bin", "c.bin"], tmp_path)
+        assert proc.returncode == 3
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("data error:")
+
     def test_divergent_lr_exits_4(self, tmp_path):
         assert run_cli(["gen-data", *TINY, "d.bin"], tmp_path).returncode == 0
         proc = run_cli(
@@ -229,6 +239,17 @@ class TestEval:
         assert proc.returncode == 3
         (line,) = proc.stderr.splitlines()
         assert line.startswith("data error:")
+
+    def test_fusion_name_not_utf8_exits_3(self, workspace, tmp_path):
+        root, _, _ = workspace
+        blob = bytearray((root / "ckpt.bin").read_bytes())
+        blob[38] = 0xFF  # first byte of the fusion string
+        (tmp_path / "bad.bin").write_bytes(bytes(blob))
+        proc = run_cli(["eval", *TINY, "bad.bin", str(root / "data.bin")], tmp_path)
+        assert proc.returncode == 3
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("data error:")
+
 
 class TestGradcheckCommand:
     SMALL = ["--set", "dim=4", "--set", "heads=2", "--set", "n_blocks=1",

@@ -370,6 +370,16 @@ class TestFeatureFile:
         with pytest.raises(FeatureFileError, match="empty axis"):
             read_feature_file(path)
 
+    def test_name_not_utf8_rejected(self, tmp_path):
+        ds = generate_feature_dataset(ToyTaskSpec(seed=39), 2)
+        path = str(tmp_path / "u.dft")
+        write_feature_file(path, ds)
+        raw = bytearray(open(path, "rb").read())
+        raw[38] = 0xFF  # first byte of the first template name
+        open(path, "wb").write(bytes(raw))
+        with pytest.raises(FeatureFileError, match="template name is not valid utf-8"):
+            read_feature_file(path)
+
     def test_trailing_bytes_rejected(self, tmp_path):
         ds = generate_feature_dataset(ToyTaskSpec(seed=36), 4)
         path = str(tmp_path / "g.dft")

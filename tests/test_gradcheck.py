@@ -171,6 +171,12 @@ class TestRunGradcheck:
         for order in ("parallel", "r_then_e", "e_then_r"):
             assert small_run(order=order).passed
 
+    @pytest.mark.parametrize("heads", [1, SMALL["dim"]])
+    def test_single_head_and_unit_head_width_pass(self, heads):
+        report = small_run(heads=heads)
+        assert report.passed
+        assert report.settings["heads"] == heads
+
     def test_dim_cap_enforced(self):
         with pytest.raises(ValueError, match=str(MAX_DIM)):
             run_gradcheck(dim=32, heads=2)

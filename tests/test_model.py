@@ -372,6 +372,17 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="rank"):
             load_checkpoint(str(path))
 
+    def test_name_not_utf8_rejected(self, tmp_path):
+        cfg = small_config()
+        p = build_model(cfg, np.random.default_rng(26))
+        path = tmp_path / "u.ckpt"
+        save_checkpoint(str(path), p, cfg)
+        raw = bytearray(path.read_bytes())
+        raw[38] = 0xFF  # first byte of the fusion string
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="fusion is not valid utf-8"):
+            load_checkpoint(str(path))
+
     def test_loaded_model_predicts_identically(self, tmp_path):
         cfg = small_config()
         rng = np.random.default_rng(24)

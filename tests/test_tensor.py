@@ -147,15 +147,7 @@ class TestConcatAndSlice:
         b = rng.standard_normal((3, 5))
         cat = T.concat_cols(Tensor(a), Tensor(b))
         assert cat.shape == (3, 7)
-        assert np.array_equal(T.slice_cols(cat, 0, 2).numpy(), a)
-        assert np.array_equal(T.slice_cols(cat, 2, 7).numpy(), b)
-
-    def test_slice_gradient_scatters(self):
-        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-        with GradTape() as tape:
-            loss = T.sum_all(T.slice_cols(x, 1, 3))
-        backward(tape, loss)
-        assert np.array_equal(x.grad, [[0, 1, 1], [0, 1, 1]])
+        assert np.array_equal(cat.numpy(), np.concatenate([a, b], axis=-1))
 
     def test_concat_gradient_splits(self):
         a = Tensor(np.ones((2, 2)), requires_grad=True)
@@ -167,11 +159,55 @@ class TestConcatAndSlice:
         assert a.grad.shape == (2, 2) and b.grad.shape == (2, 1)
         assert np.allclose(a.grad, 2.0) and np.allclose(b.grad, 2.0)
 
-    def test_bad_slice_bounds(self):
+
+def np_split(x, heads):
+    # Loop oracle for the head-major layout: entry b*heads + h is column
+    # group h of instance b.
+    x3 = x.reshape(-1, *x.shape[-2:])
+    hd = x.shape[-1] // heads
+    return np.stack([x3[b, :, h * hd : (h + 1) * hd] for b in range(len(x3)) for h in range(heads)])
+
+
+def np_merge(w, shape):
+    heads = w.shape[0] // (shape[0] if len(shape) == 3 else 1)
+    return np.concatenate([w[h::heads] for h in range(heads)], axis=-1).reshape(shape)
+
+
+class TestSplitMergeHeads:
+    @pytest.mark.parametrize("shape", [(5, 6), (3, 5, 6)])
+    @pytest.mark.parametrize("heads", [1, 2, 6])
+    def test_roundtrip_is_bitwise(self, shape, heads):
+        x = np.random.default_rng(40).standard_normal(shape)
+        split = T.split_heads(Tensor(x), heads)
+        assert np.array_equal(split.numpy(), np_split(x, heads))
+        assert np.array_equal(T.merge_heads(split, shape).numpy(), x)
+
+    @pytest.mark.parametrize("shape", [(5, 6), (3, 5, 6)])
+    def test_split_backward_is_exact_regrouping(self, shape):
+        rng = np.random.default_rng(41)
+        x = Tensor(rng.standard_normal(shape), requires_grad=True)
+        w = rng.standard_normal(np_split(x.data, 3).shape)
+        with GradTape() as tape:
+            loss = T.sum_all(T.mul(T.split_heads(x, 3), Tensor(w)))
+        backward(tape, loss)
+        assert np.array_equal(x.grad, np_merge(w, shape))
+
+    def test_merge_backward_is_exact_split(self):
+        rng = np.random.default_rng(42)
+        x = Tensor(rng.standard_normal((6, 5, 2)), requires_grad=True)
+        w = rng.standard_normal((2, 5, 6))
+        with GradTape() as tape:
+            loss = T.sum_all(T.mul(T.merge_heads(x, (2, 5, 6)), Tensor(w)))
+        backward(tape, loss)
+        assert np.array_equal(x.grad, np_split(w, 3))
+
+    def test_indivisible_heads_rejected(self):
+        with pytest.raises(ShapeError, match="6"):
+            T.split_heads(Tensor(np.ones((2, 6))), 4)
+
+    def test_bad_merge_shape_rejected(self):
         with pytest.raises(ShapeError):
-            T.slice_cols(Tensor(np.ones((2, 3))), 2, 2)
-        with pytest.raises(ShapeError):
-            T.slice_cols(Tensor(np.ones((2, 3))), 0, 4)
+            T.merge_heads(Tensor(np.ones((4, 2, 3))), (2, 7))
 
 
 class TestSoftmax:
