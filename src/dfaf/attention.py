@@ -22,8 +22,8 @@ square root of the group width. Gates are computed at full width and split
 alongside the channels.
 
 A block is inter-modality flow followed by intra-modality flow; blocks stack
-sequentially. There is no normalization anywhere, and dropout (train mode
-only) follows each projection and fusion linear.
+sequentially. There is no normalization anywhere, and dropout (train mode,
+which a ForwardContext selects) follows each projection and fusion linear.
 
 All forwards accept an optional leading batch axis on ``r`` and ``e``.
 """
@@ -42,7 +42,6 @@ from .tensor import (
     Tensor,
     add,
     add_scalar,
-    apply_activation,
     avg_pool_rows,
     concat_cols,
     dropout,
@@ -52,6 +51,7 @@ from .tensor import (
     merge_heads,
     mul_row,
     scale,
+    sigmoid,
     softmax_rows,
     split_heads,
     transpose,
@@ -63,26 +63,17 @@ ATTENTION_TYPES = ("full", "inter_only", "intra_only", "dyintra_only")
 
 @dataclass
 class ForwardContext:
-    """Execution-mode knobs threaded through forward passes.
+    """Train mode: dropout at ``dropout_rate`` drawn from ``rng``. Forwards
+    take None for eval mode, which is deterministic."""
 
-    ``mode`` 'train' enables dropout at ``dropout_rate`` using ``rng``;
-    'eval' (and a None context) is deterministic.
-    """
-
-    mode: str = "eval"
-    dropout_rate: float = 0.0
-    rng: np.random.Generator | None = None
-
-    def __post_init__(self):
-        if self.mode not in ("train", "eval"):
-            raise ValueError(f"mode must be 'train' or 'eval', got {self.mode!r}")
+    dropout_rate: float
+    rng: np.random.Generator
 
 
-def _lin(layer: LinearLayer, x: Tensor, ctx: ForwardContext | None) -> Tensor:
+def linear_dropout(layer: LinearLayer, x: Tensor, ctx: ForwardContext | None) -> Tensor:
+    """A linear layer, followed by dropout in train mode."""
     out = linear_forward(layer, x)
-    if ctx is not None and ctx.mode == "train" and ctx.dropout_rate > 0.0:
-        out = dropout(out, ctx.dropout_rate, "train", ctx.rng)
-    return out
+    return out if ctx is None else dropout(out, ctx.dropout_rate, ctx.rng)
 
 
 @dataclass
@@ -188,7 +179,9 @@ class AttentionRecord:
     """Attention matrices and gate vectors captured from one block's forward.
 
     Matrix lists hold one array per head (length ``heads``); gate vectors are
-    full-width. Arrays are detached copies, safe to keep after backward.
+    full-width. Arrays are detached copies, safe to keep after backward. For
+    dynamic intra modules, ``intra_*_gates_disabled`` hold the same inputs'
+    self-attention with the gates left out of queries and keys.
     """
 
     inter_r_from_e: list[np.ndarray] = field(default_factory=list)
@@ -197,9 +190,11 @@ class AttentionRecord:
     intra_e: list[np.ndarray] = field(default_factory=list)
     gate_on_regions: np.ndarray | None = None
     gate_on_words: np.ndarray | None = None
+    intra_r_gates_disabled: list[np.ndarray] = field(default_factory=list)
+    intra_e_gates_disabled: list[np.ndarray] = field(default_factory=list)
 
     def matrices(self) -> Iterator[tuple[str, int, np.ndarray]]:
-        """All captured attention matrices as (name, head, array)."""
+        """The forward's own attention matrices as (name, head, array)."""
         for name in ("inter_r_from_e", "inter_e_from_r", "intra_r", "intra_e"):
             for head, arr in enumerate(getattr(self, name)):
                 yield name, head, arr
@@ -261,13 +256,25 @@ def scaled_dot_attention(q: Tensor, k: Tensor) -> Tensor:
     return softmax_rows(logits)
 
 
-def multi_head_apply(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, list[Tensor]]:
+def head_weights(q: Tensor, k: Tensor, heads: int) -> Tensor:
+    """Head-major (B·heads, n, m) attention weights of ``heads`` contiguous
+    channel groups."""
+    return scaled_dot_attention(split_heads(q, heads), split_heads(k, heads))
+
+
+def multi_head_apply(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, Tensor]:
     """Attend in ``heads`` contiguous channel groups at once, on the head-major
-    view. Returns (merged values, per-head weights)."""
-    w = scaled_dot_attention(split_heads(q, heads), split_heads(k, heads))
+    view. Returns (merged values, head-major weights)."""
+    w = head_weights(q, k, heads)
     merged = merge_heads(matmul(w, split_heads(v, heads)), q.shape[:-1] + v.shape[-1:])
-    by_head = np.moveaxis(w.data.reshape(q.shape[:-2] + (heads,) + w.shape[1:]), -3, 0)
-    return merged, [Tensor(x) for x in by_head]
+    return merged, w
+
+
+def head_copies(w: Tensor, like: Tensor) -> list[np.ndarray]:
+    """Per-head copies of head-major weights ``w``, each (n, m) or (B, n, m)
+    as ``like`` (the queries' source) is unbatched or batched."""
+    by_head = w.data.reshape(like.shape[:-2] + (-1,) + w.shape[1:])
+    return [by_head[..., h, :, :].copy() for h in range(by_head.shape[-3])]
 
 
 def compute_gates(other_modality_feats: Tensor, gate_layer: LinearLayer) -> Tensor:
@@ -277,11 +284,11 @@ def compute_gates(other_modality_feats: Tensor, gate_layer: LinearLayer) -> Tens
             f"gates need at least one feature row, got {other_modality_feats.shape}"
         )
     pooled = avg_pool_rows(other_modality_feats)
-    return apply_activation("sigmoid", linear_forward(gate_layer, pooled))
+    return sigmoid(linear_forward(gate_layer, pooled))
 
 
 def _project(qkv: QkvProjection, x: Tensor, ctx) -> tuple[Tensor, Tensor, Tensor]:
-    return _lin(qkv.query, x, ctx), _lin(qkv.key, x, ctx), _lin(qkv.value, x, ctx)
+    return tuple(linear_dropout(layer, x, ctx) for layer in (qkv.query, qkv.key, qkv.value))
 
 
 def inter_maf_forward(
@@ -302,19 +309,19 @@ def inter_maf_forward(
     """
     if order not in ORDERS:
         raise ValueError(f"order must be one of {ORDERS}, got {order!r}")
-    r_q = _lin(p.region_qkv.query, r, ctx)
-    e_q = _lin(p.word_qkv.query, e, ctx)
+    r_q = linear_dropout(p.region_qkv.query, r, ctx)
+    e_q = linear_dropout(p.word_qkv.query, e, ctx)
 
-    def update_regions(keys: Tensor, values: Tensor) -> tuple[Tensor, list[Tensor]]:
+    def update_regions(keys: Tensor, values: Tensor) -> tuple[Tensor, Tensor]:
         attended, weights = multi_head_apply(r_q, keys, values, heads)
-        return _lin(p.region_out, concat_cols(r, attended), ctx), weights
+        return linear_dropout(p.region_out, concat_cols(r, attended), ctx), weights
 
-    def update_words(keys: Tensor, values: Tensor) -> tuple[Tensor, list[Tensor]]:
+    def update_words(keys: Tensor, values: Tensor) -> tuple[Tensor, Tensor]:
         attended, weights = multi_head_apply(e_q, keys, values, heads)
-        return _lin(p.word_out, concat_cols(e, attended), ctx), weights
+        return linear_dropout(p.word_out, concat_cols(e, attended), ctx), weights
 
     def keys_values(qkv: QkvProjection, x: Tensor) -> tuple[Tensor, Tensor]:
-        return _lin(qkv.key, x, ctx), _lin(qkv.value, x, ctx)
+        return linear_dropout(qkv.key, x, ctx), linear_dropout(qkv.value, x, ctx)
 
     if order == "parallel":
         r_new, w_r = update_regions(*keys_values(p.word_qkv, e))
@@ -327,8 +334,8 @@ def inter_maf_forward(
         e_new, w_e = update_words(*keys_values(p.region_qkv, r_new))
 
     if record is not None:
-        record.inter_r_from_e = [w.numpy() for w in w_r]
-        record.inter_e_from_r = [w.numpy() for w in w_e]
+        record.inter_r_from_e = head_copies(w_r, r)
+        record.inter_e_from_r = head_copies(w_e, e)
     return r_new, e_new
 
 
@@ -345,13 +352,17 @@ def dyintra_maf_forward(
     Dynamic variant: each modality's queries and keys are scaled channel-wise
     by (1 + gate), the gate coming from the other modality's pooled features.
     Values are never gated. Naive variant (dynamic=false) has no dependence
-    on the other modality at all.
+    on the other modality at all. A dynamic record also keeps the attention
+    of the ungated queries and keys.
     """
     r_q, r_k, r_v = _project(p.region_qkv, r, ctx)
     e_q, e_k, e_v = _project(p.word_qkv, e, ctx)
 
     gate_r = gate_e = None
     if p.dynamic:
+        if record is not None:  # what the gates modulate, without them
+            record.intra_r_gates_disabled = head_copies(head_weights(r_q, r_k, heads), r)
+            record.intra_e_gates_disabled = head_copies(head_weights(e_q, e_k, heads), e)
         gate_r = compute_gates(e, p.gate_from_words)  # modulates region q/k
         gate_e = compute_gates(r, p.gate_from_regions)  # modulates word q/k
         mult_r = add_scalar(gate_r, 1.0)
@@ -361,12 +372,12 @@ def dyintra_maf_forward(
 
     r_att, w_r = multi_head_apply(r_q, r_k, r_v, heads)
     e_att, w_e = multi_head_apply(e_q, e_k, e_v, heads)
-    r_new = _lin(p.region_out, add(r, r_att), ctx)
-    e_new = _lin(p.word_out, add(e, e_att), ctx)
+    r_new = linear_dropout(p.region_out, add(r, r_att), ctx)
+    e_new = linear_dropout(p.word_out, add(e, e_att), ctx)
 
     if record is not None:
-        record.intra_r = [w.numpy() for w in w_r]
-        record.intra_e = [w.numpy() for w in w_e]
+        record.intra_r = head_copies(w_r, r)
+        record.intra_e = head_copies(w_e, e)
         if p.dynamic:
             record.gate_on_regions = gate_r.numpy()
             record.gate_on_words = gate_e.numpy()

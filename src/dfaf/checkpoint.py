@@ -18,6 +18,7 @@ so identical parameters produce byte-identical files.
 
 from __future__ import annotations
 
+import os
 import struct
 from typing import BinaryIO
 
@@ -126,6 +127,13 @@ def load_checkpoint(
             )
         except ValueError as exc:
             raise CheckpointError(f"invalid checkpoint config: {exc}") from exc
+        need = 8 * config.n_parameters()
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if left < need:
+            raise CheckpointError(
+                f"truncated checkpoint: its config needs {need} bytes of parameters, "
+                f"file holds {left}"
+            )
 
         params = build_model(config, np.random.default_rng(0))
         named = list(params.named_parameters())

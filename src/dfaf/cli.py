@@ -13,14 +13,13 @@ run can be reproduced by feeding the echo back as a config file.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from typing import Sequence
 
 import numpy as np
 
-from .attention import AttentionRecord, dyintra_maf_forward, inter_maf_forward
+from .attention import AttentionRecord
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig, config_dict, load_run_config, sub_config
 from .data import (
@@ -32,7 +31,7 @@ from .data import (
     write_feature_file,
 )
 from .gradcheck import run_gradcheck
-from .model import ModelConfig, ModelParams, build_model, embed_inputs, predict
+from .model import ModelConfig, build_model, predict
 from .tensor import ShapeError, Tensor
 from .training import (
     AdamaxState,
@@ -171,47 +170,26 @@ def cmd_gradcheck(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def _matrices(per_head: list[np.ndarray]) -> list[list[list[float]]]:
-    return [m.tolist() for m in per_head]
+# Dump key order: block, the gate-disabled contrast, then the forward's own.
+_DUMP_MATRICES = (
+    "intra_r_gates_disabled",
+    "intra_e_gates_disabled",
+    "inter_r_from_e",
+    "inter_e_from_r",
+    "intra_r",
+    "intra_e",
+)
 
 
-def _record_payload(record: AttentionRecord) -> dict:
-    payload: dict = {}
-    if record.inter_r_from_e:
-        payload["inter_r_from_e"] = _matrices(record.inter_r_from_e)
-        payload["inter_e_from_r"] = _matrices(record.inter_e_from_r)
-    if record.intra_r:
-        payload["intra_r"] = _matrices(record.intra_r)
-        payload["intra_e"] = _matrices(record.intra_e)
+def _block_payload(index: int, record: AttentionRecord) -> dict:
+    payload: dict = {"block": index}
+    for name in _DUMP_MATRICES:
+        if getattr(record, name):
+            payload[name] = [m.tolist() for m in getattr(record, name)]
     if record.gate_on_regions is not None:
         payload["gate_on_regions"] = record.gate_on_regions.tolist()
         payload["gate_on_words"] = record.gate_on_words.tolist()
     return payload
-
-
-def _inspect_blocks(model: ModelParams, regions: Tensor, tokens: Tensor) -> list[dict]:
-    """Replay the stack block by block, capturing each block's attention and,
-    for dynamic intra modules, a gate-disabled recomputation of the same
-    inputs so the static-vs-dynamic contrast comes from one forward."""
-    r, e = embed_inputs(regions, tokens, model)
-    blocks = []
-    for index, block in enumerate(model.stack):
-        record = AttentionRecord()
-        entry: dict = {"block": index}
-        if block.inter is not None:
-            r, e = inter_maf_forward(r, e, block.inter, block.heads, block.order, record)
-        if block.intra is not None:
-            r_in, e_in = r, e
-            r, e = dyintra_maf_forward(r_in, e_in, block.intra, block.heads, record)
-            if block.intra.dynamic:
-                naive = dataclasses.replace(block.intra, dynamic=False)
-                naive_record = AttentionRecord()
-                dyintra_maf_forward(r_in, e_in, naive, block.heads, naive_record)
-                entry["intra_r_gates_disabled"] = _matrices(naive_record.intra_r)
-                entry["intra_e_gates_disabled"] = _matrices(naive_record.intra_e)
-        entry.update(_record_payload(record))
-        blocks.append(entry)
-    return blocks
 
 
 def cmd_inspect(cfg: RunConfig, args: argparse.Namespace) -> int:
@@ -223,7 +201,7 @@ def cmd_inspect(cfg: RunConfig, args: argparse.Namespace) -> int:
         )
     regions = Tensor(dataset.regions[args.index])
     tokens = Tensor(dataset.tokens[args.index])
-    pred = predict(regions, tokens, model)
+    pred = predict(regions, tokens, model, record=True)
     predicted = int(pred.logits.data.argmax())
     dump = {
         "config": config_dict(cfg),
@@ -233,7 +211,7 @@ def cmd_inspect(cfg: RunConfig, args: argparse.Namespace) -> int:
             "answer": dataset.answer_names[dataset.answers[args.index]],
             "predicted": dataset.answer_names[predicted],
         },
-        "blocks": _inspect_blocks(model, regions, tokens),
+        "blocks": [_block_payload(i, rec) for i, rec in enumerate(pred.records)],
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(dump, fh)

@@ -598,21 +598,14 @@ def make_batches(
     dataset: FeatureDataset,
     batch_size: int,
     rng: np.random.Generator | None = None,
-    mode: str = "shuffle",
 ) -> Iterator[Batch]:
-    """Every instance exactly once per pass; the final short batch is kept."""
+    """Every instance exactly once per pass, shuffled by ``rng`` or in file
+    order without one; the final short batch is kept."""
     if batch_size < 1:
         raise ValueError(f"batch_size must be at least 1, got {batch_size}")
     if len(dataset) == 0:
         raise ValueError("cannot batch an empty dataset")
-    if mode not in ("shuffle", "sequential"):
-        raise ValueError(f"mode must be 'shuffle' or 'sequential', got {mode!r}")
-    if mode == "shuffle":
-        if rng is None:
-            raise ValueError("shuffle mode needs a seeded generator")
-        order = rng.permutation(len(dataset))
-    else:
-        order = np.arange(len(dataset))
+    order = np.arange(len(dataset)) if rng is None else rng.permutation(len(dataset))
     for start in range(0, len(dataset), batch_size):
         idx = order[start : start + batch_size]
         yield Batch(

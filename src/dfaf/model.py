@@ -22,20 +22,20 @@ from .attention import (
     ForwardContext,
     dfaf_stack_forward,
     init_dfaf_stack,
+    linear_dropout,
 )
 from .tensor import (
     LinearLayer,
     ShapeError,
     Tensor,
     add,
-    apply_activation,
     avg_pool_rows,
     concat_cols,
     cross_entropy_rows,
-    dropout,
     linear_forward,
     linear_init,
     mul,
+    relu,
 )
 
 FUSIONS = ("multiply", "add", "concat")
@@ -71,6 +71,27 @@ class ModelConfig:
             raise ValueError(
                 f"attention_type must be one of {ATTENTION_TYPES}, got {self.attention_type!r}"
             )
+
+    def n_parameters(self) -> int:
+        """Parameter count of the model ``build_model`` makes, without making it."""
+
+        def linear(n_in: int, n_out: int) -> int:
+            return (n_in + 1) * n_out
+
+        d = self.dim
+        inter = 6 * linear(d, d) + 2 * linear(2 * d, d)  # q/k/v twice, two fusions
+        intra = 10 * linear(d, d)  # q/k/v twice, two gates, two outputs
+        has_inter = self.attention_type in ("full", "inter_only")
+        has_intra = self.attention_type != "inter_only"
+        block = has_inter * inter + has_intra * intra
+        fused = 2 * d if self.fusion == "concat" else d
+        return (
+            linear(self.d_v, d)
+            + linear(self.d_w, d)
+            + self.n_blocks * block
+            + linear(fused, self.hidden)
+            + linear(self.hidden, self.n_answers)
+        )
 
 
 @dataclass
@@ -127,14 +148,10 @@ class ModelParams:
 
 @dataclass
 class Prediction:
-    """Classifier output for one instance (or a batch).
-
-    ``logits`` stays tape-connected for the loss; ``probabilities`` is a
-    detached convenience copy that sums to 1 along the last axis.
-    """
+    """Classifier output for one instance (or a batch); ``logits`` stays
+    tape-connected for the loss."""
 
     logits: Tensor
-    probabilities: np.ndarray
     records: list[AttentionRecord] | None = None
 
 
@@ -190,17 +207,7 @@ def embed_inputs(
             f"word features have width {raw_e.shape[-1]}, "
             f"model expects {p.word_embed.in_dim}"
         )
-    r0 = linear_forward(p.region_embed, raw_r)
-    e0 = linear_forward(p.word_embed, raw_e)
-    if ctx is not None and ctx.mode == "train" and ctx.dropout_rate > 0.0:
-        r0 = dropout(r0, ctx.dropout_rate, "train", ctx.rng)
-        e0 = dropout(e0, ctx.dropout_rate, "train", ctx.rng)
-    return r0, e0
-
-
-def _stable_softmax(x: np.ndarray) -> np.ndarray:
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    return linear_dropout(p.region_embed, raw_r, ctx), linear_dropout(p.word_embed, raw_e, ctx)
 
 
 def fuse_and_classify(
@@ -222,12 +229,8 @@ def fuse_and_classify(
         fused = add(v, q)
     else:
         fused = concat_cols(v, q)
-    logits = linear_forward(
-        p.mlp_out, apply_activation("relu", linear_forward(p.mlp_hidden, fused))
-    )
-    return Prediction(
-        logits=logits, probabilities=_stable_softmax(logits.data), records=records
-    )
+    logits = linear_forward(p.mlp_out, relu(linear_forward(p.mlp_hidden, fused)))
+    return Prediction(logits=logits, records=records)
 
 
 def forward(
@@ -237,7 +240,7 @@ def forward(
     ctx: ForwardContext | None = None,
     records: list[AttentionRecord] | None = None,
 ) -> Prediction:
-    """Full pipeline, mode taken from ``ctx`` (None means eval)."""
+    """Full pipeline; a ``ctx`` means train mode, None means eval."""
     r0, e0 = embed_inputs(raw_r, raw_e, p, ctx)
     r_out, e_out = dfaf_stack_forward(r0, e0, p.stack, records=records, ctx=ctx)
     return fuse_and_classify(r_out, e_out, p, records=records)

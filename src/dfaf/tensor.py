@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -410,14 +410,6 @@ def relu(t: Tensor) -> Tensor:
     return _apply((t,), np.where(mask, x, 0.0), bwd)
 
 
-def apply_activation(kind: str, t: Tensor) -> Tensor:
-    if kind == "sigmoid":
-        return sigmoid(t)
-    if kind == "relu":
-        return relu(t)
-    raise ValueError(f"unknown activation {kind!r}, expected 'sigmoid' or 'relu'")
-
-
 def avg_pool_rows(m: Tensor) -> Tensor:
     """Arithmetic mean over the row axis: (..., n, d) -> (..., d)."""
     if m.ndim < 2:
@@ -433,17 +425,13 @@ def avg_pool_rows(m: Tensor) -> Tensor:
     return _apply((m,), m.data.mean(axis=-2), bwd)
 
 
-def dropout(t: Tensor, rate: float, mode: str, rng: np.random.Generator | None = None) -> Tensor:
-    """Inverted dropout: eval mode is the identity, train mode zeroes each
-    element with probability ``rate`` and scales survivors by 1/(1-rate)."""
-    if mode not in ("train", "eval"):
-        raise ValueError(f"dropout mode must be 'train' or 'eval', got {mode!r}")
+def dropout(t: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
+    """Inverted dropout: zeroes each element with probability ``rate`` and
+    scales survivors by 1/(1-rate). Eval mode never calls it."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if mode == "eval" or rate == 0.0:
+    if rate == 0.0:
         return t
-    if rng is None:
-        raise ValueError("train-mode dropout needs a seeded generator")
     keep = (rng.random(t.shape) >= rate) * (1.0 / (1.0 - rate))
 
     def bwd(g):

@@ -174,7 +174,7 @@ def evaluate_by_template(
         raise ValueError("cannot evaluate on an empty dataset")
     hits = np.zeros(len(dataset.template_names), dtype=np.int64)
     totals = np.zeros(len(dataset.template_names), dtype=np.int64)
-    for batch in make_batches(dataset, batch_size, mode="sequential"):
+    for batch in make_batches(dataset, batch_size):
         pred = predict(Tensor(batch.regions), Tensor(batch.tokens), model)
         good = pred.logits.data.argmax(axis=-1) == batch.answers
         for tid in range(len(dataset.template_names)):
@@ -217,13 +217,13 @@ def train(
     params = model.parameters()
     if state is None:
         state = AdamaxState.for_params(params)
-    ctx = ForwardContext("train", cfg.dropout, rng)
+    ctx = ForwardContext(cfg.dropout, rng)
     metrics: list[dict] = []
     for epoch in range(1, cfg.epochs + 1):
         started = time.perf_counter()
         lr = lr_schedule(epoch, cfg.base_lr, cfg.schedule_breakpoints)
         loss_sum, seen = 0.0, 0
-        for batch in make_batches(dataset, cfg.batch_size, rng, "shuffle"):
+        for batch in make_batches(dataset, cfg.batch_size, rng):
             for p in params:
                 p.zero_grad()
             with GradTape() as tape:
@@ -243,6 +243,9 @@ def train(
             adamax_step(params, grads, state, lr)
             loss_sum += loss_value * len(batch)
             seen += len(batch)
+        # Release the last step's tape and gradients before evaluating, so
+        # they are not held through the eval pass and on_epoch.
+        del tape, pred, loss, grads
         eval_ds = eval_dataset if eval_dataset is not None else dataset
         row = {
             "epoch": epoch,

@@ -1,5 +1,6 @@
 """Attention flow: composition oracles, symmetry, gating dataflow, heads."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -142,7 +143,7 @@ class TestMultiHead:
         merged, weights = A.multi_head_apply(q, k, v, 1)
         direct = T.matmul(A.scaled_dot_attention(q, k), v)
         assert np.array_equal(merged.numpy(), direct.numpy())
-        assert len(weights) == 1
+        assert weights.shape == (1, 4, 4)
 
     def test_two_heads_equal_independent_half_runs(self):
         rng = np.random.default_rng(4)
@@ -156,10 +157,10 @@ class TestMultiHead:
                 Tensor(v.data[:, lo:hi]),
                 1,
             )
-            halves.append((out_h.numpy(), w_h[0].numpy()))
+            halves.append((out_h.numpy(), w_h.data[0]))
         assert np.max(np.abs(merged.numpy() - np.concatenate([h[0] for h in halves], -1))) < 1e-10
-        for got, (_, expect) in zip(weights, halves):
-            assert np.max(np.abs(got.numpy() - expect)) < 1e-10
+        for got, (_, expect) in zip(weights.data, halves):
+            assert np.max(np.abs(got - expect)) < 1e-10
 
     def test_paper_scale_shapes(self):
         rng = np.random.default_rng(5)
@@ -168,8 +169,7 @@ class TestMultiHead:
         v = Tensor(rng.standard_normal((14, 512)))
         merged, weights = A.multi_head_apply(q, k, v, 8)
         assert merged.shape == (100, 512)
-        assert len(weights) == 8
-        assert all(w.shape == (100, 14) for w in weights)
+        assert weights.shape == (8, 100, 14)
 
     def test_indivisible_heads_rejected(self):
         q = Tensor(np.ones((2, 6)))
@@ -479,7 +479,7 @@ class TestDfafBlock:
         rng = np.random.default_rng(27)
         block = A.init_dfaf_block(8, 1, rng)
         r, e = rand_re(rng, dim=8)
-        ctx = A.ForwardContext("train", 0.5, np.random.default_rng(0))
+        ctx = A.ForwardContext(0.5, np.random.default_rng(0))
         r_tr, _ = A.dfaf_block_forward(r, e, block, ctx=ctx)
         r_ev1, _ = A.dfaf_block_forward(r, e, block)
         r_ev2, _ = A.dfaf_block_forward(r, e, block)
@@ -532,6 +532,35 @@ class TestDfafStack:
                     assert (name, head) == (name_1, head_1)
                     assert w_b.shape == (3, *w_1.shape)
                     assert np.array_equal(w_b[i], w_1)
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    @pytest.mark.parametrize("batch", [None, 3])
+    def test_gates_disabled_equals_naive_module_record_bitwise(self, heads, batch):
+        rng = np.random.default_rng(32)
+        blocks = A.init_dfaf_stack(8, heads, 2, rng, attention_type="dyintra_only")
+        r, e = rand_re(rng, mu=4, length=3, dim=8, batch=batch)
+        records = []
+        A.dfaf_stack_forward(r, e, blocks, records=records)
+        for block, rec in zip(blocks, records):
+            naive = A.AttentionRecord()
+            # the naive module sees what the dynamic one saw: the prior block's output
+            A.dyintra_maf_forward(r, e, dataclasses.replace(block.intra, dynamic=False),
+                                  heads, naive)
+            r, e = A.dfaf_block_forward(r, e, block)
+            for got, want in ((rec.intra_r_gates_disabled, naive.intra_r),
+                              (rec.intra_e_gates_disabled, naive.intra_e)):
+                assert len(got) == len(want) == heads
+                assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            assert not np.array_equal(rec.intra_r[0], naive.intra_r[0])
+
+    @pytest.mark.parametrize("attention_type", ["intra_only", "inter_only"])
+    def test_static_blocks_record_no_gates_disabled(self, attention_type):
+        rng = np.random.default_rng(33)
+        blocks = A.init_dfaf_stack(8, 2, 2, rng, attention_type=attention_type)
+        records = []
+        A.dfaf_stack_forward(*rand_re(rng, dim=8), blocks, records=records)
+        for rec in records:
+            assert rec.intra_r_gates_disabled == [] and rec.intra_e_gates_disabled == []
 
     def test_deep_stack_survives_sgd_steps(self):
         rng = np.random.default_rng(30)
@@ -590,7 +619,3 @@ class TestBuilders:
         rng = np.random.default_rng(35)
         with pytest.raises(ValueError, match="order"):
             A.init_dfaf_block(8, 2, rng, order="sideways")
-
-    def test_context_mode_validated(self):
-        with pytest.raises(ValueError):
-            A.ForwardContext(mode="test")

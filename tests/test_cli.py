@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 from conftest import run_cli
 
-from dfaf.attention import init_dfaf_stack
 from dfaf.checkpoint import load_checkpoint
-from dfaf.cli import _inspect_blocks, main
+from dfaf.cli import main
 from dfaf.data import read_feature_file
-from dfaf.model import ModelConfig, ModelParams, build_model
+from dfaf.model import ModelConfig, build_model, predict
 from dfaf.tensor import Tensor
 
 TINY = [
@@ -166,6 +165,19 @@ class TestTrain:
         (line,) = proc.stderr.splitlines()
         assert line.startswith("data error:")
 
+    def test_resume_from_forged_hidden_exits_3(self, workspace, tmp_path):
+        root, _, _ = workspace
+        blob = bytearray((root / "ckpt.bin").read_bytes())
+        blob[20:24] = (2**30).to_bytes(4, "little")  # hidden: 64 GiB of weights
+        (tmp_path / "forged.bin").write_bytes(bytes(blob))
+        proc = run_cli(
+            ["train", *TINY, "--set", "resume_from=forged.bin", str(root / "data.bin"), "c.bin"],
+            tmp_path,
+        )
+        assert proc.returncode == 3
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("data error:")
+
     def test_template_name_not_utf8_exits_3(self, workspace, tmp_path):
         root, _, _ = workspace
         blob = bytearray((root / "data.bin").read_bytes())
@@ -234,6 +246,18 @@ class TestEval:
         blob = bytearray((root / "ckpt.bin").read_bytes())
         at = blob.index(b"region_embed.weight") + len(b"region_embed.weight")
         blob[at : at + 4] = (0xFFFFFFFF).to_bytes(4, "little")
+        (tmp_path / "forged.bin").write_bytes(bytes(blob))
+        proc = run_cli(["eval", *TINY, "forged.bin", str(root / "data.bin")], tmp_path)
+        assert proc.returncode == 3
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("data error:")
+
+    @pytest.mark.parametrize("offset, value", [(8, 2**20), (16, 0xFFFFFFF0)])
+    def test_forged_config_size_exits_3(self, workspace, tmp_path, offset, value):
+        # dim 2^20 implies 8 TiB of weights; 2^32 - 16 blocks take minutes to build
+        root, _, _ = workspace
+        blob = bytearray((root / "ckpt.bin").read_bytes())
+        blob[offset : offset + 4] = value.to_bytes(4, "little")
         (tmp_path / "forged.bin").write_bytes(bytes(blob))
         proc = run_cli(["eval", *TINY, "forged.bin", str(root / "data.bin")], tmp_path)
         assert proc.returncode == 3
@@ -316,11 +340,11 @@ class TestInspect:
         regions = Tensor(rng.standard_normal((6, 20)))
         q1 = Tensor(rng.standard_normal((5, 12)))
         q2 = Tensor(rng.standard_normal((5, 12)))
-        b1 = _inspect_blocks(model, regions, q1)[0]
-        b2 = _inspect_blocks(model, regions, q2)[0]
-        assert not np.allclose(b1["intra_r"], b2["intra_r"])
+        (b1,) = predict(regions, q1, model, record=True).records
+        (b2,) = predict(regions, q2, model, record=True).records
+        assert not np.allclose(b1.intra_r, b2.intra_r)
         assert np.array_equal(
-            b1["intra_r_gates_disabled"], b2["intra_r_gates_disabled"]
+            b1.intra_r_gates_disabled, b2.intra_r_gates_disabled
         )
 
 

@@ -401,14 +401,12 @@ class TestMakeBatches:
         return generate_feature_dataset(ToyTaskSpec(seed=41), n)
 
     def test_batch_size_arithmetic(self):
-        sizes = [len(b) for b in make_batches(self.dataset(10), 4, mode="sequential")]
+        sizes = [len(b) for b in make_batches(self.dataset(10), 4)]
         assert sizes == [4, 4, 2]
 
     def test_sequential_preserves_order(self):
         ds = self.dataset(10)
-        got = np.concatenate(
-            [b.answers for b in make_batches(ds, 3, mode="sequential")]
-        )
+        got = np.concatenate([b.answers for b in make_batches(ds, 3)])
         assert np.array_equal(got, ds.answers)
 
     def test_shuffle_is_permutation(self):
@@ -444,11 +442,7 @@ class TestMakeBatches:
     def test_errors(self):
         ds = self.dataset(4)
         with pytest.raises(ValueError, match="batch_size"):
-            list(make_batches(ds, 0, mode="sequential"))
-        with pytest.raises(ValueError, match="mode"):
-            list(make_batches(ds, 2, mode="sorted"))
-        with pytest.raises(ValueError, match="generator"):
-            list(make_batches(ds, 2, mode="shuffle"))
+            list(make_batches(ds, 0))
 
 
 class TestSummary:

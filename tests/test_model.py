@@ -5,10 +5,11 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dfaf import model as M
 from dfaf import tensor as T
-from dfaf.attention import ForwardContext
 from dfaf.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from dfaf.model import ModelConfig, Prediction, build_model
 from dfaf.tensor import GradTape, ShapeError, Tensor, backward
@@ -98,17 +99,6 @@ class TestFuseAndClassify:
         assert np.allclose(mul_pred.logits.numpy(), alone, atol=1e-12)
         assert np.allclose(add_pred.logits.numpy(), alone, atol=1e-12)
 
-    def test_probabilities_sum_to_one(self):
-        cfg = small_config()
-        rng = np.random.default_rng(5)
-        p = build_model(cfg, rng)
-        for _ in range(20):
-            r = Tensor(rng.standard_normal((4, 8)) * 10)
-            e = Tensor(rng.standard_normal((3, 8)) * 10)
-            pred = M.fuse_and_classify(r, e, p)
-            assert abs(pred.probabilities.sum() - 1.0) < 1e-9
-            assert np.all(pred.probabilities >= 0)
-
     def test_concat_fusion_matches_composition_oracle(self):
         cfg = small_config(fusion="concat")
         rng = np.random.default_rng(6)
@@ -130,13 +120,13 @@ class TestFuseAndClassify:
 
 class TestCrossEntropyLoss:
     def test_uniform_logits_closed_form(self):
-        pred = Prediction(logits=Tensor(np.zeros(4)), probabilities=np.full(4, 0.25))
+        pred = Prediction(logits=Tensor(np.zeros(4)))
         assert abs(M.cross_entropy_loss(pred, 2).item() - math.log(4)) < 1e-12
 
     def test_dominant_target_saturates_to_zero(self):
         logits = np.zeros(5)
         logits[3] = 50.0
-        pred = Prediction(logits=Tensor(logits), probabilities=M._stable_softmax(logits))
+        pred = Prediction(logits=Tensor(logits))
         assert M.cross_entropy_loss(pred, 3).item() < 1e-20
 
     def test_gradient_identity_probabilities_minus_onehot(self):
@@ -144,15 +134,14 @@ class TestCrossEntropyLoss:
         z = rng.standard_normal(6)
         logits = Tensor(z, requires_grad=True)
         with GradTape() as tape:
-            pred = Prediction(logits=logits, probabilities=M._stable_softmax(z))
-            loss = M.cross_entropy_loss(pred, 4)
+            loss = M.cross_entropy_loss(Prediction(logits=logits), 4)
         backward(tape, loss)
-        expect = M._stable_softmax(z)
+        expect = np.exp(z - z.max()) / np.exp(z - z.max()).sum()
         expect[4] -= 1.0
         assert np.max(np.abs(logits.grad - expect)) < 1e-10
 
     def test_out_of_range_target_rejected(self):
-        pred = Prediction(logits=Tensor(np.zeros(4)), probabilities=np.full(4, 0.25))
+        pred = Prediction(logits=Tensor(np.zeros(4)))
         with pytest.raises(IndexError):
             M.cross_entropy_loss(pred, 4)
         with pytest.raises(IndexError):
@@ -161,12 +150,10 @@ class TestCrossEntropyLoss:
     def test_batch_loss_is_mean_of_rows(self):
         rng = np.random.default_rng(10)
         z = rng.standard_normal((3, 5))
-        batch_pred = Prediction(logits=Tensor(z), probabilities=M._stable_softmax(z))
+        batch_pred = Prediction(logits=Tensor(z))
         batch = M.cross_entropy_loss(batch_pred, [0, 2, 4]).item()
         singles = [
-            M.cross_entropy_loss(
-                Prediction(logits=Tensor(z[i]), probabilities=M._stable_softmax(z[i])), t
-            ).item()
+            M.cross_entropy_loss(Prediction(logits=Tensor(z[i])), t).item()
             for i, t in enumerate([0, 2, 4])
         ]
         assert abs(batch - np.mean(singles)) < 1e-12
@@ -262,6 +249,12 @@ class TestModelConfigValidation:
         cfg = small_config(fusion="concat")
         p = build_model(cfg, np.random.default_rng(16))
         assert p.mlp_hidden.in_dim == 2 * cfg.dim
+
+    @pytest.mark.parametrize("kind", ["full", "inter_only", "intra_only", "dyintra_only"])
+    @pytest.mark.parametrize("fusion", ["multiply", "concat"])
+    def test_n_parameters_matches_built_model(self, kind, fusion):
+        cfg = small_config(attention_type=kind, fusion=fusion, n_blocks=3)
+        assert cfg.n_parameters() == build_model(cfg, np.random.default_rng(0)).n_parameters()
 
     def test_config_roundtrip_through_model(self):
         for kind in ("full", "inter_only", "intra_only", "dyintra_only"):
@@ -371,6 +364,36 @@ class TestCheckpoint:
         path.write_bytes(bytes(raw))
         with pytest.raises(CheckpointError, match="rank"):
             load_checkpoint(str(path))
+
+    @pytest.mark.parametrize(
+        "offset, value", [(8, 2**20), (20, 2**30), (16, 0xFFFFFFF0)]
+    )  # dim, hidden, n_blocks: 8 TiB, 64 GiB, and minutes of block building
+    def test_forged_config_size_rejected_before_building(self, tmp_path, offset, value):
+        cfg = small_config()
+        path = tmp_path / "s.ckpt"
+        save_checkpoint(str(path), build_model(cfg, np.random.default_rng(27)), cfg)
+        raw = bytearray(path.read_bytes())
+        raw[offset : offset + 4] = value.to_bytes(4, "little")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="config needs .* bytes of parameters"):
+            load_checkpoint(str(path))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(0, 8 * 99 - 1), min_size=1, max_size=3))
+    def test_header_bit_flips_load_or_raise_checkpoint_error(self, tmp_path_factory, bits):
+        # the 99 bytes before the first float: magic, version, config, the
+        # three names, the tensor count and the first tensor's name and shape
+        path = tmp_path_factory.mktemp("flip") / "f.ckpt"
+        cfg = small_config()
+        save_checkpoint(str(path), build_model(cfg, np.random.default_rng(28)), cfg)
+        raw = bytearray(path.read_bytes())
+        for bit in bits:
+            raw[bit // 8] ^= 1 << (bit % 8)
+        path.write_bytes(bytes(raw))
+        try:
+            load_checkpoint(str(path))
+        except CheckpointError:
+            pass
 
     def test_name_not_utf8_rejected(self, tmp_path):
         cfg = small_config()

@@ -281,23 +281,12 @@ class TestActivations:
         out = T.relu(Tensor([-2.0, 0.0, 3.5])).numpy()
         assert np.array_equal(out, [0.0, 0.0, 3.5])
 
-    def test_apply_activation_dispatch(self):
-        x = Tensor([1.0, -1.0])
-        assert np.array_equal(
-            T.apply_activation("relu", x).numpy(), T.relu(x).numpy()
-        )
-        assert np.array_equal(
-            T.apply_activation("sigmoid", x).numpy(), T.sigmoid(x).numpy()
-        )
-        with pytest.raises(ValueError, match="tanh"):
-            T.apply_activation("tanh", x)
-
     def test_activation_gradients(self):
         rng = np.random.default_rng(17)
-        for kind in ("sigmoid", "relu"):
+        for kind, activation in (("sigmoid", T.sigmoid), ("relu", T.relu)):
             x = Tensor(rng.standard_normal((2, 3)) + 0.1, requires_grad=True)
             with GradTape() as tape:
-                loss = T.sum_all(T.apply_activation(kind, x))
+                loss = T.sum_all(activation(x))
             backward(tape, loss)
 
             def f(params, kind=kind):
@@ -335,18 +324,14 @@ class TestAvgPool:
 
 
 class TestDropout:
-    def test_eval_mode_is_identity_object(self):
-        x = Tensor(np.ones((3, 3)))
-        assert T.dropout(x, 0.5, "eval") is x
-
     def test_rate_zero_is_identity_object(self):
         x = Tensor(np.ones((3, 3)))
-        assert T.dropout(x, 0.0, "train", np.random.default_rng(0)) is x
+        assert T.dropout(x, 0.0, np.random.default_rng(0)) is x
 
     def test_monte_carlo_zero_fraction_and_scaling(self):
         rng = np.random.default_rng(19)
         x = Tensor(np.ones((1000, 1000)))
-        out = T.dropout(x, 0.1, "train", rng).numpy()
+        out = T.dropout(x, 0.1, rng).numpy()
         zero_frac = float((out == 0.0).mean())
         assert abs(zero_frac - 0.1) < 0.002
         survivors = out[out != 0.0]
@@ -358,7 +343,7 @@ class TestDropout:
         rng = np.random.default_rng(20)
         x = Tensor(np.ones((50, 50)), requires_grad=True)
         with GradTape() as tape:
-            y = T.dropout(x, 0.3, "train", rng)
+            y = T.dropout(x, 0.3, rng)
             loss = T.sum_all(y)
         backward(tape, loss)
         assert np.array_equal(x.grad == 0.0, y.numpy() == 0.0)
@@ -366,13 +351,9 @@ class TestDropout:
     def test_invalid_arguments(self):
         x = Tensor(np.ones(3))
         with pytest.raises(ValueError):
-            T.dropout(x, -0.1, "train", np.random.default_rng(0))
+            T.dropout(x, -0.1, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            T.dropout(x, 1.0, "train", np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            T.dropout(x, 0.5, "test")
-        with pytest.raises(ValueError):
-            T.dropout(x, 0.5, "train")
+            T.dropout(x, 1.0, np.random.default_rng(0))
 
 
 class TestCrossEntropy:
