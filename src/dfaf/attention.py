@@ -30,7 +30,6 @@ All forwards accept an optional leading batch axis on ``r`` and ``e``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -42,6 +41,7 @@ from .tensor import (
     Tensor,
     add,
     add_scalar,
+    attention_weights,
     avg_pool_rows,
     concat_cols,
     dropout,
@@ -50,11 +50,8 @@ from .tensor import (
     matmul,
     merge_heads,
     mul_row,
-    scale,
     sigmoid,
-    softmax_rows,
     split_heads,
-    transpose,
 )
 
 ORDERS = ("parallel", "r_then_e", "e_then_r")
@@ -247,19 +244,10 @@ class DfafBlockParams:
 # forward passes
 
 
-def scaled_dot_attention(q: Tensor, k: Tensor) -> Tensor:
-    """Attention weights softmax(q·kᵀ/√d): rows index queries, columns keys."""
-    d = q.shape[-1]
-    if k.shape[-1] != d:
-        raise ShapeError(f"query/key widths disagree: {q.shape} vs {k.shape}")
-    logits = scale(matmul(q, transpose(k)), 1.0 / math.sqrt(d))
-    return softmax_rows(logits)
-
-
 def head_weights(q: Tensor, k: Tensor, heads: int) -> Tensor:
     """Head-major (B·heads, n, m) attention weights of ``heads`` contiguous
-    channel groups."""
-    return scaled_dot_attention(split_heads(q, heads), split_heads(k, heads))
+    channel groups, each scaled by the square root of its own width."""
+    return attention_weights(split_heads(q, heads), split_heads(k, heads))
 
 
 def multi_head_apply(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, Tensor]:
@@ -429,7 +417,7 @@ def dfaf_stack_forward(
 # builders
 
 
-def init_qkv(dim: int, rng: np.random.Generator) -> QkvProjection:
+def init_qkv(dim: int, rng: np.random.Generator | None) -> QkvProjection:
     return QkvProjection(
         query=linear_init(dim, dim, rng),
         key=linear_init(dim, dim, rng),
@@ -437,7 +425,7 @@ def init_qkv(dim: int, rng: np.random.Generator) -> QkvProjection:
     )
 
 
-def init_inter_maf(dim: int, rng: np.random.Generator) -> InterMafParams:
+def init_inter_maf(dim: int, rng: np.random.Generator | None) -> InterMafParams:
     return InterMafParams(
         region_qkv=init_qkv(dim, rng),
         word_qkv=init_qkv(dim, rng),
@@ -446,7 +434,9 @@ def init_inter_maf(dim: int, rng: np.random.Generator) -> InterMafParams:
     )
 
 
-def init_dyintra_maf(dim: int, rng: np.random.Generator, dynamic: bool = True) -> DyIntraMafParams:
+def init_dyintra_maf(
+    dim: int, rng: np.random.Generator | None, dynamic: bool = True
+) -> DyIntraMafParams:
     return DyIntraMafParams(
         region_qkv=init_qkv(dim, rng),
         word_qkv=init_qkv(dim, rng),
@@ -461,7 +451,7 @@ def init_dyintra_maf(dim: int, rng: np.random.Generator, dynamic: bool = True) -
 def init_dfaf_block(
     dim: int,
     heads: int,
-    rng: np.random.Generator,
+    rng: np.random.Generator | None,
     order: str = "r_then_e",
     attention_type: str = "full",
 ) -> DfafBlockParams:
@@ -483,7 +473,7 @@ def init_dfaf_stack(
     dim: int,
     heads: int,
     n_blocks: int,
-    rng: np.random.Generator,
+    rng: np.random.Generator | None,
     order: str = "r_then_e",
     attention_type: str = "full",
 ) -> list[DfafBlockParams]:

@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import os
 import struct
+import sys
 from typing import BinaryIO
 
 import numpy as np
 
-from .binio import read_exact, read_str, read_struct, write_str
+from .binio import read_str, read_struct, write_str
 from .model import ModelConfig, ModelParams, build_model, config_of
 
 MAGIC = b"DFAF"
@@ -39,10 +40,12 @@ def _write_array(fh: BinaryIO, arr: np.ndarray) -> None:
     fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
-def _read_array(fh: BinaryIO, shape: tuple[int, ...], what: str) -> np.ndarray:
-    count = int(np.prod(shape, dtype=np.int64))
-    raw = read_exact(fh, 8 * count, what, CheckpointError)
-    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+def _read_into(fh: BinaryIO, arr: np.ndarray, what: str) -> np.ndarray:
+    # Fill a native float64 array in place from little-endian file bytes.
+    got = fh.readinto(arr)
+    if got != arr.nbytes:
+        raise CheckpointError(f"truncated file: wanted {arr.nbytes} bytes of {what}, got {got}")
+    return arr if sys.byteorder == "little" else arr.byteswap(inplace=True)
 
 
 def save_checkpoint(
@@ -135,7 +138,7 @@ def load_checkpoint(
                 f"file holds {left}"
             )
 
-        params = build_model(config, np.random.default_rng(0))
+        params = build_model(config, None)
         named = list(params.named_parameters())
         (count,) = read_struct(fh, "<I", "tensor count", CheckpointError)
         if count != len(named):
@@ -158,7 +161,7 @@ def load_checkpoint(
                 raise CheckpointError(
                     f"{name}: stored shape {shape} != architecture shape {tensor.shape}"
                 )
-            tensor.data = _read_array(fh, shape, f"{name} data")
+            _read_into(fh, tensor.data, f"{name} data")
 
         (flag,) = read_struct(fh, "<B", "optimizer flag", CheckpointError)
         optimizer_state = None
@@ -166,8 +169,8 @@ def load_checkpoint(
             (step,) = read_struct(fh, "<Q", "step count", CheckpointError)
             moments, inf_norms = [], []
             for name, tensor in named:
-                moments.append(_read_array(fh, tensor.shape, f"{name} moment"))
-                inf_norms.append(_read_array(fh, tensor.shape, f"{name} inf-norm"))
+                moments.append(_read_into(fh, np.empty(tensor.shape), f"{name} moment"))
+                inf_norms.append(_read_into(fh, np.empty(tensor.shape), f"{name} inf-norm"))
             optimizer_state = (step, moments, inf_norms)
         elif flag != 0:
             raise CheckpointError(f"bad optimizer flag {flag}")

@@ -155,9 +155,10 @@ class Prediction:
     records: list[AttentionRecord] | None = None
 
 
-def build_model(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
+def build_model(config: ModelConfig, rng: np.random.Generator | None) -> ModelParams:
     """Fresh parameters; rng draw order is fixed, so equal seeds build equal
-    models."""
+    models. Without a generator every parameter is zero, for a loader to
+    fill."""
     fused_width = 2 * config.dim if config.fusion == "concat" else config.dim
     return ModelParams(
         region_embed=linear_init(config.d_v, config.dim, rng),

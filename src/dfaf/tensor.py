@@ -217,18 +217,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _apply((a, b), out, bwd)
 
 
-def transpose(t: Tensor) -> Tensor:
-    """Swap the last two axes."""
-    if t.ndim < 2:
-        raise ShapeError(f"transpose needs at least 2 axes, got {t.shape}")
-    out = np.ascontiguousarray(_swap(t.data))
-
-    def bwd(g):
-        return (_swap(g),)
-
-    return _apply((t,), out, bwd)
-
-
 def _check_same_shape(a: Tensor, b: Tensor, opname: str) -> None:
     if a.shape != b.shape:
         raise ShapeError(f"{opname} needs equal shapes: {a.shape} vs {b.shape}")
@@ -273,16 +261,6 @@ def _reduce_rows(g: np.ndarray, v: Tensor) -> np.ndarray:
     return g.sum(axis=1)
 
 
-def add_row(m: Tensor, v: Tensor) -> Tensor:
-    """Add one feature vector to every row of ``m`` (bias broadcast)."""
-    vb = _row_vector_view(m, v, "add_row")
-
-    def bwd(g):
-        return g, _reduce_rows(g, v)
-
-    return _apply((m, v), m.data + vb, bwd)
-
-
 def mul_row(m: Tensor, v: Tensor) -> Tensor:
     """Multiply every row of ``m`` by one feature vector (gate broadcast)."""
     vb = _row_vector_view(m, v, "mul_row")
@@ -299,13 +277,6 @@ def add_scalar(t: Tensor, c: float) -> Tensor:
         return (g,)
 
     return _apply((t,), t.data + c, bwd)
-
-
-def scale(t: Tensor, c: float) -> Tensor:
-    def bwd(g):
-        return (g * c,)
-
-    return _apply((t,), t.data * c, bwd)
 
 
 def concat_cols(*tensors: Tensor) -> Tensor:
@@ -372,20 +343,33 @@ def sum_all(t: Tensor) -> Tensor:
 # nonlinearities
 
 
-def softmax_rows(t: Tensor) -> Tensor:
-    """Softmax along the last axis, stabilized by per-row max subtraction."""
-    if t.shape[-1] < 1:
-        raise ShapeError("softmax_rows needs at least one column")
-    x = t.data
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=-1, keepdims=True)
+def attention_weights(q: Tensor, k: Tensor) -> Tensor:
+    """Attention weights softmax(q·kᵀ/√d) as one op: rows index queries,
+    columns keys, d is the shared width. ``q`` and ``k`` are matrices or
+    equal-sized batches of them. The softmax is stabilized by per-row max
+    subtraction, and backward keeps only the weights."""
+    qd, kd = q.data, k.data
+    if qd.ndim < 2 or kd.ndim != qd.ndim or qd.shape[-1] != kd.shape[-1]:
+        raise ShapeError(f"query/key shapes disagree: {qd.shape} vs {kd.shape}")
+    if qd.ndim == 3 and qd.shape[0] != kd.shape[0]:
+        raise ShapeError(f"query/key batch sizes disagree: {qd.shape} vs {kd.shape}")
+    c = 1.0 / math.sqrt(qd.shape[-1])
+    s = np.matmul(qd, np.ascontiguousarray(_swap(kd)))
+    s *= c
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+    need_q, need_k = q.requires_grad, k.requires_grad
 
     def bwd(g):
-        dot = (g * s).sum(axis=-1, keepdims=True)
-        return (s * (g - dot),)
+        dl = g - (g * s).sum(axis=-1, keepdims=True)
+        dl *= s
+        dl *= c
+        dq = np.matmul(dl, kd) if need_q else None
+        dk = np.matmul(_swap(dl), qd) if need_k else None
+        return dq, dk
 
-    return _apply((t,), s, bwd)
+    return _apply((q, k), s, bwd)
 
 
 def sigmoid(t: Tensor) -> Tensor:
@@ -504,22 +488,35 @@ class LinearLayer:
         yield f"{prefix}bias", self.bias
 
 
-def linear_init(in_dim: int, out_dim: int, rng: np.random.Generator) -> LinearLayer:
-    # Uniform +-1/sqrt(fan_in) weights, zero bias.
+def linear_init(in_dim: int, out_dim: int, rng: np.random.Generator | None) -> LinearLayer:
+    # Uniform +-1/sqrt(fan_in) weights, zero bias; zero weights without a generator.
     bound = 1.0 / math.sqrt(in_dim)
-    weight = Tensor(rng.uniform(-bound, bound, size=(in_dim, out_dim)), requires_grad=True)
+    shape = (in_dim, out_dim)
+    w = np.zeros(shape) if rng is None else rng.uniform(-bound, bound, size=shape)
+    weight = Tensor(w, requires_grad=True)
     bias = Tensor(np.zeros(out_dim), requires_grad=True)
     return LinearLayer(weight, bias)
 
 
 def linear_forward(layer: LinearLayer, x: Tensor) -> Tensor:
+    """x·W + b as one op; ``x`` is a vector, a matrix or a batch of matrices."""
     if x.shape[-1] != layer.in_dim:
         raise ShapeError(
             f"linear layer expects width {layer.in_dim}, input has shape {x.shape}"
         )
-    return add_row(matmul(x, layer.weight), layer.bias) if x.ndim > 1 else add(
-        matmul(x, layer.weight), layer.bias
-    )
+    xd, wd = x.data, layer.weight.data
+    d, o = wd.shape
+    out = np.matmul(xd, wd)
+    out += layer.bias.data
+    need_x = x.requires_grad
+
+    def bwd(g):
+        # One GEMM per gradient on the flattened rows, for any number of axes.
+        g2 = g.reshape(-1, o)
+        gx = np.matmul(g2, wd.T).reshape(xd.shape) if need_x else None
+        return gx, np.matmul(xd.reshape(-1, d).T, g2), g2.sum(axis=0)
+
+    return _apply((x, layer.weight, layer.bias), out, bwd)
 
 
 def finite_diff_gradient(

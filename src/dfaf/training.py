@@ -151,7 +151,7 @@ def clip_gradients(
         return [np.clip(g, -threshold, threshold) for g in grads]
     if mode != "global_norm":
         raise ValueError(f"clip mode must be one of {CLIP_MODES}, got {mode!r}")
-    total = math.sqrt(sum(float(np.sum(g * g)) for g in grads))
+    total = math.sqrt(sum(float(np.vdot(g, g)) for g in grads))
     if total <= threshold:
         return list(grads)
     factor = threshold / total

@@ -22,11 +22,10 @@ from dfaf.attention import (
     init_dyintra_maf,
     dfaf_stack_forward,
     multi_head_apply,
-    scaled_dot_attention,
 )
 from dfaf.data import ToyTaskSpec, generate_feature_dataset
 from dfaf.model import ModelConfig, build_model, predict
-from dfaf.tensor import Tensor
+from dfaf.tensor import Tensor, attention_weights
 from dfaf.training import (
     BETA1,
     EPSILON,
@@ -197,7 +196,7 @@ def test_criterion_05_multi_head_consistency():
 
         # h=1 must be bit-exact against the unsplit computation.
         merged, weights = multi_head_apply(q, k, v, 1)
-        direct_w = scaled_dot_attention(q, k)
+        direct_w = attention_weights(q, k)
         direct = direct_w.data @ v.data
         assert np.array_equal(weights.data[0], direct_w.data)
         assert np.array_equal(merged.data, direct)
@@ -209,7 +208,7 @@ def test_criterion_05_multi_head_consistency():
         for lo, hi, w2 in ((0, half, weights2.data[0]), (half, dim, weights2.data[1])):
             qh = Tensor(q.data[:, lo:hi])
             kh = Tensor(k.data[:, lo:hi])
-            wh = scaled_dot_attention(qh, kh)
+            wh = attention_weights(qh, kh)
             assert np.max(np.abs(wh.data - w2)) <= 1e-10
             parts.append(wh.data @ v.data[:, lo:hi])
         assert np.max(np.abs(merged2.data - np.concatenate(parts, axis=1))) <= 1e-10

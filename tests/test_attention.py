@@ -93,12 +93,12 @@ class TestScaledDotAttention:
     def test_zero_queries_give_uniform_rows(self):
         q = Tensor(np.zeros((4, 6)))
         k = Tensor(np.random.default_rng(0).standard_normal((5, 6)))
-        w = A.scaled_dot_attention(q, k).numpy()
+        w = T.attention_weights(q, k).numpy()
         assert np.allclose(w, 0.2)
 
     def test_single_key_gives_weight_one(self):
         rng = np.random.default_rng(1)
-        w = A.scaled_dot_attention(
+        w = T.attention_weights(
             Tensor(rng.standard_normal((7, 3))), Tensor(rng.standard_normal((1, 3)))
         ).numpy()
         assert np.array_equal(w, np.ones((7, 1)))
@@ -106,19 +106,19 @@ class TestScaledDotAttention:
     def test_sharp_limit_dominates_diagonal(self):
         c = 50.0
         qk = Tensor(np.eye(3) * c)
-        w = A.scaled_dot_attention(qk, qk).numpy()
+        w = T.attention_weights(qk, qk).numpy()
         assert np.all(np.diag(w) > 0.999)
 
     def test_scaling_uses_feature_width(self):
         rng = np.random.default_rng(2)
         q = rng.standard_normal((3, 4))
         k = rng.standard_normal((5, 4))
-        w = A.scaled_dot_attention(Tensor(q), Tensor(k)).numpy()
+        w = T.attention_weights(Tensor(q), Tensor(k)).numpy()
         assert np.allclose(w, np_softmax(q @ k.T / 2.0), atol=1e-12)
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            A.scaled_dot_attention(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4))))
+            T.attention_weights(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4))))
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -129,11 +129,73 @@ class TestScaledDotAttention:
     )
     def test_rows_are_distributions(self, a, b, d, seed):
         rng = np.random.default_rng(seed)
-        w = A.scaled_dot_attention(
+        w = T.attention_weights(
             Tensor(rng.standard_normal((a, d)) * 5), Tensor(rng.standard_normal((b, d)) * 5)
         ).numpy()
         assert np.all(w >= 0)
         assert np.allclose(w.sum(axis=-1), 1.0, atol=1e-9)
+
+
+def composed_attention(q, k, g):
+    """softmax_rows(scale(matmul(q, transpose(k)), 1/sqrt(d))), the four-op
+    composition, and its backward for upstream gradient g, in numpy."""
+    c = 1.0 / math.sqrt(q.shape[-1])
+    x = np.matmul(q, np.ascontiguousarray(k.swapaxes(-1, -2))) * c
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    s = e / e.sum(axis=-1, keepdims=True)
+    gl = s * (g - (g * s).sum(axis=-1, keepdims=True)) * c
+    return s, np.matmul(gl, k), np.matmul(q.swapaxes(-1, -2), gl).swapaxes(-1, -2)
+
+
+QK_SHAPES = {"unbatched": ((5, 4), (6, 4)), "batched": ((3, 5, 4), (3, 6, 4))}
+
+
+class TestAttentionWeightsOp:
+    @pytest.mark.parametrize("case", sorted(QK_SHAPES))
+    def test_forward_bitwise_and_backward_match_composition(self, case):
+        rng = np.random.default_rng(8)
+        q_shape, k_shape = QK_SHAPES[case]
+        q = Tensor(rng.standard_normal(q_shape) * 2, requires_grad=True)
+        k = Tensor(rng.standard_normal(k_shape) * 2, requires_grad=True)
+        g = rng.standard_normal(q_shape[:-1] + k_shape[-2:-1])
+        with GradTape() as tape:
+            w = T.attention_weights(q, k)
+            loss = T.sum_all(T.mul(w, Tensor(g)))
+        backward(tape, loss)
+        s, gq, gk = composed_attention(q.data, k.data, g)
+        assert np.array_equal(w.data, s)
+        assert np.max(np.abs(q.grad - gq)) < 1e-12
+        assert np.max(np.abs(k.grad - gk)) < 1e-12
+
+    @pytest.mark.parametrize("case", sorted(QK_SHAPES))
+    def test_gradients_match_finite_differences(self, case):
+        rng = np.random.default_rng(9)
+        q_shape, k_shape = QK_SHAPES[case]
+        q = Tensor(rng.standard_normal(q_shape), requires_grad=True)
+        k = Tensor(rng.standard_normal(k_shape), requires_grad=True)
+        c = rng.standard_normal(q_shape[:-1] + k_shape[-2:-1])
+        with GradTape() as tape:
+            loss = T.sum_all(T.mul(T.attention_weights(q, k), Tensor(c)))
+        backward(tape, loss)
+
+        def f(params):
+            qq, kk = (p.data for p in params)
+            logits = np.matmul(qq, kk.swapaxes(-1, -2)) / math.sqrt(qq.shape[-1])
+            return float((np_softmax(logits) * c).sum())
+
+        fd = T.finite_diff_gradient(f, [q, k])
+        assert T.relative_error(q.grad, fd[0]) < 1e-7
+        assert T.relative_error(k.grad, fd[1]) < 1e-7
+
+    def test_one_call_records_one_node(self):
+        q = Tensor(np.ones((2, 3, 4)), requires_grad=True)
+        with GradTape() as tape:
+            T.attention_weights(q, q)
+        assert len(tape) == 1
+
+    def test_batch_mismatch_rejected(self):
+        with pytest.raises(ShapeError, match="batch"):
+            T.attention_weights(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 3, 4))))
 
 
 class TestMultiHead:
@@ -141,7 +203,7 @@ class TestMultiHead:
         rng = np.random.default_rng(3)
         q, k, v = (Tensor(rng.standard_normal((4, 8))) for _ in range(3))
         merged, weights = A.multi_head_apply(q, k, v, 1)
-        direct = T.matmul(A.scaled_dot_attention(q, k), v)
+        direct = T.matmul(T.attention_weights(q, k), v)
         assert np.array_equal(merged.numpy(), direct.numpy())
         assert weights.shape == (1, 4, 4)
 

@@ -280,6 +280,23 @@ class TestCheckpoint:
             assert n1 == n2
             assert np.array_equal(t1.data, t2.data)
 
+    def test_load_draws_no_random_model(self, tmp_path, monkeypatch):
+        cfg = small_config()
+        p, path, _ = self.roundtrip(str(tmp_path), cfg)
+
+        def no_generator(*args):
+            raise AssertionError("load_checkpoint drew a random initialisation")
+
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        loaded, _, _ = load_checkpoint(path)
+        for t1, t2 in zip(p.parameters(), loaded.parameters()):
+            assert np.array_equal(t1.data, t2.data) and t2.requires_grad
+
+    def test_build_without_generator_is_zero(self):
+        p = build_model(small_config(), None)
+        assert all(not t.data.any() for t in p.parameters())
+        assert p.n_parameters() == small_config().n_parameters()
+
     @pytest.mark.parametrize("kind", ["inter_only", "intra_only", "dyintra_only"])
     def test_ablation_architectures_roundtrip(self, tmp_path, kind):
         cfg = small_config(attention_type=kind)

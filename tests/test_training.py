@@ -248,6 +248,24 @@ class TestTrainLoop:
         with pytest.raises(ShapeError, match="answers"):
             train(model, bad, tcfg)
 
+    def test_default_config_step_records_83_tape_nodes(self, monkeypatch):
+        # Pins the tape size of one train step at the default model, data and
+        # train config: 22 linear layers and 4 attention maps are one node each.
+        spec = ToyTaskSpec()
+        ds = generate_feature_dataset(spec, 32)
+        cfg = ModelConfig(d_v=spec.d_v, d_w=spec.d_w, n_answers=ds.n_answers)
+        model = build_model(cfg, np.random.default_rng(0))
+        counts = []
+        taped_backward = TR.backward
+
+        def counting_backward(tape, loss):
+            counts.append(len(tape))
+            taped_backward(tape, loss)
+
+        monkeypatch.setattr(TR, "backward", counting_backward)
+        train(model, ds, TrainConfig(epochs=1))
+        assert counts == [83]
+
     def test_resume_continues_step_counter(self):
         model, _, ds, tcfg = tiny_setup(epochs=1)
         _, state = train(model, ds, tcfg)
