@@ -16,10 +16,10 @@ words ``e``), both projected to a shared width ``dim``:
   features are never gated. The naive variant skips gating entirely and is
   fully independent of the other modality. Both use a residual update.
 
-Multi-head attention splits the feature axis into contiguous groups: one
-batched pass over a head-major view; same math, each group scaled by the
-square root of the group width. Gates are computed at full width and split
-alongside the channels.
+Multi-head attention is one tape op, ``tensor.attention``: it splits the
+feature axis into contiguous groups and attends in all of them at once on a
+head-major view, each group scaled by the square root of its width. Gates
+are computed at full width and split alongside the channels.
 
 A block is inter-modality flow followed by intra-modality flow; blocks stack
 sequentially. There is no normalization anywhere, and dropout (train mode,
@@ -41,17 +41,14 @@ from .tensor import (
     Tensor,
     add,
     add_scalar,
-    attention_weights,
+    attention,
     avg_pool_rows,
     concat_cols,
     dropout,
     linear_forward,
     linear_init,
-    matmul,
-    merge_heads,
     mul_row,
     sigmoid,
-    split_heads,
 )
 
 ORDERS = ("parallel", "r_then_e", "e_then_r")
@@ -244,24 +241,10 @@ class DfafBlockParams:
 # forward passes
 
 
-def head_weights(q: Tensor, k: Tensor, heads: int) -> Tensor:
-    """Head-major (B·heads, n, m) attention weights of ``heads`` contiguous
-    channel groups, each scaled by the square root of its own width."""
-    return attention_weights(split_heads(q, heads), split_heads(k, heads))
-
-
-def multi_head_apply(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, Tensor]:
-    """Attend in ``heads`` contiguous channel groups at once, on the head-major
-    view. Returns (merged values, head-major weights)."""
-    w = head_weights(q, k, heads)
-    merged = merge_heads(matmul(w, split_heads(v, heads)), q.shape[:-1] + v.shape[-1:])
-    return merged, w
-
-
-def head_copies(w: Tensor, like: Tensor) -> list[np.ndarray]:
+def head_copies(w: np.ndarray, like: Tensor) -> list[np.ndarray]:
     """Per-head copies of head-major weights ``w``, each (n, m) or (B, n, m)
     as ``like`` (the queries' source) is unbatched or batched."""
-    by_head = w.data.reshape(like.shape[:-2] + (-1,) + w.shape[1:])
+    by_head = w.reshape(like.shape[:-2] + (-1,) + w.shape[1:])
     return [by_head[..., h, :, :].copy() for h in range(by_head.shape[-3])]
 
 
@@ -300,12 +283,12 @@ def inter_maf_forward(
     r_q = linear_dropout(p.region_qkv.query, r, ctx)
     e_q = linear_dropout(p.word_qkv.query, e, ctx)
 
-    def update_regions(keys: Tensor, values: Tensor) -> tuple[Tensor, Tensor]:
-        attended, weights = multi_head_apply(r_q, keys, values, heads)
+    def update_regions(keys: Tensor, values: Tensor) -> tuple[Tensor, np.ndarray]:
+        attended, weights = attention(r_q, keys, values, heads)
         return linear_dropout(p.region_out, concat_cols(r, attended), ctx), weights
 
-    def update_words(keys: Tensor, values: Tensor) -> tuple[Tensor, Tensor]:
-        attended, weights = multi_head_apply(e_q, keys, values, heads)
+    def update_words(keys: Tensor, values: Tensor) -> tuple[Tensor, np.ndarray]:
+        attended, weights = attention(e_q, keys, values, heads)
         return linear_dropout(p.word_out, concat_cols(e, attended), ctx), weights
 
     def keys_values(qkv: QkvProjection, x: Tensor) -> tuple[Tensor, Tensor]:
@@ -349,8 +332,8 @@ def dyintra_maf_forward(
     gate_r = gate_e = None
     if p.dynamic:
         if record is not None:  # what the gates modulate, without them
-            record.intra_r_gates_disabled = head_copies(head_weights(r_q, r_k, heads), r)
-            record.intra_e_gates_disabled = head_copies(head_weights(e_q, e_k, heads), e)
+            record.intra_r_gates_disabled = head_copies(attention(r_q, r_k, r_v, heads)[1], r)
+            record.intra_e_gates_disabled = head_copies(attention(e_q, e_k, e_v, heads)[1], e)
         gate_r = compute_gates(e, p.gate_from_words)  # modulates region q/k
         gate_e = compute_gates(r, p.gate_from_regions)  # modulates word q/k
         mult_r = add_scalar(gate_r, 1.0)
@@ -358,8 +341,12 @@ def dyintra_maf_forward(
         r_q, r_k = mul_row(r_q, mult_r), mul_row(r_k, mult_r)
         e_q, e_k = mul_row(e_q, mult_e), mul_row(e_k, mult_e)
 
-    r_att, w_r = multi_head_apply(r_q, r_k, r_v, heads)
-    e_att, w_e = multi_head_apply(e_q, e_k, e_v, heads)
+    # Each modality's projections are dropped once attended; in eval nothing
+    # else holds them, and this keeps them out of the forward's peak.
+    r_att, w_r = attention(r_q, r_k, r_v, heads)
+    del r_q, r_k, r_v
+    e_att, w_e = attention(e_q, e_k, e_v, heads)
+    del e_q, e_k, e_v
     r_new = linear_dropout(p.region_out, add(r, r_att), ctx)
     e_new = linear_dropout(p.word_out, add(e, e_att), ctx)
 

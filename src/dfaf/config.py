@@ -13,6 +13,7 @@ is fixed in one round trip, not one message at a time.
 """
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import Field, field, fields, make_dataclass
 from typing import Callable, Mapping, Sequence
@@ -222,6 +223,14 @@ def load_run_config(
             values["seed"] = _parse_int(raw)
         except ValueError:
             errors.append(f"bad {SEED_ENV_VAR} value: {raw!r}")
+
+    # Domain checks every sub-config relies on: finite floats, and seeds a
+    # random generator accepts.
+    for key, value in values.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            errors.append(f"{key} must be finite, got {value}")
+        elif key.endswith("seed") and value < 0:
+            errors.append(f"{key} must be nonnegative, got {value}")
 
     if errors:
         raise ConfigError(errors)

@@ -135,12 +135,18 @@ class GradTape:
         return len(self.nodes)
 
 
-def _apply(inputs: tuple, out_data: np.ndarray, backward) -> Tensor:
+def _recorded(inputs: tuple) -> bool:
+    """Whether an op on ``inputs`` records itself: a tape is active on this
+    thread and some input requires gradients."""
     tape = active_tape()
-    track = tape is not None and any(t.requires_grad for t in inputs)
+    return tape is not None and any(t.requires_grad for t in inputs)
+
+
+def _apply(inputs: tuple, out_data: np.ndarray, backward) -> Tensor:
+    track = _recorded(inputs)
     out = _make(out_data, track)
     if track:
-        tape.nodes.append(_Node(inputs, out, backward))
+        active_tape().nodes.append(_Node(inputs, out, backward))
     return out
 
 
@@ -175,46 +181,6 @@ def backward(tape: GradTape, loss: Tensor) -> None:
 
 # ---------------------------------------------------------------------------
 # arithmetic ops
-
-
-def _swap(x: np.ndarray) -> np.ndarray:
-    return x.swapaxes(-1, -2)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product. ``a`` may carry a leading batch axis; a 1-axis ``a``
-    acts as a single row. ``b`` is a matrix or a batch of matrices."""
-    ad, bd = a.data, b.data
-    if bd.ndim < 2:
-        raise ShapeError(f"matmul rhs must be a matrix, got shape {bd.shape}")
-    if ad.ndim == 1 and bd.ndim != 2:
-        raise ShapeError(f"vector lhs needs an unbatched rhs, got {bd.shape}")
-    if ad.shape[-1] != bd.shape[-2]:
-        raise ShapeError(f"matmul inner dims disagree: {ad.shape} x {bd.shape}")
-    if ad.ndim == 3 and bd.ndim == 3 and ad.shape[0] != bd.shape[0]:
-        raise ShapeError(f"matmul batch sizes disagree: {ad.shape} x {bd.shape}")
-    out = np.matmul(ad, bd)
-    need_a, need_b = a.requires_grad, b.requires_grad
-
-    def bwd(g):
-        ga = gb = None
-        if need_a:
-            if ad.ndim == 1:
-                ga = np.matmul(g, _swap(bd))
-            else:
-                ga = np.matmul(g, _swap(bd))
-                if ga.ndim > ad.ndim:
-                    ga = ga.sum(axis=0)
-        if need_b:
-            if ad.ndim == 1:
-                gb = np.outer(ad, g)
-            else:
-                gb = np.matmul(_swap(ad), g)
-                if gb.ndim > bd.ndim:
-                    gb = gb.sum(axis=0)
-        return ga, gb
-
-    return _apply((a, b), out, bwd)
 
 
 def _check_same_shape(a: Tensor, b: Tensor, opname: str) -> None:
@@ -298,37 +264,6 @@ def concat_cols(*tensors: Tensor) -> Tensor:
     return _apply(tensors, np.concatenate([t.data for t in tensors], axis=-1), bwd)
 
 
-def _swap_groups(t: Tensor, grouped: tuple[int, int, int, int], shape: tuple) -> Tensor:
-    # Tape op: view t as ``grouped``, swap axes 1 and 2, copy out as ``shape``.
-    b, x, y, w = grouped
-
-    def move(a: np.ndarray, src: tuple, dst: tuple) -> np.ndarray:
-        return np.ascontiguousarray(a.reshape(src).swapaxes(1, 2)).reshape(dst)
-
-    def bwd(g):
-        return (move(g, (b, y, x, w), t.shape),)
-
-    return _apply((t,), move(t.data, grouped, shape), bwd)
-
-
-def split_heads(t: Tensor, heads: int) -> Tensor:
-    """Head-major copy: (n, d) or (B, n, d) -> (B·heads, n, d/heads). Entry
-    ``b·heads + h`` holds columns [h·d/heads, (h+1)·d/heads) of instance b."""
-    if t.ndim < 2 or heads < 1 or t.shape[-1] % heads:
-        raise ShapeError(f"cannot split {t.shape} into {heads} heads")
-    b, n, d = (1, *t.shape) if t.ndim == 2 else t.shape
-    return _swap_groups(t, (b, n, heads, d // heads), (b * heads, n, d // heads))
-
-
-def merge_heads(t: Tensor, shape: tuple[int, ...]) -> Tensor:
-    """Inverse of ``split_heads``; ``shape`` is (n, d) or (B, n, d)."""
-    b, n, d = (1, *shape) if len(shape) == 2 else shape
-    heads = d // t.shape[-1]
-    if t.shape != (b * heads, n, d // heads) or heads * t.shape[-1] != d:
-        raise ShapeError(f"cannot merge heads of {t.shape} into {tuple(shape)}")
-    return _swap_groups(t, (b, heads, n, d // heads), shape)
-
-
 def sum_all(t: Tensor) -> Tensor:
     """Sum of all elements, as a length-1 tensor."""
     td_shape = t.shape
@@ -343,33 +278,81 @@ def sum_all(t: Tensor) -> Tensor:
 # nonlinearities
 
 
-def attention_weights(q: Tensor, k: Tensor) -> Tensor:
-    """Attention weights softmax(q·kᵀ/√d) as one op: rows index queries,
-    columns keys, d is the shared width. ``q`` and ``k`` are matrices or
-    equal-sized batches of them. The softmax is stabilized by per-row max
-    subtraction, and backward keeps only the weights."""
-    qd, kd = q.data, k.data
-    if qd.ndim < 2 or kd.ndim != qd.ndim or qd.shape[-1] != kd.shape[-1]:
-        raise ShapeError(f"query/key shapes disagree: {qd.shape} vs {kd.shape}")
-    if qd.ndim == 3 and qd.shape[0] != kd.shape[0]:
-        raise ShapeError(f"query/key batch sizes disagree: {qd.shape} vs {kd.shape}")
-    c = 1.0 / math.sqrt(qd.shape[-1])
-    s = np.matmul(qd, np.ascontiguousarray(_swap(kd)))
+def _swap(x: np.ndarray) -> np.ndarray:
+    return x.swapaxes(-1, -2)
+
+
+def _split_heads(a: np.ndarray, heads: int) -> np.ndarray:
+    # (n, d) or (B, n, d) -> head-major (B·heads, n, d/heads) copy; entry
+    # b·heads + h holds columns [h·d/heads, (h+1)·d/heads) of instance b.
+    b, n, d = (1, *a.shape) if a.ndim == 2 else a.shape
+    grouped = a.reshape(b, n, heads, d // heads).swapaxes(1, 2)
+    return np.ascontiguousarray(grouped).reshape(b * heads, n, d // heads)
+
+
+def _merge_heads(a: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    # Inverse of _split_heads; ``shape`` is (n, d) or (B, n, d).
+    b, n, d = (1, *shape) if len(shape) == 2 else shape
+    grouped = a.reshape(b, d // a.shape[-1], n, a.shape[-1]).swapaxes(1, 2)
+    return np.ascontiguousarray(grouped).reshape(shape)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.ndarray]:
+    """Multi-head attention softmax(q·kᵀ/√d_h)·v as one op.
+
+    Rows of ``q`` are queries, rows of ``k`` and ``v`` are keys; the three are
+    matrices or equal-sized batches of them. The feature axes split into
+    ``heads`` contiguous column groups, each attended on its own and scaled
+    by the square root of its width d_h. Returns the merged values (``q``'s
+    rows, ``v``'s width) and the head-major (B·heads, n, m) weights, whose
+    entry b·heads + h is head h of instance b. The softmax is stabilized by
+    per-row max subtraction. Backward reuses the weights and the head-major
+    copies of q, k and v.
+    """
+    qd, kd, vd = q.data, k.data, v.data
+    shapes = f"q {qd.shape}, k {kd.shape}, v {vd.shape}"
+    if qd.ndim < 2 or not qd.ndim == kd.ndim == vd.ndim:
+        raise ShapeError(f"attention needs matrices or batches of equal rank: {shapes}")
+    if qd.shape[-1] != kd.shape[-1] or kd.shape[-2] != vd.shape[-2]:
+        raise ShapeError(f"query/key widths or key/value rows disagree: {shapes}")
+    if not qd.shape[:-2] == kd.shape[:-2] == vd.shape[:-2]:
+        raise ShapeError(f"attention batch sizes disagree: {shapes}")
+    if heads < 1 or qd.shape[-1] % heads or vd.shape[-1] % heads:
+        raise ShapeError(f"cannot split {shapes} into {heads} heads")
+    c = 1.0 / math.sqrt(qd.shape[-1] // heads)
+    # A recorded op keeps its head-major copies of q, k and v for backward;
+    # otherwise each is dropped as soon as it has been used.
+    keep = _recorded((q, k, v))
+    qh, kh = _split_heads(qd, heads), _split_heads(kd, heads)
+    s = np.matmul(qh, np.ascontiguousarray(_swap(kh)))
     s *= c
     s -= s.max(axis=-1, keepdims=True)
     np.exp(s, out=s)
     s /= s.sum(axis=-1, keepdims=True)
-    need_q, need_k = q.requires_grad, k.requires_grad
+    if not keep:
+        qh = kh = None
+    vh = _split_heads(vd, heads)
+    out = np.matmul(s, vh)
+    if not keep:
+        vh = None
+    out = _merge_heads(out, qd.shape[:-1] + vd.shape[-1:])
+    need_q, need_k, need_v = q.requires_grad, k.requires_grad, v.requires_grad
 
     def bwd(g):
-        dl = g - (g * s).sum(axis=-1, keepdims=True)
+        g_h = _split_heads(g, heads)
+        dv = _merge_heads(np.matmul(_swap(s), g_h), vd.shape) if need_v else None
+        if not (need_q or need_k):
+            return None, None, dv
+        dl = np.matmul(g_h, _swap(vh))
+        del g_h
+        dl -= (dl * s).sum(axis=-1, keepdims=True)
         dl *= s
         dl *= c
-        dq = np.matmul(dl, kd) if need_q else None
-        dk = np.matmul(_swap(dl), qd) if need_k else None
-        return dq, dk
+        dq = _merge_heads(np.matmul(dl, kh), qd.shape) if need_q else None
+        dk = _merge_heads(np.matmul(_swap(dl), qh), kd.shape) if need_k else None
+        return dq, dk, dv
 
-    return _apply((q, k), s, bwd)
+    return _apply((q, k, v), out, bwd), s
 
 
 def sigmoid(t: Tensor) -> Tensor:
@@ -416,7 +399,10 @@ def dropout(t: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if rate == 0.0:
         return t
-    keep = (rng.random(t.shape) >= rate) * (1.0 / (1.0 - rate))
+    # One array: the uniform draws become the 0/1 mask, then the scaled mask.
+    keep = rng.random(t.shape)
+    np.greater_equal(keep, rate, out=keep)
+    keep *= 1.0 / (1.0 - rate)
 
     def bwd(g):
         return (g * keep,)

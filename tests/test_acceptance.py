@@ -8,6 +8,7 @@ the suite yet; they keep their numbers.  No test carries the ``slow`` marker
 today; every criterion here finishes in seconds to a couple of minutes.
 """
 import json
+import math
 import time
 
 import numpy as np
@@ -21,11 +22,10 @@ from dfaf.attention import (
     init_dfaf_stack,
     init_dyintra_maf,
     dfaf_stack_forward,
-    multi_head_apply,
 )
 from dfaf.data import ToyTaskSpec, generate_feature_dataset
 from dfaf.model import ModelConfig, build_model, predict
-from dfaf.tensor import Tensor, attention_weights
+from dfaf.tensor import Tensor, attention
 from dfaf.training import (
     BETA1,
     EPSILON,
@@ -195,22 +195,23 @@ def test_criterion_05_multi_head_consistency():
         v = Tensor(rng.standard_normal((m, dim)))
 
         # h=1 must be bit-exact against the unsplit computation.
-        merged, weights = multi_head_apply(q, k, v, 1)
-        direct_w = attention_weights(q, k)
-        direct = direct_w.data @ v.data
-        assert np.array_equal(weights.data[0], direct_w.data)
-        assert np.array_equal(merged.data, direct)
+        merged, weights = attention(q, k, v, 1)
+        logits = q.data @ np.ascontiguousarray(k.data.T) * (1.0 / math.sqrt(dim))
+        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        direct_w = e / e.sum(axis=-1, keepdims=True)
+        assert np.array_equal(weights[0], direct_w)
+        assert np.array_equal(merged.data, direct_w @ v.data)
 
         # h=2 must equal two independent half-width runs, concatenated.
         half = dim // 2
-        merged2, weights2 = multi_head_apply(q, k, v, 2)
+        merged2, weights2 = attention(q, k, v, 2)
         parts = []
-        for lo, hi, w2 in ((0, half, weights2.data[0]), (half, dim, weights2.data[1])):
+        for lo, hi, w2 in ((0, half, weights2[0]), (half, dim, weights2[1])):
             qh = Tensor(q.data[:, lo:hi])
             kh = Tensor(k.data[:, lo:hi])
-            wh = attention_weights(qh, kh)
-            assert np.max(np.abs(wh.data - w2)) <= 1e-10
-            parts.append(wh.data @ v.data[:, lo:hi])
+            wh = attention(qh, kh, kh, 1)[1][0]
+            assert np.max(np.abs(wh - w2)) <= 1e-10
+            parts.append(wh @ v.data[:, lo:hi])
         assert np.max(np.abs(merged2.data - np.concatenate(parts, axis=1))) <= 1e-10
 
 

@@ -89,36 +89,39 @@ def rand_re(rng, mu=5, length=3, dim=8, batch=None):
 # ---------------------------------------------------------------------------
 
 
+def weights_of(q, k):
+    """Single-head attention weights of queries over keys (keys as values)."""
+    return T.attention(q, k, k, 1)[1][0]
+
+
 class TestScaledDotAttention:
     def test_zero_queries_give_uniform_rows(self):
         q = Tensor(np.zeros((4, 6)))
         k = Tensor(np.random.default_rng(0).standard_normal((5, 6)))
-        w = T.attention_weights(q, k).numpy()
+        w = weights_of(q, k)
         assert np.allclose(w, 0.2)
 
     def test_single_key_gives_weight_one(self):
         rng = np.random.default_rng(1)
-        w = T.attention_weights(
-            Tensor(rng.standard_normal((7, 3))), Tensor(rng.standard_normal((1, 3)))
-        ).numpy()
+        w = weights_of(Tensor(rng.standard_normal((7, 3))), Tensor(rng.standard_normal((1, 3))))
         assert np.array_equal(w, np.ones((7, 1)))
 
     def test_sharp_limit_dominates_diagonal(self):
         c = 50.0
         qk = Tensor(np.eye(3) * c)
-        w = T.attention_weights(qk, qk).numpy()
+        w = weights_of(qk, qk)
         assert np.all(np.diag(w) > 0.999)
 
     def test_scaling_uses_feature_width(self):
         rng = np.random.default_rng(2)
         q = rng.standard_normal((3, 4))
         k = rng.standard_normal((5, 4))
-        w = T.attention_weights(Tensor(q), Tensor(k)).numpy()
+        w = weights_of(Tensor(q), Tensor(k))
         assert np.allclose(w, np_softmax(q @ k.T / 2.0), atol=1e-12)
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            T.attention_weights(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4))))
+            weights_of(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4))))
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -129,9 +132,9 @@ class TestScaledDotAttention:
     )
     def test_rows_are_distributions(self, a, b, d, seed):
         rng = np.random.default_rng(seed)
-        w = T.attention_weights(
+        w = weights_of(
             Tensor(rng.standard_normal((a, d)) * 5), Tensor(rng.standard_normal((b, d)) * 5)
-        ).numpy()
+        )
         assert np.all(w >= 0)
         assert np.allclose(w.sum(axis=-1), 1.0, atol=1e-9)
 
@@ -150,7 +153,16 @@ def composed_attention(q, k, g):
 QK_SHAPES = {"unbatched": ((5, 4), (6, 4)), "batched": ((3, 5, 4), (3, 6, 4))}
 
 
+def identity_values(k_shape):
+    """Values that make ``attention`` return its weights: one identity
+    matrix per instance, as many rows as there are keys."""
+    m = k_shape[-2]
+    return Tensor(np.broadcast_to(np.eye(m), k_shape[:-1] + (m,)))
+
+
 class TestAttentionWeightsOp:
+    """The weights half of ``attention``, isolated by identity values."""
+
     @pytest.mark.parametrize("case", sorted(QK_SHAPES))
     def test_forward_bitwise_and_backward_match_composition(self, case):
         rng = np.random.default_rng(8)
@@ -159,11 +171,12 @@ class TestAttentionWeightsOp:
         k = Tensor(rng.standard_normal(k_shape) * 2, requires_grad=True)
         g = rng.standard_normal(q_shape[:-1] + k_shape[-2:-1])
         with GradTape() as tape:
-            w = T.attention_weights(q, k)
-            loss = T.sum_all(T.mul(w, Tensor(g)))
+            out, w = T.attention(q, k, identity_values(k_shape), 1)
+            loss = T.sum_all(T.mul(out, Tensor(g)))
         backward(tape, loss)
         s, gq, gk = composed_attention(q.data, k.data, g)
-        assert np.array_equal(w.data, s)
+        assert np.array_equal(out.data, s)
+        assert np.array_equal(w.reshape(s.shape), s)
         assert np.max(np.abs(q.grad - gq)) < 1e-12
         assert np.max(np.abs(k.grad - gk)) < 1e-12
 
@@ -175,7 +188,8 @@ class TestAttentionWeightsOp:
         k = Tensor(rng.standard_normal(k_shape), requires_grad=True)
         c = rng.standard_normal(q_shape[:-1] + k_shape[-2:-1])
         with GradTape() as tape:
-            loss = T.sum_all(T.mul(T.attention_weights(q, k), Tensor(c)))
+            out, _ = T.attention(q, k, identity_values(k_shape), 1)
+            loss = T.sum_all(T.mul(out, Tensor(c)))
         backward(tape, loss)
 
         def f(params):
@@ -190,38 +204,163 @@ class TestAttentionWeightsOp:
     def test_one_call_records_one_node(self):
         q = Tensor(np.ones((2, 3, 4)), requires_grad=True)
         with GradTape() as tape:
-            T.attention_weights(q, q)
+            T.attention(q, q, identity_values(q.shape), 1)
         assert len(tape) == 1
 
     def test_batch_mismatch_rejected(self):
         with pytest.raises(ShapeError, match="batch"):
-            T.attention_weights(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 3, 4))))
+            q, k = Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 3, 4)))
+            T.attention(q, k, identity_values(k.shape), 1)
+
+
+def np_split(x, heads):
+    # (n, d) or (B, n, d) -> (B·heads, n, d/heads); entry b·heads + h is
+    # column group h of instance b.
+    x3 = x.reshape(-1, *x.shape[-2:])
+    hd = x.shape[-1] // heads
+    return np.stack(
+        [x3[b, :, h * hd : (h + 1) * hd] for b in range(len(x3)) for h in range(heads)]
+    )
+
+
+def np_merge(x, shape):
+    # Inverse of np_split; ``shape`` is (n, d) or (B, n, d).
+    heads = x.shape[0] // (shape[0] if len(shape) == 3 else 1)
+    return np.concatenate([x[h::heads] for h in range(heads)], axis=-1).reshape(shape)
+
+
+def composed_multi_head(q, k, v, g, heads):
+    """The four-op composition split -> weights -> matmul -> merge that
+    ``attention`` replaces: values, head-major weights, and the gradients in
+    q, k and v for upstream gradient g, in numpy and in the same order."""
+    qh, kh, vh, gh = (np_split(x, heads) for x in (q, k, v, g))
+    c = 1.0 / math.sqrt(qh.shape[-1])
+    x = np.matmul(qh, np.ascontiguousarray(kh.swapaxes(-1, -2))) * c
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    s = e / e.sum(axis=-1, keepdims=True)
+    out = np_merge(np.matmul(s, vh), q.shape[:-1] + v.shape[-1:])
+    gs = np.matmul(gh, vh.swapaxes(-1, -2))
+    gl = (gs - (gs * s).sum(axis=-1, keepdims=True)) * s * c
+    dq = np_merge(np.matmul(gl, kh), q.shape)
+    dk = np_merge(np.matmul(gl.swapaxes(-1, -2), qh), k.shape)
+    dv = np_merge(np.matmul(s.swapaxes(-1, -2), gh), v.shape)
+    return out, s, dq, dk, dv
+
+
+# (q shape, k and v rows, heads): heads 1, 2 and d, unbatched and batched.
+ATTENTION_CASES = {
+    f"{name}-{heads}": (q_shape, 6, heads)
+    for name, q_shape in (("unbatched", (5, 4)), ("batched", (3, 5, 4)))
+    for heads in (1, 2, 4)
+}
+
+
+def attention_inputs(case, seed):
+    q_shape, m, heads = ATTENTION_CASES[case]
+    rng = np.random.default_rng(seed)
+    kv_shape = q_shape[:-2] + (m, q_shape[-1])
+    q, k, v = (
+        Tensor(rng.standard_normal(shape), requires_grad=True)
+        for shape in (q_shape, kv_shape, kv_shape)
+    )
+    return q, k, v, rng.standard_normal(q_shape), heads
+
+
+class TestAttentionOp:
+    @pytest.mark.parametrize("case", sorted(ATTENTION_CASES))
+    def test_forward_and_backward_bitwise_match_composition(self, case):
+        q, k, v, g, heads = attention_inputs(case, 10)
+        with GradTape() as tape:
+            out, w = T.attention(q, k, v, heads)
+            loss = T.sum_all(T.mul(out, Tensor(g)))
+        backward(tape, loss)
+        want = composed_multi_head(q.data, k.data, v.data, g, heads)
+        for got, expect in zip((out.data, w, q.grad, k.grad, v.grad), want):
+            assert got.shape == expect.shape
+            assert np.array_equal(got, expect)
+
+    @pytest.mark.parametrize("case", sorted(ATTENTION_CASES))
+    def test_gradients_match_finite_differences(self, case):
+        q, k, v, c, heads = attention_inputs(case, 11)
+        with GradTape() as tape:
+            loss = T.sum_all(T.mul(T.attention(q, k, v, heads)[0], Tensor(c)))
+        backward(tape, loss)
+
+        def f(params):
+            qq, kk, vv = (p.data for p in params)
+            return float((np_heads_attend(qq, kk, vv, heads) * c).sum())
+
+        fd = T.finite_diff_gradient(f, [q, k, v])
+        for got, expect in zip((q.grad, k.grad, v.grad), fd):
+            assert T.relative_error(got, expect) < 1e-7
+
+    @pytest.mark.parametrize("case", sorted(ATTENTION_CASES))
+    def test_one_call_records_one_node(self, case):
+        q, k, v, _, heads = attention_inputs(case, 12)
+        with GradTape() as tape:
+            T.attention(q, k, v, heads)
+        assert len(tape) == 1
+
+    @pytest.mark.parametrize("constant", ["v", "qk"])
+    def test_constant_inputs_get_no_gradient(self, constant):
+        q, k, v, g, heads = attention_inputs("batched-2", 13)
+        inputs = dict(zip("qkv", (q, k, v)))
+        for name in constant:
+            inputs[name].requires_grad = False
+        with GradTape() as tape:
+            loss = T.sum_all(T.mul(T.attention(q, k, v, heads)[0], Tensor(g)))
+        backward(tape, loss)
+        grads = composed_multi_head(q.data, k.data, v.data, g, heads)[2:]
+        for (name, t), expect in zip(inputs.items(), grads):
+            if name in constant:
+                assert t.grad is None
+            else:
+                assert np.array_equal(t.grad, expect)
+
+    @pytest.mark.parametrize(
+        "shapes, heads, match",
+        [
+            (((4,), (4,), (4,)), 1, "equal rank"),
+            (((5, 4), (3, 6, 4), (3, 6, 4)), 1, "equal rank"),
+            (((5, 4), (6, 3), (6, 4)), 1, "widths"),
+            (((5, 4), (6, 4), (7, 4)), 1, "rows"),
+            (((2, 5, 4), (3, 6, 4), (3, 6, 4)), 1, "batch"),
+            (((5, 4), (6, 4), (6, 4)), 3, "3 heads"),
+            (((5, 4), (6, 4), (6, 3)), 2, "2 heads"),
+            (((5, 4), (6, 4), (6, 4)), 0, "0 heads"),
+        ],
+    )
+    def test_shape_errors(self, shapes, heads, match):
+        q, k, v = (Tensor(np.ones(shape)) for shape in shapes)
+        with pytest.raises(ShapeError, match=match):
+            T.attention(q, k, v, heads)
 
 
 class TestMultiHead:
     def test_single_head_is_bit_exact_unsplit(self):
         rng = np.random.default_rng(3)
         q, k, v = (Tensor(rng.standard_normal((4, 8))) for _ in range(3))
-        merged, weights = A.multi_head_apply(q, k, v, 1)
-        direct = T.matmul(T.attention_weights(q, k), v)
-        assert np.array_equal(merged.numpy(), direct.numpy())
+        merged, weights = T.attention(q, k, v, 1)
+        direct = composed_attention(q.data, k.data, np.zeros((4, 4)))[0]
+        assert np.array_equal(weights[0], direct)
+        assert np.array_equal(merged.numpy(), np.matmul(direct, v.data))
         assert weights.shape == (1, 4, 4)
 
     def test_two_heads_equal_independent_half_runs(self):
         rng = np.random.default_rng(4)
         q, k, v = (Tensor(rng.standard_normal((5, 8))) for _ in range(3))
-        merged, weights = A.multi_head_apply(q, k, v, 2)
+        merged, weights = T.attention(q, k, v, 2)
         halves = []
         for lo, hi in ((0, 4), (4, 8)):
-            out_h, w_h = A.multi_head_apply(
+            out_h, w_h = T.attention(
                 Tensor(q.data[:, lo:hi]),
                 Tensor(k.data[:, lo:hi]),
                 Tensor(v.data[:, lo:hi]),
                 1,
             )
-            halves.append((out_h.numpy(), w_h.data[0]))
+            halves.append((out_h.numpy(), w_h[0]))
         assert np.max(np.abs(merged.numpy() - np.concatenate([h[0] for h in halves], -1))) < 1e-10
-        for got, (_, expect) in zip(weights.data, halves):
+        for got, (_, expect) in zip(weights, halves):
             assert np.max(np.abs(got - expect)) < 1e-10
 
     def test_paper_scale_shapes(self):
@@ -229,14 +368,14 @@ class TestMultiHead:
         q = Tensor(rng.standard_normal((100, 512)))
         k = Tensor(rng.standard_normal((14, 512)))
         v = Tensor(rng.standard_normal((14, 512)))
-        merged, weights = A.multi_head_apply(q, k, v, 8)
+        merged, weights = T.attention(q, k, v, 8)
         assert merged.shape == (100, 512)
         assert weights.shape == (8, 100, 14)
 
     def test_indivisible_heads_rejected(self):
         q = Tensor(np.ones((2, 6)))
         with pytest.raises(ShapeError, match="6"):
-            A.multi_head_apply(q, q, q, 4)
+            T.attention(q, q, q, 4)
 
 
 class TestComputeGates:

@@ -363,6 +363,49 @@ class TestArgumentErrors:
         assert "nonsense" in proc.stderr
         assert not (tmp_path / "out.bin").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_threshold_exits_2(self, tmp_path, value):
+        proc = run_cli(
+            ["gradcheck", "--set", "dim=8", "--set", "heads=2",
+             "--set", f"gradcheck_threshold={value}"],
+            tmp_path,
+        )
+        assert proc.returncode == 2
+        assert "gradcheck_threshold must be finite" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_negative_seeds_and_nan_noise_listed_together(self, tmp_path):
+        proc = run_cli(
+            ["gen-data", "--set", "seed=-1", "--set", "codebook_seed=-1",
+             "--set", "noise_std=nan", "--set", "n_instances=8", "out.bin"],
+            tmp_path,
+        )
+        assert proc.returncode == 2
+        for key in ("seed must", "codebook_seed must", "noise_std must"):
+            assert key in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out.bin").exists()
+
+    def test_negative_env_seed_exits_2(self, tmp_path):
+        proc = run_cli(
+            ["gen-data", "--set", "n_instances=8", "out.bin"],
+            tmp_path,
+            env_extra={"DFAF_SEED": "-3"},
+        )
+        assert proc.returncode == 2
+        assert "seed must be nonnegative, got -3" in proc.stderr
+        assert not (tmp_path / "out.bin").exists()
+
+    def test_nan_clip_exits_2_before_training(self, workspace, tmp_path):
+        root, _, _ = workspace
+        proc = run_cli(
+            ["train", *TINY, "--set", "clip=nan", str(root / "data.bin"), "c.bin"],
+            tmp_path,
+        )
+        assert proc.returncode == 2
+        assert "clip must be finite" in proc.stderr
+        assert not (tmp_path / "c.bin").exists()
+
     @pytest.mark.skipif(
         shutil.which("dfaf") is None, reason="no dfaf console script on PATH"
     )

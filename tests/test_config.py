@@ -1,7 +1,11 @@
 """Tests for the key=value run configuration."""
 import json
+import math
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dfaf.config import (
     ConfigError,
@@ -96,6 +100,42 @@ class TestLoadRunConfig:
     def test_bad_set_syntax_reported(self):
         with pytest.raises(ConfigError, match="--set"):
             load_run_config(None, ["dim"], env={})
+
+
+KEYS = [f.name for f in fields(RunConfig)]
+ADVERSARIAL = [
+    "nan", "-nan", "inf", "-inf", "1e400", "-1e400", "-1", "-0", "0", "1", "2", "4",
+    "0.5", "", " ", "1_0", "\u0663", "\uff11\uff12", "\u0661.\u0665", "abc",
+    "attribute,counting", "3,7", "concat", "parallel", "dyintra_only",
+]
+VALUES = st.one_of(
+    st.sampled_from(ADVERSARIAL),
+    st.integers(-3, 40).map(str),
+    st.floats().map(repr),
+    st.text(st.characters(exclude_categories=("Cs",)), max_size=4),
+)
+
+
+class TestGeneratedConfigText:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.dictionaries(st.sampled_from(KEYS), VALUES, max_size=6),
+        st.one_of(st.none(), VALUES),
+    )
+    def test_yields_run_config_or_config_error(self, tmp_path_factory, pairs, env_seed):
+        path = tmp_path_factory.getbasetemp() / "generated.cfg"
+        path.write_text("".join(f"{k}={v}\n" for k, v in pairs.items()), encoding="utf-8")
+        env = {} if env_seed is None else {"DFAF_SEED": env_seed}
+        try:
+            cfg = load_run_config(str(path), env=env)
+        except ConfigError:
+            return
+        for key in KEYS:
+            value = getattr(cfg, key)
+            if isinstance(value, float):
+                assert math.isfinite(value), key
+            if key.endswith("seed"):
+                assert value >= 0, key
 
 
 class TestRoundTrip:

@@ -389,6 +389,42 @@ class TestFeatureFile:
         with pytest.raises(FeatureFileError, match="trailing"):
             read_feature_file(path)
 
+    @pytest.fixture(scope="class")
+    def golden(self, tmp_path_factory):
+        """A small well-formed file: its directory, its bytes, and the length
+        of its header plus name tables."""
+        root = tmp_path_factory.mktemp("dfft")
+        ds = generate_feature_dataset(ToyTaskSpec(seed=40), 3)
+        write_feature_file(str(root / "good.dft"), ds)
+        raw = (root / "good.dft").read_bytes()
+        n, mu, d_v = ds.regions.shape
+        _, token_len, d_w = ds.tokens.shape
+        return root, raw, len(raw) - n * (8 * (mu * d_v + token_len * d_w) + 8)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_any_truncation_raises_feature_file_error(self, golden, data):
+        root, raw, _ = golden
+        cut = data.draw(st.integers(0, len(raw) - 1))
+        (root / "cut.dft").write_bytes(raw[:cut])
+        with pytest.raises(FeatureFileError):
+            read_feature_file(str(root / "cut.dft"))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_header_bit_flips_load_or_raise_feature_file_error(self, golden, data):
+        root, raw, head = golden
+        bit_index = st.integers(0, 8 * head - 1)
+        bits = data.draw(st.lists(bit_index, min_size=1, max_size=3, unique=True))
+        flipped = bytearray(raw)
+        for bit in bits:
+            flipped[bit // 8] ^= 1 << (bit % 8)
+        (root / "flip.dft").write_bytes(bytes(flipped))
+        try:
+            read_feature_file(str(root / "flip.dft"))
+        except FeatureFileError:
+            pass
+
     def test_error_hierarchy(self):
         assert issubclass(BadMagicError, FeatureFileError)
         assert issubclass(VersionMismatchError, FeatureFileError)

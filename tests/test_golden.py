@@ -1,8 +1,11 @@
-"""Golden bytes: the DFFT and DFAF file formats, pinned by SHA-256.
+"""Golden bytes: the DFFT and DFAF file formats and the task generator,
+pinned by SHA-256.
 
-Both files are built from ``np.arange`` values, with no random draws, so the
-digests depend only on the on-disk layout. A change to either writer that
-alters one byte fails here.
+The two format files are built from ``np.arange`` values, with no random
+draws, so their digests depend only on the on-disk layout. A change to either
+writer that alters one byte fails here. The generated file pins the
+generator's draws as well: a small default dataset must come out byte for
+byte the same.
 """
 
 import hashlib
@@ -10,11 +13,19 @@ import hashlib
 import numpy as np
 
 from dfaf.checkpoint import load_checkpoint, save_checkpoint
-from dfaf.data import FeatureDataset, read_feature_file, write_feature_file
+from dfaf.data import (
+    FeatureDataset,
+    ToyTaskSpec,
+    generate_feature_dataset,
+    read_feature_file,
+    write_feature_file,
+)
 from dfaf.model import ModelConfig, build_model
 
 FEATURE_SHA256 = "1970e1ae1763c2b3c1227f9fc9369445d88e2951ebdf1e0972cb6423c44832dc"
 CHECKPOINT_SHA256 = "46b1d4de6b547697711aad085cb775cc308ae6043de7f26ad9e59c8da261875a"
+# Default ToyTaskSpec (seed 0), 64 instances.
+GENERATED_SHA256 = "21e00ab1dab62ef2281d633943860edc3141bc126bbf92b0da0ffdfb1e7a47c1"
 
 
 def sha256_of(path) -> str:
@@ -71,3 +82,9 @@ def test_checkpoint_bytes_are_pinned(tmp_path):
     assert loaded_trailer[0] == 7
     for a, b in zip(loaded.parameters(), params.parameters()):
         assert np.array_equal(a.data, b.data)
+
+
+def test_generated_dataset_bytes_are_pinned(tmp_path):
+    path = tmp_path / "generated.dft"
+    write_feature_file(str(path), generate_feature_dataset(ToyTaskSpec(), 64))
+    assert sha256_of(path) == GENERATED_SHA256

@@ -34,70 +34,55 @@ def matmul_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def attend(q, k, v, heads=1):
+    """``attention`` on plain arrays, for tests of its forward alone."""
+    return T.attention(Tensor(q), Tensor(k), Tensor(v), heads)
+
+
 class TestMatmul:
+    """The weights-by-values product inside ``attention``."""
+
     def test_against_loop_oracle(self):
         rng = np.random.default_rng(7)
-        a = rng.standard_normal((5, 4))
-        b = rng.standard_normal((4, 3))
-        got = T.matmul(Tensor(a), Tensor(b)).numpy()
-        assert np.max(np.abs(got - matmul_oracle(a, b))) < 1e-12
+        q, k, v = (rng.standard_normal(shape) for shape in ((5, 4), (3, 4), (3, 2)))
+        out, w = attend(q, k, v)
+        assert np.max(np.abs(out.numpy() - matmul_oracle(w[0], v))) < 1e-12
 
     def test_identity_is_bit_exact(self):
         rng = np.random.default_rng(8)
         a = rng.standard_normal((6, 6))
-        eye = np.eye(6)
-        assert np.array_equal(T.matmul(Tensor(a), Tensor(eye)).numpy(), a)
-        assert np.array_equal(T.matmul(Tensor(eye), Tensor(a)).numpy(), a)
-
-    def test_vector_lhs_acts_as_row(self):
-        v = Tensor([1.0, 2.0])
-        w = Tensor([[3.0, 0.0], [0.0, 5.0]])
-        out = T.matmul(v, w)
-        assert out.shape == (2,)
-        assert np.allclose(out.numpy(), [3.0, 10.0])
-
-    def test_batched_matches_per_slice(self):
-        rng = np.random.default_rng(9)
-        a = rng.standard_normal((4, 5, 3))
-        b = rng.standard_normal((3, 2))
-        out = T.matmul(Tensor(a), Tensor(b)).numpy()
-        for i in range(4):
-            assert np.array_equal(out[i], a[i] @ b)
+        # Identity values return the weights; keys 100·I make the weights
+        # exactly the identity, which returns the values.
+        out, w = attend(a, a, np.eye(6))
+        assert np.array_equal(out.numpy(), w[0])
+        out, w = attend(100.0 * np.eye(6), 100.0 * np.eye(6), a)
+        assert np.array_equal(w[0], np.eye(6))
+        assert np.array_equal(out.numpy(), a)
 
     def test_inner_dim_mismatch_mentions_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4, 2\)"):
-            T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))))
+        with pytest.raises(ShapeError, match=r"k \(4, 3\), v \(2, 3\)"):
+            attend(np.ones((2, 3)), np.ones((4, 3)), np.ones((2, 3)))
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(10)
-        a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-        b = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
-
+        q, k, v = (
+            Tensor(rng.standard_normal(shape), requires_grad=True)
+            for shape in ((3, 4), (5, 4), (5, 2))
+        )
         with GradTape() as tape:
-            loss = T.sum_all(T.matmul(a, b))
+            loss = T.sum_all(T.attention(q, k, v, 1)[0])
         backward(tape, loss)
 
         def f(params):
-            return float((params[0].data @ params[1].data).sum())
+            qq, kk, vv = (p.data for p in params)
+            logits = qq @ kk.T / 2.0
+            e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+            return float((e / e.sum(axis=-1, keepdims=True) @ vv).sum())
 
-        fd = T.finite_diff_gradient(f, [a, b])
-        assert T.relative_error(a.grad, fd[0]) < 1e-8
-        assert T.relative_error(b.grad, fd[1]) < 1e-8
-
-    def test_batched_gradient_reduces_onto_shared_weight(self):
-        rng = np.random.default_rng(11)
-        a = Tensor(rng.standard_normal((3, 2, 4)), requires_grad=True)
-        w = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
-        with GradTape() as tape:
-            loss = T.sum_all(T.matmul(a, w))
-        backward(tape, loss)
-
-        def f(params):
-            return float(np.matmul(params[0].data, params[1].data).sum())
-
-        fd = T.finite_diff_gradient(f, [a, w])
-        assert T.relative_error(a.grad, fd[0]) < 1e-8
-        assert T.relative_error(w.grad, fd[1]) < 1e-8
+        fd = T.finite_diff_gradient(f, [q, k, v])
+        assert T.relative_error(v.grad, fd[2]) < 1e-8
+        assert T.relative_error(q.grad, fd[0]) < 1e-7
+        assert T.relative_error(k.grad, fd[1]) < 1e-7
 
 
 class TestElementwiseArithmetic:
@@ -154,62 +139,93 @@ class TestConcatAndSlice:
         assert np.allclose(a.grad, 2.0) and np.allclose(b.grad, 2.0)
 
 
-def np_split(x, heads):
+def column_group(x, heads, b, h):
+    # Column group h of instance b of a matrix or a batch of matrices.
+    w = x.shape[-1] // heads
+    return np.ascontiguousarray(x.reshape(-1, *x.shape[-2:])[b, :, h * w : (h + 1) * w])
+
+
+def instance_heads(x, heads):
+    return [(b, h) for b in range(x.size // (x.shape[-2] * x.shape[-1])) for h in range(heads)]
+
+
+def head_major(x, heads):
     # Loop oracle for the head-major layout: entry b*heads + h is column
     # group h of instance b.
-    x3 = x.reshape(-1, *x.shape[-2:])
-    hd = x.shape[-1] // heads
-    return np.stack([x3[b, :, h * hd : (h + 1) * hd] for b in range(len(x3)) for h in range(heads)])
+    return np.stack([column_group(x, heads, b, h) for b, h in instance_heads(x, heads)])
 
 
-def np_merge(w, shape):
-    heads = w.shape[0] // (shape[0] if len(shape) == 3 else 1)
-    return np.concatenate([w[h::heads] for h in range(heads)], axis=-1).reshape(shape)
+def per_head(q, k, v, g, heads):
+    """Single-head ``attention`` on column group h of instance b, for every
+    (b, h), stacked head-major: values, weights, and the gradients of
+    sum(values · g) in q, k and v."""
+    outs = []
+    for b, h in instance_heads(q, heads):
+        qt, kt, vt = (
+            Tensor(column_group(x, heads, b, h), requires_grad=True) for x in (q, k, v)
+        )
+        with GradTape() as tape:
+            out, w = T.attention(qt, kt, vt, 1)
+            loss = T.sum_all(T.mul(out, Tensor(column_group(g, heads, b, h))))
+        backward(tape, loss)
+        outs.append((out.data, w[0], qt.grad, kt.grad, vt.grad))
+    return [np.stack(parts) for parts in zip(*outs)]
+
+
+def attend_with_grads(shape, heads, seed):
+    rng = np.random.default_rng(seed)
+    n, d = shape[-2:]
+    q = Tensor(rng.standard_normal(shape), requires_grad=True)
+    kv_shape = shape[:-2] + (n + 1, d)
+    k, v = (Tensor(rng.standard_normal(kv_shape), requires_grad=True) for _ in "kv")
+    g = rng.standard_normal(shape)
+    with GradTape() as tape:
+        out, w = T.attention(q, k, v, heads)
+        loss = T.sum_all(T.mul(out, Tensor(g)))
+    backward(tape, loss)
+    return q, k, v, g, out, w
 
 
 class TestSplitMergeHeads:
+    """``attention`` splits into head-major column groups and merges back:
+    each head is single-head attention on its group, bit for bit."""
+
     @pytest.mark.parametrize("shape", [(5, 6), (3, 5, 6)])
     @pytest.mark.parametrize("heads", [1, 2, 6])
     def test_roundtrip_is_bitwise(self, shape, heads):
-        x = np.random.default_rng(40).standard_normal(shape)
-        split = T.split_heads(Tensor(x), heads)
-        assert np.array_equal(split.numpy(), np_split(x, heads))
-        assert np.array_equal(T.merge_heads(split, shape).numpy(), x)
+        q, k, v, g, out, w = attend_with_grads(shape, heads, 40)
+        outs, weights, *_ = per_head(q.data, k.data, v.data, g, heads)
+        assert np.array_equal(w, weights)
+        assert np.array_equal(head_major(out.data, heads), outs)
 
     @pytest.mark.parametrize("shape", [(5, 6), (3, 5, 6)])
     def test_split_backward_is_exact_regrouping(self, shape):
-        rng = np.random.default_rng(41)
-        x = Tensor(rng.standard_normal(shape), requires_grad=True)
-        w = rng.standard_normal(np_split(x.data, 3).shape)
-        with GradTape() as tape:
-            loss = T.sum_all(T.mul(T.split_heads(x, 3), Tensor(w)))
-        backward(tape, loss)
-        assert np.array_equal(x.grad, np_merge(w, shape))
+        q, k, v, g, _, _ = attend_with_grads(shape, 3, 41)
+        _, _, dq, dk, _ = per_head(q.data, k.data, v.data, g, 3)
+        assert np.array_equal(head_major(q.grad, 3), dq)
+        assert np.array_equal(head_major(k.grad, 3), dk)
 
     def test_merge_backward_is_exact_split(self):
-        rng = np.random.default_rng(42)
-        x = Tensor(rng.standard_normal((6, 5, 2)), requires_grad=True)
-        w = rng.standard_normal((2, 5, 6))
-        with GradTape() as tape:
-            loss = T.sum_all(T.mul(T.merge_heads(x, (2, 5, 6)), Tensor(w)))
-        backward(tape, loss)
-        assert np.array_equal(x.grad, np_split(w, 3))
+        q, k, v, g, _, _ = attend_with_grads((2, 5, 6), 3, 42)
+        *_, dv = per_head(q.data, k.data, v.data, g, 3)
+        assert np.array_equal(head_major(v.grad, 3), dv)
 
     def test_indivisible_heads_rejected(self):
         with pytest.raises(ShapeError, match="6"):
-            T.split_heads(Tensor(np.ones((2, 6))), 4)
+            attend(np.ones((2, 6)), np.ones((2, 6)), np.ones((2, 6)), 4)
 
     def test_bad_merge_shape_rejected(self):
-        with pytest.raises(ShapeError):
-            T.merge_heads(Tensor(np.ones((4, 2, 3))), (2, 7))
+        with pytest.raises(ShapeError, match="heads"):
+            attend(np.ones((2, 6)), np.ones((3, 6)), np.ones((3, 7)), 2)
 
 
 def softmax_rows(x):
     # Row softmax through the attention op: keys sqrt(d)·I undo the 1/sqrt(d)
-    # scale, so the logits are the queries themselves.
+    # scale, so the logits are the queries themselves, and identity values
+    # return the weights.
     q = x if isinstance(x, Tensor) else Tensor(x)
     d = q.shape[-1]
-    return T.attention_weights(q, Tensor(math.sqrt(d) * np.eye(d)))
+    return T.attention(q, Tensor(math.sqrt(d) * np.eye(d)), Tensor(np.eye(d)), 1)[0]
 
 
 class TestSoftmax:

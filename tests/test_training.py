@@ -248,9 +248,9 @@ class TestTrainLoop:
         with pytest.raises(ShapeError, match="answers"):
             train(model, bad, tcfg)
 
-    def test_default_config_step_records_83_tape_nodes(self, monkeypatch):
+    def test_default_config_step_records_63_tape_nodes(self, monkeypatch):
         # Pins the tape size of one train step at the default model, data and
-        # train config: 22 linear layers and 4 attention maps are one node each.
+        # train config: 22 linear layers and 4 attentions are one node each.
         spec = ToyTaskSpec()
         ds = generate_feature_dataset(spec, 32)
         cfg = ModelConfig(d_v=spec.d_v, d_w=spec.d_w, n_answers=ds.n_answers)
@@ -264,7 +264,7 @@ class TestTrainLoop:
 
         monkeypatch.setattr(TR, "backward", counting_backward)
         train(model, ds, TrainConfig(epochs=1))
-        assert counts == [83]
+        assert counts == [63]
 
     def test_resume_continues_step_counter(self):
         model, _, ds, tcfg = tiny_setup(epochs=1)
