@@ -37,6 +37,7 @@ import numpy as np
 
 from .tensor import (
     LinearLayer,
+    Params,
     ShapeError,
     Tensor,
     add,
@@ -71,7 +72,7 @@ def linear_dropout(layer: LinearLayer, x: Tensor, ctx: ForwardContext | None) ->
 
 
 @dataclass
-class QkvProjection:
+class QkvProjection(Params):
     """Query/key/value projections for one modality."""
 
     query: LinearLayer
@@ -87,13 +88,9 @@ class QkvProjection:
     def dim(self) -> int:
         return self.query.out_dim
 
-    def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
-        for name in ("query", "key", "value"):
-            yield from getattr(self, name).named_parameters(f"{prefix}{name}.")
-
 
 @dataclass
-class InterMafParams:
+class InterMafParams(Params):
     """Bidirectional cross-modality attention parameters."""
 
     region_qkv: QkvProjection
@@ -116,15 +113,9 @@ class InterMafParams:
     def dim(self) -> int:
         return self.region_qkv.dim
 
-    def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
-        yield from self.region_qkv.named_parameters(f"{prefix}region_qkv.")
-        yield from self.word_qkv.named_parameters(f"{prefix}word_qkv.")
-        yield from self.region_out.named_parameters(f"{prefix}region_out.")
-        yield from self.word_out.named_parameters(f"{prefix}word_out.")
-
 
 @dataclass
-class DyIntraMafParams:
+class DyIntraMafParams(Params):
     """Self-attention parameters, optionally gated by the other modality.
 
     ``dynamic`` false turns off the gates entirely (naive self-attention);
@@ -159,14 +150,6 @@ class DyIntraMafParams:
     def dim(self) -> int:
         return self.region_qkv.dim
 
-    def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
-        yield from self.region_qkv.named_parameters(f"{prefix}region_qkv.")
-        yield from self.word_qkv.named_parameters(f"{prefix}word_qkv.")
-        yield from self.gate_from_regions.named_parameters(f"{prefix}gate_from_regions.")
-        yield from self.gate_from_words.named_parameters(f"{prefix}gate_from_words.")
-        yield from self.region_out.named_parameters(f"{prefix}region_out.")
-        yield from self.word_out.named_parameters(f"{prefix}word_out.")
-
 
 @dataclass
 class AttentionRecord:
@@ -195,7 +178,7 @@ class AttentionRecord:
 
 
 @dataclass
-class DfafBlockParams:
+class DfafBlockParams(Params):
     """One fusion block: inter-modality flow, then intra-modality flow.
 
     Either half may be absent (ablation variants); at least one must exist.
@@ -229,12 +212,6 @@ class DfafBlockParams:
         if self.inter is not None:
             return "inter_only"
         return "dyintra_only" if self.intra.dynamic else "intra_only"
-
-    def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
-        if self.inter is not None:
-            yield from self.inter.named_parameters(f"{prefix}inter.")
-        if self.intra is not None:
-            yield from self.intra.named_parameters(f"{prefix}intra.")
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,11 @@ Layout (all integers and floats little-endian):
              u64 step count, then per tensor (same order as above) the
              first-moment and infinity-norm arrays, float64 each
 
-Writing is deterministic: tensor order is the model's named-parameter order,
-so identical parameters produce byte-identical files.
+Writer and reader share one declaration of each part. The config fields are
+``U32_FIELDS`` then ``STR_FIELDS``. Tensor order is the field order of the
+parameter dataclasses (``tensor.Params.named_parameters``), so reordering a
+field changes the format. Writing is deterministic: identical parameters
+produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -26,10 +29,13 @@ from typing import BinaryIO
 import numpy as np
 
 from .binio import read_str, read_struct, write_str
-from .model import ModelConfig, ModelParams, build_model, config_of
+from .model import ModelConfig, ModelParams, build_model
 
 MAGIC = b"DFAF"
 VERSION = 1
+U32_FIELDS = ("dim", "heads", "n_blocks", "hidden", "d_v", "d_w", "n_answers")
+STR_FIELDS = ("fusion", "order", "attention_type")
+_U32_FORMAT = f"<{len(U32_FIELDS)}I"
 
 
 class CheckpointError(ValueError):
@@ -51,31 +57,18 @@ def _read_into(fh: BinaryIO, arr: np.ndarray, what: str) -> np.ndarray:
 def save_checkpoint(
     path: str,
     params: ModelParams,
-    config: ModelConfig | None = None,
+    config: ModelConfig,
     optimizer_state: tuple[int, list[np.ndarray], list[np.ndarray]] | None = None,
 ) -> None:
     """Write parameters (and optionally optimizer state as
     (step, first_moments, inf_norms) aligned with named-parameter order)."""
-    if config is None:
-        config = config_of(params)
     named = list(params.named_parameters())
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
-        fh.write(
-            struct.pack(
-                "<7I",
-                config.dim,
-                config.heads,
-                config.n_blocks,
-                config.hidden,
-                config.d_v,
-                config.d_w,
-                config.n_answers,
-            )
-        )
-        for s in (config.fusion, config.order, config.attention_type):
-            write_str(fh, s, CheckpointError)
+        fh.write(struct.pack(_U32_FORMAT, *(getattr(config, f) for f in U32_FIELDS)))
+        for f in STR_FIELDS:
+            write_str(fh, getattr(config, f), CheckpointError)
         fh.write(struct.pack("<I", len(named)))
         for name, tensor in named:
             write_str(fh, name, CheckpointError)
@@ -111,23 +104,12 @@ def load_checkpoint(
         (version,) = read_struct(fh, "<I", "version", CheckpointError)
         if version != VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version}")
-        nums = read_struct(fh, "<7I", "config", CheckpointError)
-        fusion = read_str(fh, "fusion", CheckpointError)
-        order = read_str(fh, "order", CheckpointError)
-        attention_type = read_str(fh, "attention_type", CheckpointError)
+        nums = read_struct(fh, _U32_FORMAT, "config", CheckpointError)
+        fields = dict(zip(U32_FIELDS, nums))
+        for f in STR_FIELDS:
+            fields[f] = read_str(fh, f, CheckpointError)
         try:
-            config = ModelConfig(
-                dim=nums[0],
-                heads=nums[1],
-                n_blocks=nums[2],
-                hidden=nums[3],
-                d_v=nums[4],
-                d_w=nums[5],
-                n_answers=nums[6],
-                fusion=fusion,
-                order=order,
-                attention_type=attention_type,
-            )
+            config = ModelConfig(**fields)
         except ValueError as exc:
             raise CheckpointError(f"invalid checkpoint config: {exc}") from exc
         need = 8 * config.n_parameters()

@@ -243,29 +243,24 @@ def oracle_answer(spec: ToyTaskSpec, scene: dict) -> str:
     raise ValueError(f"unknown template {template!r}")
 
 
-def _one_hot(index: int, width: int) -> np.ndarray:
-    v = np.zeros(width)
-    v[index] = 1.0
-    return v
-
-
-def _region_features(spec: ToyTaskSpec, cell: int, color: int, shape: int) -> np.ndarray:
-    row, col = divmod(cell, spec.grid_cols)
-    feats = np.concatenate(
-        [
-            _one_hot(color, spec.n_colors),
-            _one_hot(shape, spec.n_shapes),
-            _one_hot(row, spec.grid_rows),
-            _one_hot(col, spec.grid_cols),
-            _one_hot(cell, spec.n_regions),
-        ]
+def _region_rows(
+    spec: ToyTaskSpec, colors: list[int], shapes: list[int], region_cells: list[int]
+) -> np.ndarray:
+    """One scene's (mu, d_v) region features: row i holds the color, shape,
+    row, column and cell one-hot blocks of cell ``region_cells[i]``, then
+    zero padding."""
+    cells = np.array(region_cells)
+    rows, cols = np.divmod(cells, spec.grid_cols)
+    hot = np.stack(
+        [np.array(colors)[cells], np.array(shapes)[cells], rows, cols, cells], axis=1
     )
-    out = np.zeros(spec.d_v)
+    hot += np.cumsum([0, spec.n_colors, spec.n_shapes, spec.grid_rows, spec.grid_cols])
+    out = np.zeros((cells.size, spec.d_v))
     # Five indicator blocks in a d_v-wide vector: amplitude sqrt(3*d_v/5)
     # makes the full vector unit-RMS after the embed layer's 1/sqrt(3)
     # attenuation (uniform +-1/sqrt(fan_in) init), so attention logits start
     # at a trainable scale instead of collapsing toward uniform rows.
-    out[: feats.size] = feats * math.sqrt(3.0 * spec.d_v / feats.sum())
+    np.put_along_axis(out, hot, math.sqrt(3.0 * spec.d_v / 5), axis=1)
     return out
 
 
@@ -386,14 +381,10 @@ def generate_toy_dataset(spec: ToyTaskSpec, n: int) -> list[ToyInstance]:
         scene["question"] = question
         answer_name = oracle_answer(spec, scene)
 
-        regions = np.stack(
-            [_region_features(spec, c, colors[c], shapes[c]) for c in region_cells]
-        )
+        regions = _region_rows(spec, colors, shapes, region_cells)
         if spec.noise_std > 0:
             regions = regions + rng.standard_normal(regions.shape) * spec.noise_std
-        tokens = codebook[
-            [vocab_index[w] for w in _question_tokens(spec, scene["question"])]
-        ].copy()
+        tokens = codebook[[vocab_index[w] for w in _question_tokens(spec, question)]]
         instances.append(
             ToyInstance(
                 regions=regions,
@@ -438,14 +429,10 @@ class FeatureDataset:
 
 
 def dataset_from_instances(
-    instances: list[ToyInstance],
-    answer_names: list[str],
-    template_names: list[str] | None = None,
+    instances: list[ToyInstance], answer_names: list[str], template_names: list[str]
 ) -> FeatureDataset:
     if not instances:
         raise ValueError("no instances to stack")
-    if template_names is None:
-        template_names = sorted({inst.template for inst in instances})
     tmpl_index = {t: i for i, t in enumerate(template_names)}
     return FeatureDataset(
         regions=np.stack([inst.regions for inst in instances]),

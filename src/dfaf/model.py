@@ -10,7 +10,7 @@ cross entropy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .attention import (
 )
 from .tensor import (
     LinearLayer,
+    Params,
     ShapeError,
     Tensor,
     add,
@@ -95,7 +96,7 @@ class ModelConfig:
 
 
 @dataclass
-class ModelParams:
+class ModelParams(Params):
     """All trainable parameters plus the fusion-mode switch."""
 
     region_embed: LinearLayer
@@ -131,20 +132,6 @@ class ModelParams:
     def n_answers(self) -> int:
         return self.mlp_out.out_dim
 
-    def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
-        yield from self.region_embed.named_parameters(f"{prefix}region_embed.")
-        yield from self.word_embed.named_parameters(f"{prefix}word_embed.")
-        for i, block in enumerate(self.stack):
-            yield from block.named_parameters(f"{prefix}stack.{i}.")
-        yield from self.mlp_hidden.named_parameters(f"{prefix}mlp_hidden.")
-        yield from self.mlp_out.named_parameters(f"{prefix}mlp_out.")
-
-    def parameters(self) -> list[Tensor]:
-        return [p for _, p in self.named_parameters()]
-
-    def n_parameters(self) -> int:
-        return sum(p.size for p in self.parameters())
-
 
 @dataclass
 class Prediction:
@@ -177,7 +164,7 @@ def build_model(config: ModelConfig, rng: np.random.Generator | None) -> ModelPa
     )
 
 
-def config_of(params: ModelParams, d_v: int | None = None, d_w: int | None = None) -> ModelConfig:
+def config_of(params: ModelParams) -> ModelConfig:
     """Recover the architecture description from a parameter set."""
     block = params.stack[0]
     return ModelConfig(
@@ -185,8 +172,8 @@ def config_of(params: ModelParams, d_v: int | None = None, d_w: int | None = Non
         heads=block.heads,
         n_blocks=len(params.stack),
         hidden=params.mlp_hidden.out_dim,
-        d_v=d_v if d_v is not None else params.region_embed.in_dim,
-        d_w=d_w if d_w is not None else params.word_embed.in_dim,
+        d_v=params.region_embed.in_dim,
+        d_w=params.word_embed.in_dim,
         n_answers=params.n_answers,
         fusion=params.fusion,
         order=block.order,

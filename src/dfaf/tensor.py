@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -446,8 +446,38 @@ def cross_entropy_rows(logits: Tensor, targets: Sequence[int]) -> Tensor:
 # layers and the finite-difference oracle
 
 
+class Params:
+    """Base of the parameter dataclasses, whose field order is the
+    checkpoint's tensor order: reordering fields changes the file format.
+
+    ``named_parameters`` walks the fields as declared. A Tensor is a leaf, a
+    Params recurses as ``name.``, a list numbers its items (``stack.0.``),
+    and any other field (sizes, switches, None) is skipped.
+    """
+
+    def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
+        for f in fields(self):
+            yield from _named(f"{prefix}{f.name}", getattr(self, f.name))
+
+    def parameters(self) -> list[Tensor]:
+        return [p for _, p in self.named_parameters()]
+
+    def n_parameters(self) -> int:
+        return sum(p.size for p in self.parameters())
+
+
+def _named(name: str, value) -> Iterator[tuple[str, Tensor]]:
+    if isinstance(value, Tensor):
+        yield name, value
+    elif isinstance(value, Params):
+        yield from value.named_parameters(f"{name}.")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _named(f"{name}.{i}", item)
+
+
 @dataclass
-class LinearLayer:
+class LinearLayer(Params):
     """Fully-connected layer: weight (in_dim x out_dim) plus bias (out_dim)."""
 
     weight: Tensor
@@ -468,10 +498,6 @@ class LinearLayer:
     @property
     def out_dim(self) -> int:
         return self.weight.shape[1]
-
-    def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
-        yield f"{prefix}weight", self.weight
-        yield f"{prefix}bias", self.bias
 
 
 def linear_init(in_dim: int, out_dim: int, rng: np.random.Generator | None) -> LinearLayer:

@@ -264,6 +264,15 @@ class TestEval:
         (line,) = proc.stderr.splitlines()
         assert line.startswith("data error:")
 
+    def test_checkpoint_cut_in_config_header_exits_3(self, workspace, tmp_path):
+        root, _, _ = workspace
+        blob = (root / "ckpt.bin").read_bytes()
+        (tmp_path / "cut.bin").write_bytes(blob[:20])  # inside the seven u32 fields
+        proc = run_cli(["eval", *TINY, "cut.bin", str(root / "data.bin")], tmp_path)
+        assert proc.returncode == 3
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("data error:")
+
     def test_fusion_name_not_utf8_exits_3(self, workspace, tmp_path):
         root, _, _ = workspace
         blob = bytearray((root / "ckpt.bin").read_bytes())

@@ -1,5 +1,6 @@
 """Toy-task generation, the symbolic oracle, feature files, and batching."""
 
+import math
 import os
 from dataclasses import replace
 
@@ -176,24 +177,29 @@ class TestGeneration:
             assert "cell" in inst.scene["question"]
 
     def test_region_feature_layout_matches_scene(self):
-        spec = ToyTaskSpec(seed=7)
-        inst = generate_toy_dataset(spec, 1)[0]
-        c, s, r, co, mu = (
-            spec.n_colors,
-            spec.n_shapes,
-            spec.grid_rows,
-            spec.grid_cols,
-            spec.n_regions,
-        )
-        for i, cell in enumerate(inst.scene["region_cells"]):
-            feats = inst.regions[i]
-            row, col = divmod(cell, spec.grid_cols)
-            assert feats[: c].argmax() == inst.scene["colors"][cell]
-            assert feats[c : c + s].argmax() == inst.scene["shapes"][cell]
-            assert feats[c + s : c + s + r].argmax() == row
-            assert feats[c + s + r : c + s + r + co].argmax() == col
-            assert feats[c + s + r + co : c + s + r + co + mu].argmax() == cell
-            assert np.all(feats[c + s + r + co + mu :] == 0.0)
+        for spec in (
+            ToyTaskSpec(seed=7),
+            ToyTaskSpec(grid_rows=2, grid_cols=6, n_colors=5, n_shapes=3, d_v=100, seed=7),
+        ):
+            inst = generate_toy_dataset(spec, 1)[0]
+            c, s, r, co, mu = (
+                spec.n_colors,
+                spec.n_shapes,
+                spec.grid_rows,
+                spec.grid_cols,
+                spec.n_regions,
+            )
+            amplitude = math.sqrt(3.0 * spec.d_v / 5)
+            for i, cell in enumerate(inst.scene["region_cells"]):
+                feats = inst.regions[i]
+                row, col = divmod(cell, spec.grid_cols)
+                assert feats[: c].argmax() == inst.scene["colors"][cell]
+                assert feats[c : c + s].argmax() == inst.scene["shapes"][cell]
+                assert feats[c + s : c + s + r].argmax() == row
+                assert feats[c + s + r : c + s + r + co].argmax() == col
+                assert feats[c + s + r + co : c + s + r + co + mu].argmax() == cell
+                assert np.all(feats[c + s + r + co + mu :] == 0.0)
+                assert feats[feats != 0.0].tolist() == [amplitude] * 5
 
     def test_shapes_exactly_balanced_per_scene(self):
         spec = ToyTaskSpec(seed=8)

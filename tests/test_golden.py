@@ -3,9 +3,10 @@ pinned by SHA-256.
 
 The two format files are built from ``np.arange`` values, with no random
 draws, so their digests depend only on the on-disk layout. A change to either
-writer that alters one byte fails here. The generated file pins the
-generator's draws as well: a small default dataset must come out byte for
-byte the same.
+writer that alters one byte fails here. The checkpoint is pinned once per
+attention type, which pins each ablation's tensor names and order. The
+generated files pin the generator's draws as well: a small default dataset
+and one on a non-default grid must come out byte for byte the same.
 """
 
 import hashlib
@@ -26,6 +27,22 @@ FEATURE_SHA256 = "1970e1ae1763c2b3c1227f9fc9369445d88e2951ebdf1e0972cb6423c44832
 CHECKPOINT_SHA256 = "46b1d4de6b547697711aad085cb775cc308ae6043de7f26ad9e59c8da261875a"
 # Default ToyTaskSpec (seed 0), 64 instances.
 GENERATED_SHA256 = "21e00ab1dab62ef2281d633943860edc3141bc126bbf92b0da0ffdfb1e7a47c1"
+# The golden model per attention type: (n_blocks, digest).
+CHECKPOINT_CASES = {
+    "full": (1, CHECKPOINT_SHA256),
+    "inter_only": (2, "00ab6ae9d41ca84ca6ffc82fcd987e8d486b531bc45e0dc145beccba9791353f"),
+    "intra_only": (2, "628f745dbd7e7ff03ec9fad8dafc7dab57e50ffd8d8cc4ae9b75620656148b6d"),
+    "dyintra_only": (2, "14bd4645971afb4e33666a741cf7c1a2dcd8020ec9c62396751504ac301eb338"),
+}
+# 64 instances (seed 0) of each spec: the default, and a 2x6 grid with
+# 5 colors, 3 shapes and d_v 100.
+GENERATED_CASES = [
+    (ToyTaskSpec(), GENERATED_SHA256),
+    (
+        ToyTaskSpec(grid_rows=2, grid_cols=6, n_colors=5, n_shapes=3, d_v=100),
+        "003f78c90ad7baf94f5268c4a2f744f111a308d17d03fad40fcbe460c9ed5412",
+    ),
+]
 
 
 def sha256_of(path) -> str:
@@ -45,10 +62,10 @@ def golden_dataset() -> FeatureDataset:
     )
 
 
-def golden_model():
+def golden_model(attention_type="full", n_blocks=1):
     config = ModelConfig(
-        dim=4, heads=2, n_blocks=1, hidden=3, d_v=5, d_w=3, n_answers=3,
-        fusion="concat", order="e_then_r", attention_type="full",
+        dim=4, heads=2, n_blocks=n_blocks, hidden=3, d_v=5, d_w=3, n_answers=3,
+        fusion="concat", order="e_then_r", attention_type=attention_type,
     )
     params = build_model(config, np.random.default_rng(0))
     named = list(params.named_parameters())
@@ -73,18 +90,23 @@ def test_feature_file_bytes_are_pinned(tmp_path):
 
 
 def test_checkpoint_bytes_are_pinned(tmp_path):
-    path = tmp_path / "golden.ckpt"
-    params, config, trailer = golden_model()
-    save_checkpoint(str(path), params, config, trailer)
-    assert sha256_of(path) == CHECKPOINT_SHA256
-    loaded, loaded_config, loaded_trailer = load_checkpoint(str(path))
-    assert loaded_config == config
-    assert loaded_trailer[0] == 7
-    for a, b in zip(loaded.parameters(), params.parameters()):
-        assert np.array_equal(a.data, b.data)
+    for kind, (n_blocks, digest) in CHECKPOINT_CASES.items():
+        path = tmp_path / f"{kind}.ckpt"
+        params, config, trailer = golden_model(kind, n_blocks)
+        save_checkpoint(str(path), params, config, trailer)
+        assert sha256_of(path) == digest, kind
+        loaded, loaded_config, loaded_trailer = load_checkpoint(str(path))
+        assert loaded_config == config
+        assert loaded_trailer[0] == 7
+        for (a_name, a), (b_name, b) in zip(
+            loaded.named_parameters(), params.named_parameters(), strict=True
+        ):
+            assert a_name == b_name
+            assert np.array_equal(a.data, b.data)
 
 
 def test_generated_dataset_bytes_are_pinned(tmp_path):
     path = tmp_path / "generated.dft"
-    write_feature_file(str(path), generate_feature_dataset(ToyTaskSpec(), 64))
-    assert sha256_of(path) == GENERATED_SHA256
+    for spec, digest in GENERATED_CASES:
+        write_feature_file(str(path), generate_feature_dataset(spec, 64))
+        assert sha256_of(path) == digest, spec

@@ -412,6 +412,20 @@ class TestCheckpoint:
         except CheckpointError:
             pass
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_every_truncation_raises_checkpoint_error(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("cut") / "c.ckpt"
+        cfg = small_config(dim=2, heads=1, n_blocks=1, hidden=2, d_v=2, d_w=2, n_answers=2)
+        p = build_model(cfg, np.random.default_rng(29))
+        named = list(p.named_parameters())
+        trailer = (3, [t.data + 1.0 for _, t in named], [t.data + 2.0 for _, t in named])
+        save_checkpoint(str(path), p, cfg, optimizer_state=trailer)
+        raw = path.read_bytes()
+        path.write_bytes(raw[: data.draw(st.integers(0, len(raw) - 1), label="cut")])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(str(path))
+
     def test_name_not_utf8_rejected(self, tmp_path):
         cfg = small_config()
         p = build_model(cfg, np.random.default_rng(26))
