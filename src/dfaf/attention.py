@@ -43,6 +43,7 @@ from .tensor import (
     add,
     add_scalar,
     attention,
+    attention_weights,
     avg_pool_rows,
     concat_cols,
     dropout,
@@ -309,8 +310,8 @@ def dyintra_maf_forward(
     gate_r = gate_e = None
     if p.dynamic:
         if record is not None:  # what the gates modulate, without them
-            record.intra_r_gates_disabled = head_copies(attention(r_q, r_k, r_v, heads)[1], r)
-            record.intra_e_gates_disabled = head_copies(attention(e_q, e_k, e_v, heads)[1], e)
+            record.intra_r_gates_disabled = head_copies(attention_weights(r_q, r_k, heads), r)
+            record.intra_e_gates_disabled = head_copies(attention_weights(e_q, e_k, heads), e)
         gate_r = compute_gates(e, p.gate_from_words)  # modulates region q/k
         gate_e = compute_gates(r, p.gate_from_regions)  # modulates word q/k
         mult_r = add_scalar(gate_r, 1.0)

@@ -13,7 +13,8 @@ Layout (all integers and floats little-endian):
              first-moment and infinity-norm arrays, float64 each
 
 Writer and reader share one declaration of each part. The config fields are
-``U32_FIELDS`` then ``STR_FIELDS``. Tensor order is the field order of the
+``U32_FIELDS`` then ``STR_FIELDS``: ``ModelConfig``'s int and str fields in
+declaration order. Tensor order is the field order of the
 parameter dataclasses (``tensor.Params.named_parameters``), so reordering a
 field changes the format. Writing is deterministic: identical parameters
 produce byte-identical files.
@@ -29,12 +30,11 @@ from typing import BinaryIO
 import numpy as np
 
 from .binio import read_str, read_struct, write_str
-from .model import ModelConfig, ModelParams, build_model
+from .model import INT_FIELDS, STR_FIELDS, ModelConfig, ModelParams, build_model
 
 MAGIC = b"DFAF"
 VERSION = 1
-U32_FIELDS = ("dim", "heads", "n_blocks", "hidden", "d_v", "d_w", "n_answers")
-STR_FIELDS = ("fusion", "order", "attention_type")
+U32_FIELDS = INT_FIELDS
 _U32_FORMAT = f"<{len(U32_FIELDS)}I"
 
 

@@ -29,6 +29,11 @@ Templates, each with an exact symbolic oracle over the scene graph:
 * counting    — how many objects have a named color (colors are rejected
   until the count fits the answer vocabulary; the balanced-shape pigeonhole
   guarantees one always fits).
+
+Generation writes ``FeatureDataset`` columns directly: the scene loop fills
+preallocated region, token-id and answer arrays, and one indexed write after
+it adds every scene's one-hot blocks. ``FeatureDataset`` is the only dataset
+type; batches are slices of it that share its name tables.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator
 
 import numpy as np
@@ -145,17 +150,6 @@ class ToyTaskSpec:
         return tuple(t for t in TEMPLATES if t in self.templates)
 
 
-@dataclass
-class ToyInstance:
-    """One question over one scene; ``scene`` keeps the generating graph."""
-
-    regions: np.ndarray  # (mu, d_v)
-    tokens: np.ndarray  # (token_len, d_w)
-    answer: int
-    template: str
-    scene: dict | None = None
-
-
 def answer_vocabulary(spec: ToyTaskSpec) -> list[str]:
     """Closed answer set covering every enabled template, in fixed order.
     Attribute and relational queries share the color answers, so the list is
@@ -241,27 +235,6 @@ def oracle_answer(spec: ToyTaskSpec, scene: dict) -> str:
     if template == "counting":
         return f"count_{colors.count(q['color'])}"
     raise ValueError(f"unknown template {template!r}")
-
-
-def _region_rows(
-    spec: ToyTaskSpec, colors: list[int], shapes: list[int], region_cells: list[int]
-) -> np.ndarray:
-    """One scene's (mu, d_v) region features: row i holds the color, shape,
-    row, column and cell one-hot blocks of cell ``region_cells[i]``, then
-    zero padding."""
-    cells = np.array(region_cells)
-    rows, cols = np.divmod(cells, spec.grid_cols)
-    hot = np.stack(
-        [np.array(colors)[cells], np.array(shapes)[cells], rows, cols, cells], axis=1
-    )
-    hot += np.cumsum([0, spec.n_colors, spec.n_shapes, spec.grid_rows, spec.grid_cols])
-    out = np.zeros((cells.size, spec.d_v))
-    # Five indicator blocks in a d_v-wide vector: amplitude sqrt(3*d_v/5)
-    # makes the full vector unit-RMS after the embed layer's 1/sqrt(3)
-    # attenuation (uniform +-1/sqrt(fan_in) init), so attention logits start
-    # at a trainable scale instead of collapsing toward uniform rows.
-    np.put_along_axis(out, hot, math.sqrt(3.0 * spec.d_v / 5), axis=1)
-    return out
 
 
 def _sample_question(spec: ToyTaskSpec, template: str, scene: dict, rng) -> dict | None:
@@ -352,49 +325,74 @@ def _question_tokens(spec: ToyTaskSpec, q: dict) -> list[str]:
     return words + ["pad"] * (spec.token_len - len(words))
 
 
-def generate_toy_dataset(spec: ToyTaskSpec, n: int) -> list[ToyInstance]:
-    """Deterministic dataset of ``n`` instances; templates cycle round-robin
-    so the mix is exact, answers come from the symbolic oracle."""
+def generate_toy_dataset(
+    spec: ToyTaskSpec, n: int
+) -> tuple[FeatureDataset, list[dict]]:
+    """Deterministic dataset of ``n`` instances and the scene graph behind
+    each one; templates cycle round-robin so the mix is exact, answers come
+    from the symbolic oracle.
+
+    The scene loop writes straight into the dataset's columns: each
+    instance's noise is drawn in turn and added into its zeroed region rows,
+    and after the loop one indexed write adds every scene's one-hots."""
     if n < 1:
         raise ValueError(f"need at least one instance, got {n}")
     rng = np.random.default_rng(spec.seed)
-    codebook = token_codebook(spec)
     vocab_index = {w: i for i, w in enumerate(token_vocabulary(spec))}
-    answers = answer_vocabulary(spec)
-    answer_index = {a: i for i, a in enumerate(answers)}
+    answer_names = answer_vocabulary(spec)
+    answer_index = {a: i for i, a in enumerate(answer_names)}
     enabled = spec.enabled_templates
     mu = spec.n_regions
 
     shape_pool = np.repeat(np.arange(spec.n_shapes), mu // spec.n_shapes)
-    instances: list[ToyInstance] = []
+    regions = np.zeros((n, mu, spec.d_v))
+    token_ids = np.empty((n, spec.token_len), dtype=np.intp)
+    answers = np.empty(n, dtype=np.intp)
+    # per scene: the color and shape of each cell, and the cell of each region
+    colors, shapes, cells = np.empty((3, n, mu), dtype=np.intp)
+    scenes: list[dict] = []
     for i in range(n):
         template = enabled[i % len(enabled)]
         while True:
-            colors = [int(c) for c in rng.integers(spec.n_colors, size=mu)]
-            shapes = [int(s) for s in rng.permutation(shape_pool)]
-            region_cells = [int(c) for c in rng.permutation(mu)]
-            scene = {"colors": colors, "shapes": shapes, "region_cells": region_cells}
+            colors[i] = rng.integers(spec.n_colors, size=mu)
+            shapes[i] = rng.permutation(shape_pool)
+            cells[i] = rng.permutation(mu)
+            scene = {
+                "colors": colors[i].tolist(),
+                "shapes": shapes[i].tolist(),
+                "region_cells": cells[i].tolist(),
+            }
             question = _sample_question(spec, template, scene, rng)
             if question is not None:
                 break
             # relational scene with no uniquely identified cell: redraw
         scene["question"] = question
-        answer_name = oracle_answer(spec, scene)
-
-        regions = _region_rows(spec, colors, shapes, region_cells)
+        scenes.append(scene)
+        answers[i] = answer_index[oracle_answer(spec, scene)]
+        token_ids[i] = [vocab_index[w] for w in _question_tokens(spec, question)]
         if spec.noise_std > 0:
-            regions = regions + rng.standard_normal(regions.shape) * spec.noise_std
-        tokens = codebook[[vocab_index[w] for w in _question_tokens(spec, question)]]
-        instances.append(
-            ToyInstance(
-                regions=regions,
-                tokens=tokens,
-                answer=answer_index[answer_name],
-                template=template,
-                scene=scene,
-            )
-        )
-    return instances
+            regions[i] += rng.standard_normal((mu, spec.d_v)) * spec.noise_std
+
+    # Region row j of scene i holds the color, shape, row, column and cell
+    # one-hot blocks of cell cells[i, j], then zero padding. Five indicator
+    # blocks in a d_v-wide vector: amplitude sqrt(3*d_v/5) makes the full
+    # vector unit-RMS after the embed layer's 1/sqrt(3) attenuation (uniform
+    # +-1/sqrt(fan_in) init), so attention logits start at a trainable scale
+    # instead of collapsing toward uniform rows.
+    by_region = [np.take_along_axis(a, cells, axis=1) for a in (colors, shapes)]
+    hot = np.stack([*by_region, *np.divmod(cells, spec.grid_cols), cells], axis=2)
+    hot += np.cumsum([0, spec.n_colors, spec.n_shapes, spec.grid_rows, spec.grid_cols])
+    amplitude = math.sqrt(3.0 * spec.d_v / 5)
+    regions[np.arange(n)[:, None, None], np.arange(mu)[:, None], hot] += amplitude
+    dataset = FeatureDataset(
+        regions=regions,
+        tokens=token_codebook(spec)[token_ids],
+        answers=answers,
+        template_ids=np.arange(n) % len(enabled),
+        template_names=list(enabled),
+        answer_names=answer_names,
+    )
+    return dataset, scenes
 
 
 # ---------------------------------------------------------------------------
@@ -414,10 +412,8 @@ class FeatureDataset:
     answer_names: list[str]
 
     def __post_init__(self):
-        n = self.regions.shape[0]
-        if not (self.tokens.shape[0] == self.answers.shape[0] == n):
-            raise FeatureFileError("instance counts disagree across columns")
-        if self.template_ids.shape[0] != n:
+        columns = (self.regions, self.tokens, self.answers, self.template_ids)
+        if len({len(column) for column in columns}) != 1:
             raise FeatureFileError("instance counts disagree across columns")
 
     def __len__(self) -> int:
@@ -428,31 +424,9 @@ class FeatureDataset:
         return len(self.answer_names)
 
 
-def dataset_from_instances(
-    instances: list[ToyInstance], answer_names: list[str], template_names: list[str]
-) -> FeatureDataset:
-    if not instances:
-        raise ValueError("no instances to stack")
-    tmpl_index = {t: i for i, t in enumerate(template_names)}
-    return FeatureDataset(
-        regions=np.stack([inst.regions for inst in instances]),
-        tokens=np.stack([inst.tokens for inst in instances]),
-        answers=np.array([inst.answer for inst in instances], dtype=np.intp),
-        template_ids=np.array(
-            [tmpl_index[inst.template] for inst in instances], dtype=np.intp
-        ),
-        template_names=list(template_names),
-        answer_names=list(answer_names),
-    )
-
-
 def generate_feature_dataset(spec: ToyTaskSpec, n: int) -> FeatureDataset:
-    """generate_toy_dataset + stacking, with name tables from the spec."""
-    return dataset_from_instances(
-        generate_toy_dataset(spec, n),
-        answer_vocabulary(spec),
-        list(spec.enabled_templates),
-    )
+    """generate_toy_dataset without the scene graphs."""
+    return generate_toy_dataset(spec, n)[0]
 
 
 def _record_dtype(mu: int, token_len: int, d_v: int, d_w: int) -> np.dtype:
@@ -570,24 +544,14 @@ def dataset_summary(dataset: FeatureDataset) -> dict:
     }
 
 
-@dataclass
-class Batch:
-    regions: np.ndarray  # (b, mu, d_v)
-    tokens: np.ndarray  # (b, L, d_w)
-    answers: np.ndarray  # (b,)
-    template_ids: np.ndarray  # (b,)
-
-    def __len__(self) -> int:
-        return int(self.answers.shape[0])
-
-
 def make_batches(
     dataset: FeatureDataset,
     batch_size: int,
     rng: np.random.Generator | None = None,
-) -> Iterator[Batch]:
+) -> Iterator[FeatureDataset]:
     """Every instance exactly once per pass, shuffled by ``rng`` or in file
-    order without one; the final short batch is kept."""
+    order without one; the final short batch is kept. Each batch is a
+    FeatureDataset that shares the source's name tables."""
     if batch_size < 1:
         raise ValueError(f"batch_size must be at least 1, got {batch_size}")
     if len(dataset) == 0:
@@ -595,7 +559,8 @@ def make_batches(
     order = np.arange(len(dataset)) if rng is None else rng.permutation(len(dataset))
     for start in range(0, len(dataset), batch_size):
         idx = order[start : start + batch_size]
-        yield Batch(
+        yield replace(
+            dataset,
             regions=dataset.regions[idx],
             tokens=dataset.tokens[idx],
             answers=dataset.answers[idx],

@@ -9,7 +9,7 @@ cross entropy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -58,7 +58,7 @@ class ModelConfig:
     attention_type: str = "full"
 
     def __post_init__(self):
-        for name in ("dim", "heads", "n_blocks", "hidden", "d_v", "d_w", "n_answers"):
+        for name in INT_FIELDS:
             v = getattr(self, name)
             if not isinstance(v, int) or v < 1:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
@@ -93,6 +93,12 @@ class ModelConfig:
             + linear(fused, self.hidden)
             + linear(self.hidden, self.n_answers)
         )
+
+
+# The positive-integer and the string fields, in declaration order; the
+# checkpoint header stores exactly these.
+INT_FIELDS = tuple(f.name for f in fields(ModelConfig) if f.type == "int")
+STR_FIELDS = tuple(f.name for f in fields(ModelConfig) if f.type == "str")
 
 
 @dataclass

@@ -8,15 +8,11 @@ into the leaves. With no tape active, operations are plain numpy compute.
 Matrix ops accept an optional leading batch axis: every contract stated for
 an (n x d) input holds slice-wise for a (B x n x d) input. Broadcasting
 beyond that (and beyond bias-over-rows) is deliberately unsupported.
-
-Tapes are confined to the thread that opened them; independent tapes may run
-concurrently on separate threads.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, fields
 from typing import Callable, Iterator, Sequence
 
@@ -31,21 +27,12 @@ class TapeError(RuntimeError):
     """Backward pass asked for something the tape cannot provide."""
 
 
-_STATE = threading.local()
-
-
-def _tape_stack() -> list:
-    stack = getattr(_STATE, "tapes", None)
-    if stack is None:
-        stack = []
-        _STATE.tapes = stack
-    return stack
+_TAPES: list["GradTape"] = []
 
 
 def active_tape() -> "GradTape | None":
-    """The innermost tape opened on this thread, or None."""
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+    """The innermost open tape, or None."""
+    return _TAPES[-1] if _TAPES else None
 
 
 class Tensor:
@@ -121,14 +108,13 @@ class GradTape:
         self.nodes: list[_Node] = []
 
     def __enter__(self) -> "GradTape":
-        _tape_stack().append(self)
+        _TAPES.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        stack = _tape_stack()
-        if not stack or stack[-1] is not self:
+        if not _TAPES or _TAPES[-1] is not self:
             raise TapeError("tape exited out of order")
-        stack.pop()
+        _TAPES.pop()
         return False
 
     def __len__(self) -> int:
@@ -136,8 +122,8 @@ class GradTape:
 
 
 def _recorded(inputs: tuple) -> bool:
-    """Whether an op on ``inputs`` records itself: a tape is active on this
-    thread and some input requires gradients."""
+    """Whether an op on ``inputs`` records itself: a tape is active and some
+    input requires gradients."""
     tape = active_tape()
     return tape is not None and any(t.requires_grad for t in inputs)
 
@@ -297,6 +283,38 @@ def _merge_heads(a: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return np.ascontiguousarray(grouped).reshape(shape)
 
 
+def _attention_scale(qd: np.ndarray, kd: np.ndarray, vd: np.ndarray, heads: int) -> float:
+    # Check the operand shapes of attention; return the logit scale 1/√d_h.
+    shapes = f"q {qd.shape}, k {kd.shape}, v {vd.shape}"
+    if qd.ndim < 2 or not qd.ndim == kd.ndim == vd.ndim:
+        raise ShapeError(f"attention needs matrices or batches of equal rank: {shapes}")
+    if qd.shape[-1] != kd.shape[-1] or kd.shape[-2] != vd.shape[-2]:
+        raise ShapeError(f"query/key widths or key/value rows disagree: {shapes}")
+    if not qd.shape[:-2] == kd.shape[:-2] == vd.shape[:-2]:
+        raise ShapeError(f"attention batch sizes disagree: {shapes}")
+    if heads < 1 or qd.shape[-1] % heads or vd.shape[-1] % heads:
+        raise ShapeError(f"cannot split {shapes} into {heads} heads")
+    return 1.0 / math.sqrt(qd.shape[-1] // heads)
+
+
+def _softmax_weights(qh: np.ndarray, kh: np.ndarray, c: float) -> np.ndarray:
+    # Head-major softmax(qh·khᵀ·c), stabilized by per-row max subtraction.
+    s = np.matmul(qh, np.ascontiguousarray(_swap(kh)))
+    s *= c
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+    return s
+
+
+def attention_weights(q: Tensor, k: Tensor, heads: int) -> np.ndarray:
+    """The head-major weights ``attention(q, k, v, heads)`` returns, from
+    ``q`` and ``k`` alone: no value product, and nothing is recorded."""
+    qd, kd = q.data, k.data
+    c = _attention_scale(qd, kd, kd, heads)
+    return _softmax_weights(_split_heads(qd, heads), _split_heads(kd, heads), c)
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.ndarray]:
     """Multi-head attention softmax(q·kᵀ/√d_h)·v as one op.
 
@@ -310,25 +328,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.n
     copies of q, k and v.
     """
     qd, kd, vd = q.data, k.data, v.data
-    shapes = f"q {qd.shape}, k {kd.shape}, v {vd.shape}"
-    if qd.ndim < 2 or not qd.ndim == kd.ndim == vd.ndim:
-        raise ShapeError(f"attention needs matrices or batches of equal rank: {shapes}")
-    if qd.shape[-1] != kd.shape[-1] or kd.shape[-2] != vd.shape[-2]:
-        raise ShapeError(f"query/key widths or key/value rows disagree: {shapes}")
-    if not qd.shape[:-2] == kd.shape[:-2] == vd.shape[:-2]:
-        raise ShapeError(f"attention batch sizes disagree: {shapes}")
-    if heads < 1 or qd.shape[-1] % heads or vd.shape[-1] % heads:
-        raise ShapeError(f"cannot split {shapes} into {heads} heads")
-    c = 1.0 / math.sqrt(qd.shape[-1] // heads)
+    c = _attention_scale(qd, kd, vd, heads)
     # A recorded op keeps its head-major copies of q, k and v for backward;
     # otherwise each is dropped as soon as it has been used.
     keep = _recorded((q, k, v))
     qh, kh = _split_heads(qd, heads), _split_heads(kd, heads)
-    s = np.matmul(qh, np.ascontiguousarray(_swap(kh)))
-    s *= c
-    s -= s.max(axis=-1, keepdims=True)
-    np.exp(s, out=s)
-    s /= s.sum(axis=-1, keepdims=True)
+    s = _softmax_weights(qh, kh, c)
     if not keep:
         qh = kh = None
     vh = _split_heads(vd, heads)

@@ -301,6 +301,18 @@ class TestAttentionOp:
             T.attention(q, k, v, heads)
         assert len(tape) == 1
 
+    @pytest.mark.parametrize("case", sorted(ATTENTION_CASES))
+    def test_weights_only_path_is_bitwise_and_unrecorded(self, case):
+        q, k, v, _, heads = attention_inputs(case, 14)
+        with GradTape() as tape:
+            _, want = T.attention(q, k, v, heads)
+            got = T.attention_weights(q, k, heads)
+        assert len(tape) == 1
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        with pytest.raises(ShapeError, match="widths"):
+            T.attention_weights(q, Tensor(np.ones(k.shape[:-1] + (k.shape[-1] + 1,))), heads)
+
     @pytest.mark.parametrize("constant", ["v", "qk"])
     def test_constant_inputs_get_no_gradient(self, constant):
         q, k, v, g, heads = attention_inputs("batched-2", 13)

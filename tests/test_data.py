@@ -125,30 +125,33 @@ class TestRelatedCell:
 class TestGeneration:
     def test_same_seed_bit_identical(self):
         spec = ToyTaskSpec(seed=11, noise_std=0.05)
-        a = generate_toy_dataset(spec, 40)
-        b = generate_toy_dataset(spec, 40)
-        for x, y in zip(a, b):
-            assert np.array_equal(x.regions, y.regions)
-            assert np.array_equal(x.tokens, y.tokens)
-            assert x.answer == y.answer and x.template == y.template
+        a, _ = generate_toy_dataset(spec, 40)
+        b, _ = generate_toy_dataset(spec, 40)
+        for i in range(40):
+            assert np.array_equal(a.regions[i], b.regions[i])
+            assert np.array_equal(a.tokens[i], b.tokens[i])
+            assert a.answers[i] == b.answers[i]
+            assert a.template_ids[i] == b.template_ids[i]
 
     def test_different_seeds_differ(self):
-        a = generate_toy_dataset(ToyTaskSpec(seed=1), 10)
-        b = generate_toy_dataset(ToyTaskSpec(seed=2), 10)
-        assert not all(np.array_equal(x.regions, y.regions) for x, y in zip(a, b))
+        a, _ = generate_toy_dataset(ToyTaskSpec(seed=1), 10)
+        b, _ = generate_toy_dataset(ToyTaskSpec(seed=2), 10)
+        assert not all(np.array_equal(a.regions[i], b.regions[i]) for i in range(10))
 
     def test_oracle_reproduces_stored_answers(self):
         spec = ToyTaskSpec(seed=5)
         answers = answer_vocabulary(spec)
-        for inst in generate_toy_dataset(spec, 200):
-            assert answers[inst.answer] == D.oracle_answer(spec, inst.scene)
+        ds, scenes = generate_toy_dataset(spec, 200)
+        for i, scene in enumerate(scenes):
+            assert answers[ds.answers[i]] == D.oracle_answer(spec, scene)
 
     def test_relational_answer_is_attribute_of_referent(self):
         spec = spec_for(["relational"], seed=6)
         styles = {"direct": 0, "content": 0}
-        for inst in generate_toy_dataset(spec, 80):
-            q = inst.scene["question"]
-            colors, shapes = inst.scene["colors"], inst.scene["shapes"]
+        ds, scenes = generate_toy_dataset(spec, 80)
+        for i, scene in enumerate(scenes):
+            q = scene["question"]
+            colors, shapes = scene["colors"], scene["shapes"]
             if "cell" in q:
                 styles["direct"] += 1
                 anchor = q["cell"]
@@ -163,25 +166,25 @@ class TestGeneration:
                 anchor = anchors[0]
             target = related_cell(anchor, q["relation"], spec.grid_rows, spec.grid_cols)
             expect = f"color_{colors[target]}"
-            assert answer_vocabulary(spec)[inst.answer] == expect
+            assert answer_vocabulary(spec)[ds.answers[i]] == expect
         # both anchor styles must occur at the default mix
         assert styles["direct"] > 0 and styles["content"] > 0
 
     def test_relational_direct_fraction_extremes(self):
         all_content = spec_for(["relational"], seed=6)
         all_content = replace(all_content, relational_direct_fraction=0.0)
-        for inst in generate_toy_dataset(all_content, 20):
-            assert "cell" not in inst.scene["question"]
+        for scene in generate_toy_dataset(all_content, 20)[1]:
+            assert "cell" not in scene["question"]
         all_direct = replace(all_content, relational_direct_fraction=1.0)
-        for inst in generate_toy_dataset(all_direct, 20):
-            assert "cell" in inst.scene["question"]
+        for scene in generate_toy_dataset(all_direct, 20)[1]:
+            assert "cell" in scene["question"]
 
     def test_region_feature_layout_matches_scene(self):
         for spec in (
             ToyTaskSpec(seed=7),
             ToyTaskSpec(grid_rows=2, grid_cols=6, n_colors=5, n_shapes=3, d_v=100, seed=7),
         ):
-            inst = generate_toy_dataset(spec, 1)[0]
+            ds, (scene,) = generate_toy_dataset(spec, 1)
             c, s, r, co, mu = (
                 spec.n_colors,
                 spec.n_shapes,
@@ -190,11 +193,11 @@ class TestGeneration:
                 spec.n_regions,
             )
             amplitude = math.sqrt(3.0 * spec.d_v / 5)
-            for i, cell in enumerate(inst.scene["region_cells"]):
-                feats = inst.regions[i]
+            for i, cell in enumerate(scene["region_cells"]):
+                feats = ds.regions[0, i]
                 row, col = divmod(cell, spec.grid_cols)
-                assert feats[: c].argmax() == inst.scene["colors"][cell]
-                assert feats[c : c + s].argmax() == inst.scene["shapes"][cell]
+                assert feats[: c].argmax() == scene["colors"][cell]
+                assert feats[c : c + s].argmax() == scene["shapes"][cell]
                 assert feats[c + s : c + s + r].argmax() == row
                 assert feats[c + s + r : c + s + r + co].argmax() == col
                 assert feats[c + s + r + co : c + s + r + co + mu].argmax() == cell
@@ -203,20 +206,21 @@ class TestGeneration:
 
     def test_shapes_exactly_balanced_per_scene(self):
         spec = ToyTaskSpec(seed=8)
-        for inst in generate_toy_dataset(spec, 30):
-            counts = np.bincount(inst.scene["shapes"], minlength=spec.n_shapes)
+        for scene in generate_toy_dataset(spec, 30)[1]:
+            counts = np.bincount(scene["shapes"], minlength=spec.n_shapes)
             assert np.all(counts == spec.n_regions // spec.n_shapes)
 
     def test_tokens_are_codebook_rows(self):
         spec = spec_for(["attribute"], seed=9)
         codebook = token_codebook(spec)
         vocab = token_vocabulary(spec)
-        inst = generate_toy_dataset(spec, 1)[0]
-        k = inst.scene["question"]["cell"]
-        assert np.array_equal(inst.tokens[0], codebook[vocab.index("ask_color")])
-        assert np.array_equal(inst.tokens[1], codebook[vocab.index(f"cell_{k}")])
+        ds, (scene,) = generate_toy_dataset(spec, 1)
+        tokens = ds.tokens[0]
+        k = scene["question"]["cell"]
+        assert np.array_equal(tokens[0], codebook[vocab.index("ask_color")])
+        assert np.array_equal(tokens[1], codebook[vocab.index(f"cell_{k}")])
         pad = codebook[vocab.index("pad")]
-        for row in inst.tokens[2:]:
+        for row in tokens[2:]:
             assert np.array_equal(row, pad)
 
     def test_codebook_independent_of_instance_seed(self):
@@ -241,8 +245,8 @@ class TestGeneration:
     def test_counting_respects_max_count(self):
         spec = spec_for(["counting"], seed=13)
         names = answer_vocabulary(spec)
-        for inst in generate_toy_dataset(spec, 200):
-            count = int(names[inst.answer].split("_")[1])
+        for answer in generate_toy_dataset(spec, 200)[0].answers:
+            count = int(names[answer].split("_")[1])
             assert 0 <= count <= spec.max_count
 
     def test_answer_vocabulary_covers_all_templates(self):
@@ -282,18 +286,17 @@ class TestBaselineSeparation:
     def test_attribute_task_is_information_complete(self):
         # A probe on the referenced region's raw features alone is perfect.
         spec = spec_for(["attribute"], seed=25)
-        insts_train = generate_toy_dataset(spec, 1500)
-        insts_test = generate_toy_dataset(spec_for(["attribute"], seed=26), 500)
+        train, train_scenes = generate_toy_dataset(spec, 1500)
+        test, test_scenes = generate_toy_dataset(spec_for(["attribute"], seed=26), 500)
 
-        def referenced_region(inst):
-            cell = inst.scene["question"]["cell"]
-            row = inst.scene["region_cells"].index(cell)
-            return inst.regions[row]
+        def referenced_regions(ds, scenes):
+            rows = [s["region_cells"].index(s["question"]["cell"]) for s in scenes]
+            return ds.regions[np.arange(len(ds)), rows]
 
-        xtr = np.stack([referenced_region(i) for i in insts_train])
-        ytr = np.array([i.answer for i in insts_train])
-        xte = np.stack([referenced_region(i) for i in insts_test])
-        yte = np.array([i.answer for i in insts_test])
+        xtr = referenced_regions(train, train_scenes)
+        ytr = train.answers
+        xte = referenced_regions(test, test_scenes)
+        yte = test.answers
         w, b = train_probe(xtr, ytr, spec.n_colors)
         assert probe_accuracy(w, b, xte, yte) >= 0.999
 
@@ -443,8 +446,12 @@ class TestMakeBatches:
         return generate_feature_dataset(ToyTaskSpec(seed=41), n)
 
     def test_batch_size_arithmetic(self):
-        sizes = [len(b) for b in make_batches(self.dataset(10), 4)]
-        assert sizes == [4, 4, 2]
+        ds = self.dataset(10)
+        batches = list(make_batches(ds, 4))
+        assert [len(b) for b in batches] == [4, 4, 2]
+        for batch in batches:
+            assert batch.template_names is ds.template_names
+            assert batch.answer_names is ds.answer_names
 
     def test_sequential_preserves_order(self):
         ds = self.dataset(10)

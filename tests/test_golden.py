@@ -5,8 +5,9 @@ The two format files are built from ``np.arange`` values, with no random
 draws, so their digests depend only on the on-disk layout. A change to either
 writer that alters one byte fails here. The checkpoint is pinned once per
 attention type, which pins each ablation's tensor names and order. The
-generated files pin the generator's draws as well: a small default dataset
-and one on a non-default grid must come out byte for byte the same.
+generated files pin the generator's draws as well: a small default dataset,
+one on a non-default grid and two noisy ones must come out byte for byte the
+same.
 """
 
 import hashlib
@@ -34,13 +35,24 @@ CHECKPOINT_CASES = {
     "intra_only": (2, "628f745dbd7e7ff03ec9fad8dafc7dab57e50ffd8d8cc4ae9b75620656148b6d"),
     "dyintra_only": (2, "14bd4645971afb4e33666a741cf7c1a2dcd8020ec9c62396751504ac301eb338"),
 }
-# 64 instances (seed 0) of each spec: the default, and a 2x6 grid with
-# 5 colors, 3 shapes and d_v 100.
+# 64 instances (seed 0) of each spec: the default, a 2x6 grid with
+# 5 colors, 3 shapes and d_v 100, and two noisy specs, which pin the
+# per-instance noise draws interleaved with the scene draws.
 GENERATED_CASES = [
     (ToyTaskSpec(), GENERATED_SHA256),
     (
         ToyTaskSpec(grid_rows=2, grid_cols=6, n_colors=5, n_shapes=3, d_v=100),
         "003f78c90ad7baf94f5268c4a2f744f111a308d17d03fad40fcbe460c9ed5412",
+    ),
+    (
+        ToyTaskSpec(noise_std=0.1),
+        "645f0e094df7e002e757975cdce1a1147a6faf692814e1f31843e0b3f9645e3f",
+    ),
+    (
+        ToyTaskSpec(
+            templates=("relational",), relational_direct_fraction=1.0, noise_std=0.1
+        ),
+        "415c5b73bab46aef7ddec108d6fe5763f6fd26c06163a41b6925cd096f3dc524",
     ),
 ]
 

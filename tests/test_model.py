@@ -2,6 +2,7 @@
 
 import math
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,7 +11,13 @@ from hypothesis import strategies as st
 
 from dfaf import model as M
 from dfaf import tensor as T
-from dfaf.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from dfaf.checkpoint import (
+    STR_FIELDS,
+    U32_FIELDS,
+    CheckpointError,
+    load_checkpoint,
+    save_checkpoint,
+)
 from dfaf.model import ModelConfig, Prediction, build_model
 from dfaf.tensor import GradTape, ShapeError, Tensor, backward
 
@@ -244,6 +251,15 @@ class TestModelConfigValidation:
     def test_positive_sizes(self):
         with pytest.raises(ValueError, match="n_answers"):
             small_config(n_answers=0)
+
+    def test_checkpoint_header_holds_every_field(self):
+        # A field in neither tuple would be dropped on save and come back
+        # as its default on load.
+        names = [f.name for f in fields(ModelConfig)]
+        assert sorted(U32_FIELDS + STR_FIELDS) == sorted(names)
+        for name in U32_FIELDS:
+            with pytest.raises(ValueError, match=name):
+                small_config(**{name: 0})
 
     def test_concat_fusion_widens_classifier(self):
         cfg = small_config(fusion="concat")

@@ -1,7 +1,6 @@
 """Tensor core: forward oracles, gradient closed forms, and tape behavior."""
 
 import math
-import threading
 
 import numpy as np
 import pytest
@@ -488,22 +487,16 @@ class TestTapeMechanics:
         backward(outer, outer_loss)
         assert np.allclose(x.grad, 4.0)
 
-    def test_parallel_tapes_on_threads(self):
-        results = {}
-
-        def worker(seed: int):
-            x = Tensor([float(seed)], requires_grad=True)
-            with GradTape() as tape:
-                loss = T.sum_all(T.mul(x, x))
-            backward(tape, loss)
-            results[seed] = float(x.grad[0])
-
-        threads = [threading.Thread(target=worker, args=(s,)) for s in range(1, 9)]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join()
-        assert results == {s: 2.0 * s for s in range(1, 9)}
+    def test_out_of_order_exit_rejected(self):
+        outer, inner = GradTape(), GradTape()
+        with outer:
+            inner.__enter__()
+            with pytest.raises(TapeError, match="out of order"):
+                outer.__exit__(None, None, None)
+            assert T.active_tape() is inner
+            inner.__exit__(None, None, None)
+            assert T.active_tape() is outer
+        assert T.active_tape() is None
 
 
 class TestLinearLayer:
