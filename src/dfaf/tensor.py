@@ -5,6 +5,11 @@ themselves on the innermost active ``GradTape`` whenever an input requires
 gradients; ``backward`` replays the tape in reverse and accumulates adjoints
 into the leaves. With no tape active, operations are plain numpy compute.
 
+A backward closure never returns an array it keeps, and never writes into
+the adjoint it is given. ``backward`` may therefore keep a returned array
+that owns its memory as a leaf's ``.grad``, and adds further contributions
+in place into arrays it made itself.
+
 Matrix ops accept an optional leading batch axis: every contract stated for
 an (n x d) input holds slice-wise for a (B x n x d) input. Broadcasting
 beyond that (and beyond bias-over-rows) is deliberately unsupported.
@@ -148,21 +153,38 @@ def backward(tape: GradTape, loss: Tensor) -> None:
         raise TapeError("loss was not produced on this tape")
 
     adjoints: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    # Keys whose adjoint is an array made here, so later fan-in adds in place.
+    owned: set[int] = set()
     for node in reversed(tape.nodes):
         out_g = adjoints.pop(id(node.output), None)
         if out_g is None:
             continue
-        for inp, g in zip(node.inputs, node.backward(out_g)):
+        grads = node.backward(out_g)
+        for inp, g in zip(node.inputs, grads):
             if g is None or not inp.requires_grad:
                 continue
             key = id(inp)
             if key in produced:
                 acc = adjoints.get(key)
-                adjoints[key] = g if acc is None else acc + g
-            else:
-                if inp.grad is None:
-                    inp.grad = np.zeros_like(inp.data)
+                if acc is None:
+                    adjoints[key] = g
+                elif key in owned:
+                    acc += g
+                else:
+                    adjoints[key] = acc + g
+                    owned.add(key)
+            elif inp.grad is not None:
                 inp.grad += g
+            elif _fresh(g, out_g, grads):
+                inp.grad = g
+            else:
+                inp.grad = g.copy()
+
+
+def _fresh(g: np.ndarray, out_g: np.ndarray, grads: tuple) -> bool:
+    # Whether a closure made ``g`` for this one input: it owns its memory, is
+    # not the output adjoint passed through, and goes to no other input.
+    return g.base is None and g is not out_g and sum(x is g for x in grads) == 1
 
 
 # ---------------------------------------------------------------------------

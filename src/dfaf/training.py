@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,6 +29,10 @@ EPSILON = 1e-8
 
 CLIP_MODES = ("global_norm", "per_value")
 
+# Elements per Adamax pass: 256 KB per float64 operand, so the four arrays
+# and two scratch buffers of one slice stay in L2 between its ufuncs.
+CHUNK = 32768
+
 
 class DivergenceError(RuntimeError):
     """Training produced a non-finite loss."""
@@ -41,6 +45,12 @@ class AdamaxState:
     moments: list[np.ndarray]
     inf_norms: list[np.ndarray]
     t: int = 0
+    # The two CHUNK-sized buffers ``adamax_step`` computes in; not saved. They
+    # live as long as the state because a fresh pair per step costs about
+    # fifty page faults whenever the allocator has returned them to the system.
+    scratch: np.ndarray = field(
+        default_factory=lambda: np.empty((2, CHUNK)), repr=False, compare=False
+    )
 
     @classmethod
     def for_params(cls, params: Sequence[Tensor]) -> "AdamaxState":
@@ -105,20 +115,53 @@ def adamax_step(
         θ ← θ − lr/(1−β1^t) · m/(u+ε)
 
     so the very first step moves every coordinate by −lr·sign(g).
+
+    Every length, shape and layout is checked before anything changes. The
+    formulas then run in the order written, as in-place ufuncs on a whole
+    tensor of at most ``CHUNK`` elements or on ``CHUNK``-sized slices of a
+    larger one, flattened, so no full-size temporary is made.
     """
-    if len(params) != len(grads) or len(params) != len(state.moments):
+    n = len(params)
+    if not n == len(grads) == len(state.moments) == len(state.inf_norms):
         raise ShapeError(
-            f"{len(params)} params, {len(grads)} grads, {len(state.moments)} state rows"
+            f"{n} params, {len(grads)} grads, {len(state.moments)} moments, "
+            f"{len(state.inf_norms)} inf-norms"
         )
-    state.t += 1
-    correction = 1.0 - BETA1**state.t
     for p, g, m, u in zip(params, grads, state.moments, state.inf_norms):
-        if g.shape != p.data.shape:
-            raise ShapeError(f"grad shape {g.shape} != param shape {p.data.shape}")
-        m *= BETA1
-        m += (1.0 - BETA1) * g
-        np.maximum(BETA2 * u, np.abs(g), out=u)
-        p.data -= (lr / correction) * m / (u + EPSILON)
+        if not g.shape == m.shape == u.shape == p.data.shape:
+            raise ShapeError(
+                f"param shape {p.data.shape} but grad {g.shape}, moment {m.shape}, "
+                f"inf-norm {u.shape}"
+            )
+        if not (p.data.flags.c_contiguous and m.flags.c_contiguous and u.flags.c_contiguous):
+            raise ValueError("Adamax updates C-contiguous params, moments and inf-norms only")
+    state.t += 1
+    step = lr / (1.0 - BETA1**state.t)
+    for p, g, m, u in zip(params, grads, state.moments, state.inf_norms):
+        if p.data.size <= CHUNK:
+            _adamax_slice(p.data, g, m, u, step, state.scratch)
+        else:
+            pf, gf, mf, uf = p.data.reshape(-1), g.reshape(-1), m.reshape(-1), u.reshape(-1)
+            for lo in range(0, pf.size, CHUNK):
+                hi = lo + CHUNK
+                _adamax_slice(pf[lo:hi], gf[lo:hi], mf[lo:hi], uf[lo:hi], step, state.scratch)
+
+
+def _adamax_slice(p, g, m, u, step: float, scratch: np.ndarray) -> None:
+    # The update on at most CHUNK elements, one ufunc per operation in the
+    # order of adamax_step's formulas; step is lr/(1−β1^t).
+    a = scratch[0, : p.size].reshape(p.shape)
+    b = scratch[1, : p.size].reshape(p.shape)
+    m *= BETA1
+    np.multiply(g, 1.0 - BETA1, out=a)
+    m += a
+    u *= BETA2
+    np.abs(g, out=a)
+    np.maximum(u, a, out=u)
+    np.multiply(m, step, out=a)
+    np.add(u, EPSILON, out=b)
+    a /= b
+    p -= a
 
 
 def lr_schedule(

@@ -8,6 +8,13 @@ attention type, which pins each ablation's tensor names and order. The
 generated files pin the generator's draws as well: a small default dataset,
 one on a non-default grid and two noisy ones must come out byte for byte the
 same.
+
+Two trained checkpoints pin a whole train run: the default run config for
+2 epochs (dropout 0.1), saved with its Adamax trailer, once per clip mode.
+Float arithmetic makes those digests specific to the numpy and OpenBLAS
+build they were computed with (numpy 2.4.6, scipy-openblas 0.3.31): they pin
+that build's training bytes, and another build of either library may move
+them without a fault in the code.
 """
 
 import hashlib
@@ -15,6 +22,7 @@ import hashlib
 import numpy as np
 
 from dfaf.checkpoint import load_checkpoint, save_checkpoint
+from dfaf.config import RunConfig, sub_config
 from dfaf.data import (
     FeatureDataset,
     ToyTaskSpec,
@@ -23,6 +31,7 @@ from dfaf.data import (
     write_feature_file,
 )
 from dfaf.model import ModelConfig, build_model
+from dfaf.training import TrainConfig, train
 
 FEATURE_SHA256 = "1970e1ae1763c2b3c1227f9fc9369445d88e2951ebdf1e0972cb6423c44832dc"
 CHECKPOINT_SHA256 = "46b1d4de6b547697711aad085cb775cc308ae6043de7f26ad9e59c8da261875a"
@@ -55,6 +64,12 @@ GENERATED_CASES = [
         "415c5b73bab46aef7ddec108d6fe5763f6fd26c06163a41b6925cd096f3dc524",
     ),
 ]
+
+# The default run config trained for 2 epochs, per clip mode.
+TRAINED_CASES = {
+    "global_norm": "89c19a5e20513d0e7dc95ac63a392e6143e011bb7c3ebbd8a0761a558b1f6bcd",
+    "per_value": "168ba4d81838992c114ac034942553731879fca77e90b5d7de59627cd92051bc",
+}
 
 
 def sha256_of(path) -> str:
@@ -122,3 +137,16 @@ def test_generated_dataset_bytes_are_pinned(tmp_path):
     for spec, digest in GENERATED_CASES:
         write_feature_file(str(path), generate_feature_dataset(spec, 64))
         assert sha256_of(path) == digest, spec
+
+
+def test_trained_checkpoint_bytes_are_pinned(tmp_path):
+    for clip_mode, digest in TRAINED_CASES.items():
+        cfg = RunConfig(epochs=2, clip_mode=clip_mode)
+        assert cfg.dropout == 0.1
+        dataset = generate_feature_dataset(sub_config(cfg, ToyTaskSpec), cfg.n_instances)
+        config = sub_config(cfg, ModelConfig, n_answers=dataset.n_answers)
+        params = build_model(config, np.random.default_rng(cfg.seed))
+        _, state = train(params, dataset, sub_config(cfg, TrainConfig))
+        path = tmp_path / f"{clip_mode}.ckpt"
+        save_checkpoint(str(path), params, config, state.as_checkpoint_trailer())
+        assert sha256_of(path) == digest, clip_mode

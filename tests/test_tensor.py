@@ -444,6 +444,60 @@ class TestTapeMechanics:
         backward(tape, loss)
         assert np.allclose(x.grad, 24.0)
 
+    def test_one_add_gives_two_leaves_unshared_grads(self):
+        a = Tensor(np.arange(4.0), requires_grad=True)
+        b = Tensor(-np.arange(4.0), requires_grad=True)
+        c = Tensor([0.5, -1.0, 2.0, 3.0])
+        with GradTape() as tape:
+            loss = T.sum_all(T.mul(T.add(a, b), c))
+        backward(tape, loss)
+        assert np.array_equal(a.grad, c.data) and np.array_equal(b.grad, c.data)
+        assert not np.shares_memory(a.grad, b.grad)
+        a.grad += 1.0
+        assert np.array_equal(b.grad, c.data)
+
+    def test_adjoint_passed_to_two_inputs_is_never_written(self):
+        # add hands one array to a and b; a's later fan-in must not change b's.
+        x = Tensor(np.zeros(3), requires_grad=True)
+        z = Tensor(np.zeros(3), requires_grad=True)
+        c, d = Tensor([1.0, 2.0, 3.0]), Tensor([10.0, 20.0, 30.0])
+        with GradTape() as tape:
+            a, b = T.add_scalar(x, 0.0), T.add_scalar(z, 0.0)
+            u = T.mul(a, d)
+            y = T.add(a, b)
+            loss = T.sum_all(T.add(T.mul(y, c), u))
+        backward(tape, loss)
+        assert np.array_equal(z.grad, c.data)
+        assert np.array_equal(x.grad, c.data + d.data)
+
+    def test_fan_in_of_four_sums_in_reverse_tape_order(self):
+        # x -> h -> four consumers; h's adjoint reaches x.grad unchanged
+        # through add_scalar, so x.grad shows the order of h's fan-in sums.
+        rng = np.random.default_rng(3)
+        x = Tensor(rng.standard_normal(64), requires_grad=True)
+        cs = [Tensor(rng.standard_normal(64) * 10.0**k) for k in range(4)]
+        with GradTape() as tape:
+            h = T.add_scalar(x, 0.0)
+            ys = [T.mul(h, c) for c in cs]
+            loss = T.sum_all(T.add(T.add(T.add(ys[0], ys[1]), ys[2]), ys[3]))
+        backward(tape, loss)
+        c0, c1, c2, c3 = (c.data for c in cs)
+        # The last-recorded consumer contributes first: ((c3 + c2) + c1) + c0.
+        expect = ((c3 + c2) + c1) + c0
+        assert not np.array_equal(expect, ((c0 + c1) + c2) + c3)
+        assert x.grad.tobytes() == expect.tobytes()
+
+    def test_broadcast_view_gradient_becomes_writable_copy(self):
+        m = Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
+        c = Tensor([1.0, -2.0, 4.0])
+        with GradTape() as tape:
+            loss = T.sum_all(T.mul(T.avg_pool_rows(m), c))
+        backward(tape, loss)
+        assert m.grad.flags.writeable and m.grad.flags.c_contiguous
+        assert np.array_equal(m.grad, np.broadcast_to(c.data / 4.0, (4, 3)))
+        m.grad[0, 0] += 1.0
+        assert m.grad[1, 0] == 0.25
+
     def test_no_tape_means_no_recording(self):
         x = Tensor([1.0], requires_grad=True)
         y = T.mul(x, x)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dfaf import training as TR
-from dfaf.checkpoint import save_checkpoint
+from dfaf.checkpoint import load_checkpoint, save_checkpoint
 from dfaf.data import ToyTaskSpec, generate_feature_dataset
 from dfaf.model import ModelConfig, build_model
 from dfaf.tensor import ShapeError, Tensor
@@ -98,6 +98,115 @@ class TestAdamax:
         assert back.t == state.t
         assert np.array_equal(back.moments[0], state.moments[0])
         assert np.array_equal(back.inf_norms[0], state.inf_norms[0])
+
+
+def seed_adamax(thetas, moments, inf_norms, grads, t, lr):
+    """The per-tensor update written out: one full-size expression per line."""
+    correction = 1.0 - TR.BETA1**t
+    for theta, m, u, g in zip(thetas, moments, inf_norms, grads):
+        m *= TR.BETA1
+        m += (1.0 - TR.BETA1) * g
+        np.maximum(TR.BETA2 * u, np.abs(g), out=u)
+        theta -= (lr / correction) * m / (u + TR.EPSILON)
+
+
+def snapshot(params, state):
+    return (
+        [p.data.tobytes() for p in params],
+        [m.tobytes() for m in state.moments],
+        [u.tobytes() for u in state.inf_norms],
+        state.t,
+    )
+
+
+class TestAdamaxChunks:
+    SHAPES = [(1,), (TR.CHUNK - 1,), (TR.CHUNK,), (TR.CHUNK + 1,), (3, TR.CHUNK - 7)]
+
+    def test_chunked_steps_match_per_tensor_formula_bitwise(self):
+        rng = np.random.default_rng(5)
+        params = tensors(*(rng.standard_normal(s) for s in self.SHAPES))
+        assert params[-1].size > 2 * TR.CHUNK
+        thetas = [p.data.copy() for p in params]
+        moments = [np.zeros(s) for s in self.SHAPES]
+        inf_norms = [np.zeros(s) for s in self.SHAPES]
+        state = AdamaxState.for_params(params)
+        for t in range(1, 6):
+            grads = [rng.standard_normal(s) * 10.0 ** (t - 3) for s in self.SHAPES]
+            grads[0][0] = -0.0
+            lr = 0.01 * t
+            adamax_step(params, grads, state, lr)
+            seed_adamax(thetas, moments, inf_norms, grads, t, lr)
+            assert snapshot(params, state) == (
+                [x.tobytes() for x in thetas],
+                [m.tobytes() for m in moments],
+                [u.tobytes() for u in inf_norms],
+                t,
+            )
+
+    def test_trailer_roundtrip_after_chunked_steps(self, tmp_path):
+        config = ModelConfig(dim=16, heads=2, hidden=8, d_v=TR.CHUNK // 16 + 3, d_w=5, n_answers=3)
+        model = build_model(config, np.random.default_rng(0))
+        params = model.parameters()
+        assert max(p.size for p in params) > TR.CHUNK
+        rng = np.random.default_rng(6)
+        state = AdamaxState.for_params(params)
+        for _ in range(3):
+            adamax_step(params, [rng.standard_normal(p.shape) for p in params], state, 0.01)
+        path = tmp_path / "chunked.ckpt"
+        save_checkpoint(str(path), model, config, state.as_checkpoint_trailer())
+        loaded, _, trailer = load_checkpoint(str(path))
+        back = AdamaxState.from_checkpoint_trailer(trailer)
+        loaded_params = loaded.parameters()
+        assert snapshot(loaded_params, back) == snapshot(params, state)
+        grads = [rng.standard_normal(p.shape) for p in params]
+        adamax_step(params, grads, state, 0.02)
+        adamax_step(loaded_params, grads, back, 0.02)
+        assert snapshot(loaded_params, back) == snapshot(params, state)
+
+
+class TestAdamaxRejects:
+    def stepped(self):
+        rng = np.random.default_rng(7)
+        params = tensors(rng.standard_normal(3), rng.standard_normal((2, 2)))
+        state = AdamaxState.for_params(params)
+        adamax_step(params, [rng.standard_normal(p.shape) for p in params], state, 0.1)
+        return params, state
+
+    def test_bad_shape_changes_nothing(self):
+        params, state = self.stepped()
+        before = snapshot(params, state)
+        with pytest.raises(ShapeError):
+            adamax_step(params, [np.ones(3), np.ones(5)], state, lr=0.1)
+        assert snapshot(params, state) == before
+        state.inf_norms[1] = np.zeros(4)
+        before = snapshot(params, state)
+        with pytest.raises(ShapeError, match="inf-norm"):
+            adamax_step(params, [np.ones(3), np.ones((2, 2))], state, lr=0.1)
+        assert snapshot(params, state) == before
+
+    def test_bad_length_changes_nothing(self):
+        params, state = self.stepped()
+        del state.inf_norms[1]
+        before = snapshot(params, state)
+        with pytest.raises(ShapeError, match="1 inf-norms"):
+            adamax_step(params, [np.ones(3), np.ones((2, 2))], state, lr=0.1)
+        assert snapshot(params, state) == before
+
+    @pytest.mark.parametrize("where", ["param", "moment", "inf_norm"])
+    def test_transposed_view_rejected(self, where):
+        params, state = self.stepped()
+        transposed = np.arange(4.0).reshape(2, 2).T
+        assert not transposed.flags.c_contiguous
+        if where == "param":
+            params[1].data = transposed
+        elif where == "moment":
+            state.moments[1] = transposed
+        else:
+            state.inf_norms[1] = transposed
+        before = snapshot(params, state)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            adamax_step(params, [np.ones(3), np.ones((2, 2))], state, lr=0.1)
+        assert snapshot(params, state) == before
 
 
 class TestLrSchedule:
