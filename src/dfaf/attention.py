@@ -31,7 +31,7 @@ All forwards accept an optional leading batch axis on ``r`` and ``e``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -54,7 +54,25 @@ from .tensor import (
 )
 
 ORDERS = ("parallel", "r_then_e", "e_then_r")
-ATTENTION_TYPES = ("full", "inter_only", "intra_only", "dyintra_only")
+
+
+class BlockVariant(NamedTuple):
+    """What a block of one attention type holds and runs."""
+
+    inter: bool  # has the inter-modality half
+    intra: bool  # has the intra-modality half
+    dynamic: bool  # the intra half gates queries and keys
+
+
+# The paper's ablations. The builder, the parameter count and the forward
+# all read this table.
+VARIANTS = {
+    "full": BlockVariant(inter=True, intra=True, dynamic=True),
+    "inter_only": BlockVariant(inter=True, intra=False, dynamic=False),
+    "intra_only": BlockVariant(inter=False, intra=True, dynamic=False),
+    "dyintra_only": BlockVariant(inter=False, intra=True, dynamic=True),
+}
+ATTENTION_TYPES = tuple(VARIANTS)
 
 
 @dataclass
@@ -119,8 +137,8 @@ class InterMafParams(Params):
 class DyIntraMafParams(Params):
     """Self-attention parameters, optionally gated by the other modality.
 
-    ``dynamic`` false turns off the gates entirely (naive self-attention);
-    the gate layers still exist so the parameter set has one shape.
+    The gate layers exist in every variant, so the parameter set has one
+    shape; the naive forward (``dynamic`` false) never reads them.
     """
 
     region_qkv: QkvProjection
@@ -129,7 +147,6 @@ class DyIntraMafParams(Params):
     gate_from_words: LinearLayer  # pooled words -> gate on region q/k
     region_out: LinearLayer  # dim -> dim, applied to the residual sum
     word_out: LinearLayer
-    dynamic: bool = True
 
     def __post_init__(self):
         dim = self.region_qkv.dim
@@ -187,32 +204,14 @@ class DfafBlockParams(Params):
 
     inter: InterMafParams | None
     intra: DyIntraMafParams | None
-    heads: int
-    head_dim: int
-    order: str = "r_then_e"
 
     def __post_init__(self):
         if self.inter is None and self.intra is None:
             raise ValueError("block needs at least one attention module")
-        if self.order not in ORDERS:
-            raise ValueError(f"order must be one of {ORDERS}, got {self.order!r}")
-        dim = self.dim
-        if self.heads * self.head_dim != dim:
-            raise ShapeError(
-                f"heads ({self.heads}) x head_dim ({self.head_dim}) != dim ({dim})"
-            )
 
     @property
     def dim(self) -> int:
         return self.inter.dim if self.inter is not None else self.intra.dim
-
-    @property
-    def attention_type(self) -> str:
-        if self.inter is not None and self.intra is not None:
-            return "full"
-        if self.inter is not None:
-            return "inter_only"
-        return "dyintra_only" if self.intra.dynamic else "intra_only"
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +255,6 @@ def inter_maf_forward(
     then attend over the *updated* words, re-projected through the same
     key/value layers. e_then_r is the mirror image.
     """
-    if order not in ORDERS:
-        raise ValueError(f"order must be one of {ORDERS}, got {order!r}")
     r_q = linear_dropout(p.region_qkv.query, r, ctx)
     e_q = linear_dropout(p.word_qkv.query, e, ctx)
 
@@ -293,6 +290,7 @@ def dyintra_maf_forward(
     e: Tensor,
     p: DyIntraMafParams,
     heads: int = 1,
+    dynamic: bool = True,
     record: AttentionRecord | None = None,
     ctx: ForwardContext | None = None,
 ) -> tuple[Tensor, Tensor]:
@@ -300,15 +298,15 @@ def dyintra_maf_forward(
 
     Dynamic variant: each modality's queries and keys are scaled channel-wise
     by (1 + gate), the gate coming from the other modality's pooled features.
-    Values are never gated. Naive variant (dynamic=false) has no dependence
-    on the other modality at all. A dynamic record also keeps the attention
-    of the ungated queries and keys.
+    Values are never gated. Naive variant (``dynamic`` false) has no
+    dependence on the other modality at all. A dynamic record also keeps the
+    attention of the ungated queries and keys.
     """
     r_q, r_k, r_v = _project(p.region_qkv, r, ctx)
     e_q, e_k, e_v = _project(p.word_qkv, e, ctx)
 
     gate_r = gate_e = None
-    if p.dynamic:
+    if dynamic:
         if record is not None:  # what the gates modulate, without them
             record.intra_r_gates_disabled = head_copies(attention_weights(r_q, r_k, heads), r)
             record.intra_e_gates_disabled = head_copies(attention_weights(e_q, e_k, heads), e)
@@ -331,7 +329,7 @@ def dyintra_maf_forward(
     if record is not None:
         record.intra_r = head_copies(w_r, r)
         record.intra_e = head_copies(w_e, e)
-        if p.dynamic:
+        if dynamic:
             record.gate_on_regions = gate_r.numpy()
             record.gate_on_words = gate_e.numpy()
     return r_new, e_new
@@ -341,6 +339,9 @@ def dfaf_block_forward(
     r: Tensor,
     e: Tensor,
     p: DfafBlockParams,
+    heads: int,
+    order: str,
+    dynamic: bool,
     record: AttentionRecord | None = None,
     ctx: ForwardContext | None = None,
 ) -> tuple[Tensor, Tensor]:
@@ -350,31 +351,9 @@ def dfaf_block_forward(
             f"block expects width {p.dim}, got regions {r.shape} words {e.shape}"
         )
     if p.inter is not None:
-        r, e = inter_maf_forward(r, e, p.inter, p.heads, p.order, record, ctx)
+        r, e = inter_maf_forward(r, e, p.inter, heads, order, record, ctx)
     if p.intra is not None:
-        r, e = dyintra_maf_forward(r, e, p.intra, p.heads, record, ctx)
-    return r, e
-
-
-def dfaf_stack_forward(
-    r: Tensor,
-    e: Tensor,
-    blocks: list[DfafBlockParams],
-    records: list[AttentionRecord] | None = None,
-    ctx: ForwardContext | None = None,
-) -> tuple[Tensor, Tensor]:
-    """Apply blocks sequentially; append one AttentionRecord per block when
-    ``records`` is a list."""
-    if not blocks:
-        raise ValueError("stack needs at least one block")
-    dims = {b.dim for b in blocks}
-    if len(dims) != 1:
-        raise ShapeError(f"blocks disagree on width: {sorted(dims)}")
-    for block in blocks:
-        rec = AttentionRecord() if records is not None else None
-        r, e = dfaf_block_forward(r, e, block, rec, ctx)
-        if records is not None:
-            records.append(rec)
+        r, e = dyintra_maf_forward(r, e, p.intra, heads, dynamic, record, ctx)
     return r, e
 
 
@@ -399,9 +378,7 @@ def init_inter_maf(dim: int, rng: np.random.Generator | None) -> InterMafParams:
     )
 
 
-def init_dyintra_maf(
-    dim: int, rng: np.random.Generator | None, dynamic: bool = True
-) -> DyIntraMafParams:
+def init_dyintra_maf(dim: int, rng: np.random.Generator | None) -> DyIntraMafParams:
     return DyIntraMafParams(
         region_qkv=init_qkv(dim, rng),
         word_qkv=init_qkv(dim, rng),
@@ -409,41 +386,14 @@ def init_dyintra_maf(
         gate_from_words=linear_init(dim, dim, rng),
         region_out=linear_init(dim, dim, rng),
         word_out=linear_init(dim, dim, rng),
-        dynamic=dynamic,
     )
 
 
 def init_dfaf_block(
-    dim: int,
-    heads: int,
-    rng: np.random.Generator | None,
-    order: str = "r_then_e",
-    attention_type: str = "full",
+    dim: int, attention_type: str, rng: np.random.Generator | None
 ) -> DfafBlockParams:
-    if attention_type not in ATTENTION_TYPES:
-        raise ValueError(
-            f"attention_type must be one of {ATTENTION_TYPES}, got {attention_type!r}"
-        )
-    inter = init_inter_maf(dim, rng) if attention_type in ("full", "inter_only") else None
-    if attention_type in ("full", "dyintra_only"):
-        intra = init_dyintra_maf(dim, rng, dynamic=True)
-    elif attention_type == "intra_only":
-        intra = init_dyintra_maf(dim, rng, dynamic=False)
-    else:
-        intra = None
-    return DfafBlockParams(inter=inter, intra=intra, heads=heads, head_dim=dim // heads, order=order)
-
-
-def init_dfaf_stack(
-    dim: int,
-    heads: int,
-    n_blocks: int,
-    rng: np.random.Generator | None,
-    order: str = "r_then_e",
-    attention_type: str = "full",
-) -> list[DfafBlockParams]:
-    if n_blocks < 1:
-        raise ValueError(f"need at least one block, got {n_blocks}")
-    return [
-        init_dfaf_block(dim, heads, rng, order, attention_type) for _ in range(n_blocks)
-    ]
+    variant = VARIANTS[attention_type]
+    return DfafBlockParams(
+        inter=init_inter_maf(dim, rng) if variant.inter else None,
+        intra=init_dyintra_maf(dim, rng) if variant.intra else None,
+    )

@@ -61,7 +61,10 @@ def save_checkpoint(
     optimizer_state: tuple[int, list[np.ndarray], list[np.ndarray]] | None = None,
 ) -> None:
     """Write parameters (and optionally optimizer state as
-    (step, first_moments, inf_norms) aligned with named-parameter order)."""
+    (step, first_moments, inf_norms) aligned with named-parameter order).
+    ``config`` must be the one the parameters were built from."""
+    if config != params.config:
+        raise CheckpointError(f"config {config} is not the parameters' own {params.config}")
     named = list(params.named_parameters())
     with open(path, "wb") as fh:
         fh.write(MAGIC)

@@ -23,6 +23,7 @@ from .attention import AttentionRecord
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig, config_dict, load_run_config, sub_config
 from .data import (
+    FeatureDataset,
     FeatureFileError,
     ToyTaskSpec,
     dataset_summary,
@@ -66,14 +67,26 @@ def cmd_gen_data(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_fits(model_config: ModelConfig, dataset: FeatureDataset, source: str) -> None:
+    """Raise ShapeError unless the data file has the feature widths and the
+    answer count of ``model_config``, which ``source`` names."""
+    widths = (dataset.regions.shape[2], dataset.tokens.shape[2])
+    if (model_config.d_v, model_config.d_w) != widths:
+        raise ShapeError(
+            f"{source} expects features {model_config.d_v}x{model_config.d_w}, "
+            f"data file has {widths[0]}x{widths[1]}"
+        )
+    if model_config.n_answers != dataset.n_answers:
+        raise ShapeError(
+            f"{source} answer head has {model_config.n_answers} entries, "
+            f"data file has {dataset.n_answers}"
+        )
+
+
 def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
     dataset = read_feature_file(args.data)
     model_config = sub_config(cfg, ModelConfig, n_answers=dataset.n_answers)
-    if model_config.d_v != dataset.regions.shape[2] or model_config.d_w != dataset.tokens.shape[2]:
-        raise ShapeError(
-            f"config expects features {model_config.d_v}x{model_config.d_w}, "
-            f"data file has {dataset.regions.shape[2]}x{dataset.tokens.shape[2]}"
-        )
+    _check_fits(model_config, dataset, "config")
 
     state = None
     if cfg.resume_from:
@@ -118,16 +131,7 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
 def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
     model, model_config, _ = load_checkpoint(args.ckpt)
     dataset = read_feature_file(args.data)
-    if model_config.d_v != dataset.regions.shape[2] or model_config.d_w != dataset.tokens.shape[2]:
-        raise ShapeError(
-            f"checkpoint expects features {model_config.d_v}x{model_config.d_w}, "
-            f"data file has {dataset.regions.shape[2]}x{dataset.tokens.shape[2]}"
-        )
-    if model_config.n_answers != dataset.n_answers:
-        raise ShapeError(
-            f"checkpoint answer head has {model_config.n_answers} entries, "
-            f"data file has {dataset.n_answers}"
-        )
+    _check_fits(model_config, dataset, "checkpoint")
     report = evaluate_by_template(model, dataset, cfg.eval_batch_size)
     _emit(
         {
@@ -193,8 +197,9 @@ def _block_payload(index: int, record: AttentionRecord) -> dict:
 
 
 def cmd_inspect(cfg: RunConfig, args: argparse.Namespace) -> int:
-    model, _, _ = load_checkpoint(args.ckpt)
+    model, model_config, _ = load_checkpoint(args.ckpt)
     dataset = read_feature_file(args.data)
+    _check_fits(model_config, dataset, "checkpoint")
     if not 0 <= args.index < len(dataset):
         raise IndexError(
             f"instance index {args.index} out of range for {len(dataset)} instances"

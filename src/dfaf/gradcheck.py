@@ -26,7 +26,6 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .attention import (
-    ORDERS,
     dfaf_block_forward,
     dyintra_maf_forward,
     init_dfaf_block,
@@ -225,12 +224,20 @@ def run_gradcheck(
         raise ValueError(
             f"finite differences are only tractable at dim <= {MAX_DIM}; got {dim}"
         )
-    if dim % heads != 0:
-        raise ValueError(f"dim {dim} not divisible by heads {heads}")
-    if order not in ORDERS:
-        raise ValueError(f"order must be one of {ORDERS}, got {order!r}")
-    if min(regions, words, n_blocks) < 1:
-        raise ValueError("regions, words, and n_blocks must all be >= 1")
+    if min(regions, words) < 1:
+        raise ValueError("regions and words must both be >= 1")
+    # The model unit's architecture; building it checks heads, order and
+    # n_blocks for every unit.
+    config = ModelConfig(
+        dim=dim,
+        heads=heads,
+        n_blocks=n_blocks,
+        hidden=2 * dim,
+        d_v=dim + 5,
+        d_w=dim + 3,
+        n_answers=5,
+        order=order,
+    )
 
     rng = np.random.default_rng(seed)
     r = Tensor(rng.standard_normal((regions, dim)))
@@ -249,7 +256,7 @@ def run_gradcheck(
         )
     )
 
-    dyintra = init_dyintra_maf(dim, rng, dynamic=True)
+    dyintra = init_dyintra_maf(dim, rng)
     units.append(
         check_unit(
             "dyintra_maf",
@@ -262,40 +269,30 @@ def run_gradcheck(
     )
 
     # Naive variant: gate layers must come back with agreed-zero gradients.
-    intra = init_dyintra_maf(dim, rng, dynamic=False)
+    intra = init_dyintra_maf(dim, rng)
     units.append(
         check_unit(
             "intra_maf",
             intra.named_parameters(),
-            lambda: _sum_pair(*dyintra_maf_forward(r, e, intra, heads=heads)),
+            lambda: _sum_pair(*dyintra_maf_forward(r, e, intra, heads=heads, dynamic=False)),
             threshold,
             eps,
             corrupt,
         )
     )
 
-    block = init_dfaf_block(dim, heads, rng, order=order)
+    block = init_dfaf_block(dim, "full", rng)
     units.append(
         check_unit(
             "dfaf_block",
             block.named_parameters(),
-            lambda: _sum_pair(*dfaf_block_forward(r, e, block)),
+            lambda: _sum_pair(*dfaf_block_forward(r, e, block, heads, order, True)),
             threshold,
             eps,
             corrupt,
         )
     )
 
-    config = ModelConfig(
-        dim=dim,
-        heads=heads,
-        n_blocks=n_blocks,
-        hidden=2 * dim,
-        d_v=dim + 5,
-        d_w=dim + 3,
-        n_answers=5,
-        order=order,
-    )
     model = build_model(config, rng)
     # ReLU is the model's only kink, and at random init the multiply-fused
     # classifier input is so small that every hidden preactivation sits

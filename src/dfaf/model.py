@@ -17,11 +17,12 @@ import numpy as np
 from .attention import (
     ATTENTION_TYPES,
     ORDERS,
+    VARIANTS,
     AttentionRecord,
     DfafBlockParams,
     ForwardContext,
-    dfaf_stack_forward,
-    init_dfaf_stack,
+    dfaf_block_forward,
+    init_dfaf_block,
     linear_dropout,
 )
 from .tensor import (
@@ -44,7 +45,11 @@ FUSIONS = ("multiply", "add", "concat")
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Architecture hyperparameters; everything a checkpoint must reproduce."""
+    """Architecture hyperparameters; everything a checkpoint must reproduce.
+
+    The only declaration of the architecture: parameter sets hold weights,
+    and every forward reads its switches from the config on the model.
+    """
 
     dim: int = 64
     heads: int = 4
@@ -82,9 +87,8 @@ class ModelConfig:
         d = self.dim
         inter = 6 * linear(d, d) + 2 * linear(2 * d, d)  # q/k/v twice, two fusions
         intra = 10 * linear(d, d)  # q/k/v twice, two gates, two outputs
-        has_inter = self.attention_type in ("full", "inter_only")
-        has_intra = self.attention_type != "inter_only"
-        block = has_inter * inter + has_intra * intra
+        variant = VARIANTS[self.attention_type]
+        block = variant.inter * inter + variant.intra * intra
         fused = 2 * d if self.fusion == "concat" else d
         return (
             linear(self.d_v, d)
@@ -103,40 +107,14 @@ STR_FIELDS = tuple(f.name for f in fields(ModelConfig) if f.type == "str")
 
 @dataclass
 class ModelParams(Params):
-    """All trainable parameters plus the fusion-mode switch."""
+    """All trainable parameters, and the config they were built from."""
 
     region_embed: LinearLayer
     word_embed: LinearLayer
     stack: list[DfafBlockParams]
     mlp_hidden: LinearLayer
     mlp_out: LinearLayer
-    fusion: str = "multiply"
-
-    def __post_init__(self):
-        if self.fusion not in FUSIONS:
-            raise ValueError(f"fusion must be one of {FUSIONS}, got {self.fusion!r}")
-        if not self.stack:
-            raise ValueError("model needs at least one block")
-        dim = self.stack[0].dim
-        expected_in = 2 * dim if self.fusion == "concat" else dim
-        if self.mlp_hidden.in_dim != expected_in:
-            raise ShapeError(
-                f"{self.fusion} fusion feeds width {expected_in} to the classifier, "
-                f"mlp_hidden expects {self.mlp_hidden.in_dim}"
-            )
-        if self.mlp_out.in_dim != self.mlp_hidden.out_dim:
-            raise ShapeError(
-                f"classifier layers disagree: hidden out {self.mlp_hidden.out_dim}, "
-                f"output in {self.mlp_out.in_dim}"
-            )
-
-    @property
-    def dim(self) -> int:
-        return self.stack[0].dim
-
-    @property
-    def n_answers(self) -> int:
-        return self.mlp_out.out_dim
+    config: ModelConfig
 
 
 @dataclass
@@ -156,35 +134,19 @@ def build_model(config: ModelConfig, rng: np.random.Generator | None) -> ModelPa
     return ModelParams(
         region_embed=linear_init(config.d_v, config.dim, rng),
         word_embed=linear_init(config.d_w, config.dim, rng),
-        stack=init_dfaf_stack(
-            config.dim,
-            config.heads,
-            config.n_blocks,
-            rng,
-            order=config.order,
-            attention_type=config.attention_type,
-        ),
+        stack=[
+            init_dfaf_block(config.dim, config.attention_type, rng)
+            for _ in range(config.n_blocks)
+        ],
         mlp_hidden=linear_init(fused_width, config.hidden, rng),
         mlp_out=linear_init(config.hidden, config.n_answers, rng),
-        fusion=config.fusion,
+        config=config,
     )
 
 
 def config_of(params: ModelParams) -> ModelConfig:
-    """Recover the architecture description from a parameter set."""
-    block = params.stack[0]
-    return ModelConfig(
-        dim=params.dim,
-        heads=block.heads,
-        n_blocks=len(params.stack),
-        hidden=params.mlp_hidden.out_dim,
-        d_v=params.region_embed.in_dim,
-        d_w=params.word_embed.in_dim,
-        n_answers=params.n_answers,
-        fusion=params.fusion,
-        order=block.order,
-        attention_type=block.attention_type,
-    )
+    """The architecture description a parameter set was built from."""
+    return params.config
 
 
 def embed_inputs(
@@ -217,9 +179,9 @@ def fuse_and_classify(
         )
     v = avg_pool_rows(r)
     q = avg_pool_rows(e)
-    if p.fusion == "multiply":
+    if p.config.fusion == "multiply":
         fused = mul(v, q)
-    elif p.fusion == "add":
+    elif p.config.fusion == "add":
         fused = add(v, q)
     else:
         fused = concat_cols(v, q)
@@ -234,10 +196,18 @@ def forward(
     ctx: ForwardContext | None = None,
     records: list[AttentionRecord] | None = None,
 ) -> Prediction:
-    """Full pipeline; a ``ctx`` means train mode, None means eval."""
-    r0, e0 = embed_inputs(raw_r, raw_e, p, ctx)
-    r_out, e_out = dfaf_stack_forward(r0, e0, p.stack, records=records, ctx=ctx)
-    return fuse_and_classify(r_out, e_out, p, records=records)
+    """Full pipeline; a ``ctx`` means train mode, None means eval. Blocks
+    run in order, and each appends one AttentionRecord when ``records`` is a
+    list."""
+    config = p.config
+    dynamic = VARIANTS[config.attention_type].dynamic
+    r, e = embed_inputs(raw_r, raw_e, p, ctx)
+    for block in p.stack:
+        record = None if records is None else AttentionRecord()
+        r, e = dfaf_block_forward(r, e, block, config.heads, config.order, dynamic, record, ctx)
+        if records is not None:
+            records.append(record)
+    return fuse_and_classify(r, e, p, records=records)
 
 
 def predict(raw_r: Tensor, raw_e: Tensor, p: ModelParams, record: bool = False) -> Prediction:

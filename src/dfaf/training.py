@@ -252,9 +252,9 @@ def train(
     Eval accuracy is measured on ``eval_dataset`` when given, otherwise on
     the training data. Fully deterministic given cfg.seed (wall_ms aside).
     """
-    if dataset.n_answers != model.n_answers:
+    if dataset.n_answers != model.config.n_answers:
         raise ShapeError(
-            f"dataset has {dataset.n_answers} answers, model head has {model.n_answers}"
+            f"dataset has {dataset.n_answers} answers, model head has {model.config.n_answers}"
         )
     rng = np.random.default_rng(cfg.seed)
     params = model.parameters()

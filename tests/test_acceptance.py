@@ -17,11 +17,12 @@ from conftest import run_cli
 from dfaf.attention import (
     ATTENTION_TYPES,
     ORDERS,
+    VARIANTS,
     AttentionRecord,
+    dfaf_block_forward,
     dyintra_maf_forward,
-    init_dfaf_stack,
+    init_dfaf_block,
     init_dyintra_maf,
-    dfaf_stack_forward,
 )
 from dfaf.data import ToyTaskSpec, generate_feature_dataset
 from dfaf.model import ModelConfig, build_model, predict
@@ -47,10 +48,22 @@ def random_stack_inputs(rng):
     order = str(rng.choice(ORDERS))
     attention_type = str(rng.choice(ATTENTION_TYPES))
     scale = 10.0 ** float(rng.uniform(-2, 2))
-    stack = init_dfaf_stack(dim, heads, n_blocks, rng, order, attention_type)
+    blocks = [init_dfaf_block(dim, attention_type, rng) for _ in range(n_blocks)]
     r = Tensor(scale * rng.standard_normal((mu, dim)))
     e = Tensor(scale * rng.standard_normal((length, dim)))
-    return stack, r, e
+    return (blocks, heads, order, VARIANTS[attention_type].dynamic), r, e
+
+
+def stack_forward(r, e, stack, records=None):
+    """Run ``stack`` (blocks and their switches) the way the model walks its
+    blocks, appending one record per block when ``records`` is a list."""
+    blocks, heads, order, dynamic = stack
+    for block in blocks:
+        record = None if records is None else AttentionRecord()
+        r, e = dfaf_block_forward(r, e, block, heads, order, dynamic, record)
+        if records is not None:
+            records.append(record)
+    return r, e
 
 
 # --------------------------------------------------------------------------
@@ -92,7 +105,7 @@ def test_criterion_02_attention_rows_normalized():
     for _ in range(1000):
         stack, r, e = random_stack_inputs(rng)
         records: list[AttentionRecord] = []
-        dfaf_stack_forward(r, e, stack, records)
+        stack_forward(r, e, stack, records)
         for record in records:
             for name, head, matrix in record.matrices():
                 assert np.all(matrix >= 0.0), (name, head)
@@ -134,9 +147,9 @@ def test_criterion_03_region_permutation_symmetry():
 
         # Per-module: outputs permute with the rows, words untouched.
         stack, r, e = random_stack_inputs(rng)
-        r2, e2 = dfaf_stack_forward(r, e, stack)
+        r2, e2 = stack_forward(r, e, stack)
         perm = rng.permutation(r.shape[0])
-        r2p, e2p = dfaf_stack_forward(Tensor(r.data[perm]), e, stack)
+        r2p, e2p = stack_forward(Tensor(r.data[perm]), e, stack)
         assert np.max(np.abs(r2p.data - r2.data[perm])) <= 1e-12
         assert np.max(np.abs(e2p.data - e2.data)) <= 1e-12
 
@@ -159,21 +172,19 @@ def test_criterion_04_dynamic_gating_dataflow():
         e = Tensor(rng.standard_normal((length, dim)))
         e_other = Tensor(rng.standard_normal((length, dim)))
 
-        def region_attention(params):
+        def region_attention(params, dynamic):
             record = AttentionRecord()
-            dyintra_maf_forward(r, e, params, heads, record)
+            dyintra_maf_forward(r, e, params, heads, dynamic, record)
             base = [w.copy() for w in record.intra_r]
             record2 = AttentionRecord()
-            dyintra_maf_forward(r, e_other, params, heads, record2)
+            dyintra_maf_forward(r, e_other, params, heads, dynamic, record2)
             return base, record2.intra_r
 
-        dynamic = init_dyintra_maf(dim, rng, dynamic=True)
-        before, after = region_attention(dynamic)
+        before, after = region_attention(init_dyintra_maf(dim, rng), True)
         if any(not np.array_equal(b, a) for b, a in zip(before, after)):
             dynamic_changed += 1
 
-        naive = init_dyintra_maf(dim, rng, dynamic=False)
-        before, after = region_attention(naive)
+        before, after = region_attention(init_dyintra_maf(dim, rng), False)
         if all(np.array_equal(b, a) for b, a in zip(before, after)):
             naive_identical += 1
 
@@ -307,7 +318,7 @@ def test_criterion_10_full_width_shape_conformance():
         dim=512, heads=8, n_blocks=1, hidden=512, d_v=2048, d_w=1280, n_answers=10
     )
     model = build_model(config, rng)
-    assert model.stack[0].head_dim == 64
+    assert model.config.dim // model.config.heads == 64
 
     mu, length = 100, 14
     raw_r = Tensor(rng.standard_normal((mu, 2048)))
@@ -331,6 +342,6 @@ def test_criterion_10_full_width_shape_conformance():
     from dfaf.model import embed_inputs
 
     r, e = embed_inputs(raw_r, raw_e, model)
-    r2, e2 = dfaf_stack_forward(r, e, model.stack)
+    r2, e2 = stack_forward(r, e, (model.stack, 8, config.order, True))
     assert r2.shape == (mu, 512)
     assert e2.shape == (length, 512)

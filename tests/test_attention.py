@@ -1,6 +1,5 @@
 """Attention flow: composition oracles, symmetry, gating dataflow, heads."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dfaf import attention as A
+from dfaf import model as M
 from dfaf import tensor as T
 from dfaf.tensor import GradTape, ShapeError, Tensor, backward
 
@@ -67,10 +67,10 @@ def inter_oracle(r, e, p, heads, order):
     return r_new, upd_e(np_linear(p.region_qkv.key, r_new), np_linear(p.region_qkv.value, r_new))
 
 
-def dyintra_oracle(r, e, p, heads):
+def dyintra_oracle(r, e, p, heads, dynamic):
     rq, rk, rv = np_qkv(p.region_qkv, r)
     eq, ek, ev = np_qkv(p.word_qkv, e)
-    if p.dynamic:
+    if dynamic:
         gate_r = np_sigmoid(np_linear(p.gate_from_words, e.mean(axis=0)))
         gate_e = np_sigmoid(np_linear(p.gate_from_regions, r.mean(axis=0)))
         rq, rk = rq * (1 + gate_r), rk * (1 + gate_r)
@@ -508,10 +508,10 @@ class TestDyIntraMaf:
     @pytest.mark.parametrize("heads", [1, 2])
     def test_matches_composition_oracle(self, dynamic, heads):
         rng = np.random.default_rng(15)
-        p = A.init_dyintra_maf(8, rng, dynamic=dynamic)
+        p = A.init_dyintra_maf(8, rng)
         r, e = rand_re(rng, dim=8)
-        r_new, e_new = A.dyintra_maf_forward(r, e, p, heads=heads)
-        er, ee = dyintra_oracle(r.data, e.data, p, heads)
+        r_new, e_new = A.dyintra_maf_forward(r, e, p, heads=heads, dynamic=dynamic)
+        er, ee = dyintra_oracle(r.data, e.data, p, heads, dynamic)
         assert np.max(np.abs(r_new.numpy() - er)) < 1e-10
         assert np.max(np.abs(e_new.numpy() - ee)) < 1e-10
 
@@ -526,32 +526,32 @@ class TestDyIntraMaf:
             gate_from_words=ident(),
             region_out=ident(),
             word_out=ident(),
-            dynamic=True,
         )
         r = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
         e = Tensor(np.array([[2.0, -1.0]]))
-        r_new, e_new = A.dyintra_maf_forward(r, e, p)
-        er, ee = dyintra_oracle(r.data, e.data, p, 1)
+        r_new, e_new = A.dyintra_maf_forward(r, e, p, dynamic=True)
+        er, ee = dyintra_oracle(r.data, e.data, p, 1, True)
         assert np.max(np.abs(r_new.numpy() - er)) < 1e-10
         assert np.max(np.abs(e_new.numpy() - ee)) < 1e-10
 
     def test_word_perturbation_changes_dynamic_region_attention(self):
         rng = np.random.default_rng(16)
-        p = A.init_dyintra_maf(8, rng, dynamic=True)
+        p = A.init_dyintra_maf(8, rng)
         r, e = rand_re(rng, dim=8)
         rec1, rec2 = A.AttentionRecord(), A.AttentionRecord()
-        A.dyintra_maf_forward(r, e, p, record=rec1)
+        A.dyintra_maf_forward(r, e, p, dynamic=True, record=rec1)
         e2 = Tensor(e.data + rng.standard_normal(e.shape) * 0.1)
-        A.dyintra_maf_forward(r, e2, p, record=rec2)
+        A.dyintra_maf_forward(r, e2, p, dynamic=True, record=rec2)
         assert not np.array_equal(rec1.intra_r[0], rec2.intra_r[0])
 
     def test_naive_region_attention_ignores_words_bitwise(self):
         rng = np.random.default_rng(17)
-        p = A.init_dyintra_maf(8, rng, dynamic=False)
+        p = A.init_dyintra_maf(8, rng)
         r, e = rand_re(rng, dim=8)
         rec1, rec2 = A.AttentionRecord(), A.AttentionRecord()
-        A.dyintra_maf_forward(r, e, p, record=rec1)
-        A.dyintra_maf_forward(r, Tensor(rng.standard_normal(e.shape) * 9), p, record=rec2)
+        A.dyintra_maf_forward(r, e, p, dynamic=False, record=rec1)
+        e2 = Tensor(rng.standard_normal(e.shape) * 9)
+        A.dyintra_maf_forward(r, e2, p, dynamic=False, record=rec2)
         assert np.array_equal(rec1.intra_r[0], rec2.intra_r[0])
         assert rec1.gate_on_regions is None and rec1.gate_on_words is None
 
@@ -559,24 +559,15 @@ class TestDyIntraMaf:
         # Gates fixed at sigmoid(0)=0.5 scale every q/k channel by 1.5: the
         # per-row attention argmax must match the ungated variant.
         rng = np.random.default_rng(18)
-        p = A.init_dyintra_maf(8, rng, dynamic=True)
+        p = A.init_dyintra_maf(8, rng)
         p.gate_from_words.weight.data[:] = 0.0
         p.gate_from_words.bias.data[:] = 0.0
         p.gate_from_regions.weight.data[:] = 0.0
         p.gate_from_regions.bias.data[:] = 0.0
-        naive = A.DyIntraMafParams(
-            region_qkv=p.region_qkv,
-            word_qkv=p.word_qkv,
-            gate_from_regions=p.gate_from_regions,
-            gate_from_words=p.gate_from_words,
-            region_out=p.region_out,
-            word_out=p.word_out,
-            dynamic=False,
-        )
         r, e = rand_re(rng, mu=6, length=4, dim=8)
         rec_d, rec_n = A.AttentionRecord(), A.AttentionRecord()
-        A.dyintra_maf_forward(r, e, p, record=rec_d)
-        A.dyintra_maf_forward(r, e, naive, record=rec_n)
+        A.dyintra_maf_forward(r, e, p, dynamic=True, record=rec_d)
+        A.dyintra_maf_forward(r, e, p, dynamic=False, record=rec_n)
         assert np.array_equal(
             rec_d.intra_r[0].argmax(axis=-1), rec_n.intra_r[0].argmax(axis=-1)
         )
@@ -590,37 +581,43 @@ class TestDyIntraMaf:
         # gates, so dynamic and naive variants agree exactly: any difference
         # would have to enter through gated values, which must not exist.
         rng = np.random.default_rng(19)
-        p_dyn = A.init_dyintra_maf(8, rng, dynamic=True)
-        for qkv in (p_dyn.region_qkv, p_dyn.word_qkv):
+        p = A.init_dyintra_maf(8, rng)
+        for qkv in (p.region_qkv, p.word_qkv):
             qkv.query.weight.data[:] = 0.0
             qkv.query.bias.data[:] = 0.0
             qkv.key.weight.data[:] = 0.0
             qkv.key.bias.data[:] = 0.0
         r, e = rand_re(rng, dim=8)
-        r_dyn, e_dyn = A.dyintra_maf_forward(r, e, p_dyn)
-        p_dyn.dynamic = False
-        r_nv, e_nv = A.dyintra_maf_forward(r, e, p_dyn)
+        r_dyn, e_dyn = A.dyintra_maf_forward(r, e, p, dynamic=True)
+        r_nv, e_nv = A.dyintra_maf_forward(r, e, p, dynamic=False)
         assert np.array_equal(r_dyn.numpy(), r_nv.numpy())
         assert np.array_equal(e_dyn.numpy(), e_nv.numpy())
 
     def test_batched_matches_per_slice(self):
         rng = np.random.default_rng(20)
-        p = A.init_dyintra_maf(8, rng, dynamic=True)
+        p = A.init_dyintra_maf(8, rng)
         r, e = rand_re(rng, mu=4, length=3, dim=8, batch=2)
-        r_new, e_new = A.dyintra_maf_forward(r, e, p, heads=2)
+        r_new, e_new = A.dyintra_maf_forward(r, e, p, heads=2, dynamic=True)
         for i in range(2):
-            ri, ei = A.dyintra_maf_forward(Tensor(r.data[i]), Tensor(e.data[i]), p, heads=2)
+            ri, ei = A.dyintra_maf_forward(
+                Tensor(r.data[i]), Tensor(e.data[i]), p, heads=2, dynamic=True
+            )
             assert np.max(np.abs(r_new.numpy()[i] - ri.numpy())) < 1e-12
             assert np.max(np.abs(e_new.numpy()[i] - ei.numpy())) < 1e-12
+
+
+def full_block_forward(r, e, block, heads, **kw):
+    """A full block's forward with the model's default order."""
+    return A.dfaf_block_forward(r, e, block, heads, "r_then_e", True, **kw)
 
 
 class TestDfafBlock:
     def test_paper_scale_shapes_preserved(self):
         rng = np.random.default_rng(21)
-        block = A.init_dfaf_block(512, 8, rng)
+        block = A.init_dfaf_block(512, "full", rng)
         r, e = rand_re(rng, mu=100, length=14, dim=512)
         rec = A.AttentionRecord()
-        r_new, e_new = A.dfaf_block_forward(r, e, block, record=rec)
+        r_new, e_new = full_block_forward(r, e, block, 8, record=rec)
         assert r_new.shape == (100, 512) and e_new.shape == (14, 512)
         assert all(w.shape == (100, 14) for w in rec.inter_r_from_e)
         assert all(w.shape == (14, 100) for w in rec.inter_e_from_r)
@@ -630,33 +627,34 @@ class TestDfafBlock:
 
     def test_region_permutation_equivariance(self):
         rng = np.random.default_rng(22)
-        block = A.init_dfaf_block(8, 2, rng)
+        block = A.init_dfaf_block(8, "full", rng)
         r, e = rand_re(rng, mu=7, length=4, dim=8)
         perm = rng.permutation(7)
-        r_new, e_new = A.dfaf_block_forward(r, e, block)
-        r_p, e_p = A.dfaf_block_forward(Tensor(r.data[perm]), e, block)
+        r_new, e_new = full_block_forward(r, e, block, 2)
+        r_p, e_p = full_block_forward(Tensor(r.data[perm]), e, block, 2)
         assert np.max(np.abs(r_p.numpy() - r_new.numpy()[perm])) < 1e-12
         assert np.max(np.abs(e_p.numpy() - e_new.numpy())) < 1e-12
 
     def test_word_permutation_equivariance(self):
         rng = np.random.default_rng(23)
-        block = A.init_dfaf_block(8, 2, rng)
+        block = A.init_dfaf_block(8, "full", rng)
         r, e = rand_re(rng, mu=4, length=5, dim=8)
         perm = rng.permutation(5)
-        r_new, e_new = A.dfaf_block_forward(r, e, block)
-        r_p, e_p = A.dfaf_block_forward(r, Tensor(e.data[perm]), block)
+        r_new, e_new = full_block_forward(r, e, block, 2)
+        r_p, e_p = full_block_forward(r, Tensor(e.data[perm]), block, 2)
         assert np.max(np.abs(e_p.numpy() - e_new.numpy()[perm])) < 1e-12
         assert np.max(np.abs(r_p.numpy() - r_new.numpy())) < 1e-12
 
     @pytest.mark.parametrize("attention_type", A.ATTENTION_TYPES)
     def test_every_parameter_gradient_matches_finite_differences(self, attention_type):
         rng = np.random.default_rng(24)
-        block = A.init_dfaf_block(8, 2, rng, attention_type=attention_type)
+        block = A.init_dfaf_block(8, attention_type, rng)
+        dynamic = A.VARIANTS[attention_type].dynamic
         r, e = rand_re(rng, mu=3, length=2, dim=8)
         weights = rng.standard_normal((3, 8)), rng.standard_normal((2, 8))
 
         with GradTape() as tape:
-            r_new, e_new = A.dfaf_block_forward(r, e, block)
+            r_new, e_new = A.dfaf_block_forward(r, e, block, 2, "r_then_e", dynamic)
             loss = T.add(
                 T.sum_all(T.mul(r_new, Tensor(weights[0]))),
                 T.sum_all(T.mul(e_new, Tensor(weights[1]))),
@@ -667,7 +665,7 @@ class TestDfafBlock:
         params = [p for _, p in block.named_parameters()]
 
         def f(ps):
-            rn, en = A.dfaf_block_forward(r, e, block)
+            rn, en = A.dfaf_block_forward(r, e, block, 2, "r_then_e", dynamic)
             return float((rn.data * weights[0]).sum() + (en.data * weights[1]).sum())
 
         fd = T.finite_diff_gradient(f, params)
@@ -678,44 +676,63 @@ class TestDfafBlock:
 
     def test_width_mismatch_rejected(self):
         rng = np.random.default_rng(25)
-        block = A.init_dfaf_block(8, 2, rng)
+        block = A.init_dfaf_block(8, "full", rng)
         with pytest.raises(ShapeError, match="width 8"):
-            A.dfaf_block_forward(Tensor(np.ones((3, 6))), Tensor(np.ones((2, 8))), block)
+            full_block_forward(Tensor(np.ones((3, 6))), Tensor(np.ones((2, 8))), block, 2)
 
     def test_attention_type_roundtrip(self):
+        # Each type has its own table row, so the row names the type, and
+        # the block built for it has exactly the halves the row says.
         rng = np.random.default_rng(26)
+        by_variant = {v: kind for kind, v in A.VARIANTS.items()}
         for kind in A.ATTENTION_TYPES:
-            block = A.init_dfaf_block(8, 2, rng, attention_type=kind)
-            assert block.attention_type == kind
+            assert by_variant[A.VARIANTS[kind]] == kind
+            block = A.init_dfaf_block(8, kind, rng)
+            halves = (block.inter is not None, block.intra is not None)
+            assert halves == (A.VARIANTS[kind].inter, A.VARIANTS[kind].intra)
 
     def test_train_mode_dropout_changes_outputs_eval_does_not(self):
         rng = np.random.default_rng(27)
-        block = A.init_dfaf_block(8, 1, rng)
+        block = A.init_dfaf_block(8, "full", rng)
         r, e = rand_re(rng, dim=8)
         ctx = A.ForwardContext(0.5, np.random.default_rng(0))
-        r_tr, _ = A.dfaf_block_forward(r, e, block, ctx=ctx)
-        r_ev1, _ = A.dfaf_block_forward(r, e, block)
-        r_ev2, _ = A.dfaf_block_forward(r, e, block)
+        r_tr, _ = full_block_forward(r, e, block, 1, ctx=ctx)
+        r_ev1, _ = full_block_forward(r, e, block, 1)
+        r_ev2, _ = full_block_forward(r, e, block, 1)
         assert not np.allclose(r_tr.numpy(), r_ev1.numpy())
         assert np.array_equal(r_ev1.numpy(), r_ev2.numpy())
 
 
+def stack_model(rng, heads, n_blocks, attention_type="full"):
+    """A width-8 model whose embeddings are identities, so its blocks see
+    the raw inputs bit for bit, batched or not."""
+    config = M.ModelConfig(
+        dim=8, heads=heads, n_blocks=n_blocks, hidden=16, d_v=8, d_w=8,
+        attention_type=attention_type,
+    )
+    model = M.build_model(config, rng)
+    for layer in (model.region_embed, model.word_embed):
+        layer.weight.data = np.eye(8)
+        layer.bias.data[:] = 0.0
+    return model
+
+
 class TestDfafStack:
+    """The model's walk over its blocks, one record per block."""
+
     def test_single_block_stack_equals_block(self):
         rng = np.random.default_rng(28)
-        block = A.init_dfaf_block(8, 2, rng)
-        r, e = rand_re(rng, dim=8)
-        r_s, e_s = A.dfaf_stack_forward(r, e, [block])
-        r_b, e_b = A.dfaf_block_forward(r, e, block)
-        assert np.array_equal(r_s.numpy(), r_b.numpy())
-        assert np.array_equal(e_s.numpy(), e_b.numpy())
+        model = stack_model(rng, 2, 1)
+        raw_r, raw_e = rand_re(rng, dim=8)
+        r, e = M.embed_inputs(raw_r, raw_e, model)
+        r_b, e_b = full_block_forward(r, e, model.stack[0], 2)
+        by_block = M.fuse_and_classify(r_b, e_b, model).logits
+        assert np.array_equal(M.forward(raw_r, raw_e, model).logits.numpy(), by_block.numpy())
 
     def test_records_one_per_block_rows_normalized(self):
         rng = np.random.default_rng(29)
-        blocks = A.init_dfaf_stack(8, 2, 3, rng)
-        r, e = rand_re(rng, dim=8)
-        records = []
-        A.dfaf_stack_forward(r, e, blocks, records=records)
+        model = stack_model(rng, 2, 3)
+        records = M.predict(*rand_re(rng, dim=8), model, record=True).records
         assert len(records) == 3
         for rec in records:
             seen = 0
@@ -730,13 +747,11 @@ class TestDfafStack:
     @pytest.mark.parametrize("heads", [1, 2])
     def test_batched_records_equal_unbatched_bitwise(self, heads):
         rng = np.random.default_rng(31)
-        blocks = A.init_dfaf_stack(8, heads, 2, rng)
+        model = stack_model(rng, heads, 2)
         r, e = rand_re(rng, mu=4, length=3, dim=8, batch=3)
-        batched = []
-        A.dfaf_stack_forward(r, e, blocks, records=batched)
+        batched = M.predict(r, e, model, record=True).records
         for i in range(3):
-            single = []
-            A.dfaf_stack_forward(Tensor(r.data[i]), Tensor(e.data[i]), blocks, records=single)
+            single = M.predict(Tensor(r.data[i]), Tensor(e.data[i]), model, record=True).records
             for rec_b, rec_1 in zip(batched, single):
                 got = list(rec_b.matrices())
                 want = list(rec_1.matrices())
@@ -750,16 +765,15 @@ class TestDfafStack:
     @pytest.mark.parametrize("batch", [None, 3])
     def test_gates_disabled_equals_naive_module_record_bitwise(self, heads, batch):
         rng = np.random.default_rng(32)
-        blocks = A.init_dfaf_stack(8, heads, 2, rng, attention_type="dyintra_only")
-        r, e = rand_re(rng, mu=4, length=3, dim=8, batch=batch)
-        records = []
-        A.dfaf_stack_forward(r, e, blocks, records=records)
-        for block, rec in zip(blocks, records):
+        model = stack_model(rng, heads, 2, "dyintra_only")
+        raw_r, raw_e = rand_re(rng, mu=4, length=3, dim=8, batch=batch)
+        records = M.predict(raw_r, raw_e, model, record=True).records
+        r, e = M.embed_inputs(raw_r, raw_e, model)
+        for block, rec in zip(model.stack, records):
             naive = A.AttentionRecord()
             # the naive module sees what the dynamic one saw: the prior block's output
-            A.dyintra_maf_forward(r, e, dataclasses.replace(block.intra, dynamic=False),
-                                  heads, naive)
-            r, e = A.dfaf_block_forward(r, e, block)
+            A.dyintra_maf_forward(r, e, block.intra, heads, False, naive)
+            r, e = A.dfaf_block_forward(r, e, block, heads, "r_then_e", True)
             for got, want in ((rec.intra_r_gates_disabled, naive.intra_r),
                               (rec.intra_e_gates_disabled, naive.intra_e)):
                 assert len(got) == len(want) == heads
@@ -769,20 +783,22 @@ class TestDfafStack:
     @pytest.mark.parametrize("attention_type", ["intra_only", "inter_only"])
     def test_static_blocks_record_no_gates_disabled(self, attention_type):
         rng = np.random.default_rng(33)
-        blocks = A.init_dfaf_stack(8, 2, 2, rng, attention_type=attention_type)
-        records = []
-        A.dfaf_stack_forward(*rand_re(rng, dim=8), blocks, records=records)
+        model = stack_model(rng, 2, 2, attention_type)
+        records = M.predict(*rand_re(rng, dim=8), model, record=True).records
+        assert len(records) == 2
         for rec in records:
             assert rec.intra_r_gates_disabled == [] and rec.intra_e_gates_disabled == []
 
     def test_deep_stack_survives_sgd_steps(self):
         rng = np.random.default_rng(30)
-        blocks = A.init_dfaf_stack(8, 2, 8, rng)
+        blocks = [A.init_dfaf_block(8, "full", rng) for _ in range(8)]
         params = [p for b in blocks for _, p in b.named_parameters()]
         r, e = rand_re(rng, mu=4, length=3, dim=8)
         for _ in range(100):
             with GradTape() as tape:
-                r_new, e_new = A.dfaf_stack_forward(r, e, blocks)
+                r_new, e_new = r, e
+                for block in blocks:
+                    r_new, e_new = full_block_forward(r_new, e_new, block, 2)
                 loss = T.add(
                     T.sum_all(T.mul(r_new, r_new)), T.sum_all(T.mul(e_new, e_new))
                 )
@@ -796,21 +812,11 @@ class TestDfafStack:
                     p.data -= 1e-3 * p.grad
         assert math.isfinite(loss.item())
 
-    def test_empty_stack_rejected(self):
-        with pytest.raises(ValueError):
-            A.dfaf_stack_forward(Tensor(np.ones((2, 4))), Tensor(np.ones((2, 4))), [])
-
-    def test_mixed_width_stack_rejected(self):
-        rng = np.random.default_rng(31)
-        blocks = [A.init_dfaf_block(8, 2, rng), A.init_dfaf_block(4, 2, rng)]
-        with pytest.raises(ShapeError):
-            A.dfaf_stack_forward(Tensor(np.ones((2, 8))), Tensor(np.ones((2, 8))), blocks)
-
 
 class TestBuilders:
     def test_parameter_names_are_stable_and_unique(self):
         rng = np.random.default_rng(32)
-        block = A.init_dfaf_block(8, 2, rng)
+        block = A.init_dfaf_block(8, "full", rng)
         names = [n for n, _ in block.named_parameters()]
         assert len(names) == len(set(names))
         assert "inter.region_qkv.query.weight" in names
@@ -818,17 +824,19 @@ class TestBuilders:
         # full block: inter has 8 layers, intra has 10, two tensors each
         assert len(names) == (8 + 10) * 2
 
+    # The switches are checked once, by the config every model is built from.
+
     def test_head_dim_invariant_enforced(self):
         rng = np.random.default_rng(33)
         with pytest.raises(ShapeError):
-            A.init_dfaf_block(8, 3, rng)
+            M.build_model(M.ModelConfig(dim=8, heads=3), rng)
 
     def test_bad_attention_type_rejected(self):
         rng = np.random.default_rng(34)
         with pytest.raises(ValueError, match="attention_type"):
-            A.init_dfaf_block(8, 2, rng, attention_type="extra_only")
+            M.build_model(M.ModelConfig(dim=8, heads=2, attention_type="extra_only"), rng)
 
     def test_bad_order_rejected(self):
         rng = np.random.default_rng(35)
         with pytest.raises(ValueError, match="order"):
-            A.init_dfaf_block(8, 2, rng, order="sideways")
+            M.build_model(M.ModelConfig(dim=8, heads=2, order="sideways"), rng)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from conftest import run_cli
 
-from dfaf.checkpoint import load_checkpoint
+from dfaf.checkpoint import load_checkpoint, save_checkpoint
 from dfaf.cli import main
 from dfaf.data import read_feature_file
 from dfaf.model import ModelConfig, build_model, predict
@@ -336,6 +336,27 @@ class TestInspect:
         proc = run_cli(["inspect", *TINY, "ckpt.bin", "data.bin", "9999", "x.json"], root)
         assert proc.returncode == 3
         assert "out of range" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "ckpt_answers, templates, data_answers",
+        [(11, "existence", 2), (2, "attribute,relational,existence,counting", 11)],
+    )
+    def test_answer_count_mismatch_exits_3(self, tmp_path, ckpt_answers, templates, data_answers):
+        # The checks eval makes: an answer index past the head, or answer
+        # names from a table the model was never trained on.
+        gen = run_cli(["gen-data", "--set", f"templates={templates}",
+                       "--set", "n_instances=4", "data.bin"], tmp_path)
+        assert gen.returncode == 0, gen.stderr
+        config = ModelConfig(dim=8, heads=2, hidden=8, d_v=64, d_w=32, n_answers=ckpt_answers)
+        save_checkpoint(str(tmp_path / "ckpt.bin"),
+                        build_model(config, np.random.default_rng(0)), config)
+        proc = run_cli(["inspect", "ckpt.bin", "data.bin", "0", "x.json"], tmp_path)
+        assert proc.returncode == 3
+        assert proc.stderr.splitlines() == [
+            f"data error: checkpoint answer head has {ckpt_answers} entries, "
+            f"data file has {data_answers}"
+        ]
+        assert not (tmp_path / "x.json").exists()
 
     def test_dynamic_differs_across_questions_but_disabled_recomputation_matches(self):
         # Same regions, two different questions: the dynamic weights must

@@ -9,18 +9,25 @@ generated files pin the generator's draws as well: a small default dataset,
 one on a non-default grid and two noisy ones must come out byte for byte the
 same.
 
+Eval logits are pinned for every attention type, order and fusion: a
+2-block model per combination, from a seeded build, scores
+``golden_dataset()`` as one batch and one instance at a time. They pin
+which switch each forward reads, as the checkpoint pins cannot.
+
 Two trained checkpoints pin a whole train run: the default run config for
 2 epochs (dropout 0.1), saved with its Adamax trailer, once per clip mode.
-Float arithmetic makes those digests specific to the numpy and OpenBLAS
-build they were computed with (numpy 2.4.6, scipy-openblas 0.3.31): they pin
-that build's training bytes, and another build of either library may move
-them without a fault in the code.
+Float arithmetic makes those digests and the logits digests specific to the
+numpy and OpenBLAS build they were computed with (numpy 2.4.6,
+scipy-openblas 0.3.31): they pin that build's bytes, and another build of
+either library may move them without a fault in the code.
 """
 
 import hashlib
+import itertools
 
 import numpy as np
 
+from dfaf.attention import ATTENTION_TYPES, ORDERS
 from dfaf.checkpoint import load_checkpoint, save_checkpoint
 from dfaf.config import RunConfig, sub_config
 from dfaf.data import (
@@ -30,7 +37,8 @@ from dfaf.data import (
     read_feature_file,
     write_feature_file,
 )
-from dfaf.model import ModelConfig, build_model
+from dfaf.model import FUSIONS, ModelConfig, build_model, predict
+from dfaf.tensor import Tensor
 from dfaf.training import TrainConfig, train
 
 FEATURE_SHA256 = "1970e1ae1763c2b3c1227f9fc9369445d88e2951ebdf1e0972cb6423c44832dc"
@@ -71,6 +79,46 @@ TRAINED_CASES = {
     "per_value": "168ba4d81838992c114ac034942553731879fca77e90b5d7de59627cd92051bc",
 }
 
+# Eval logits per (attention_type, order, fusion); see logits_digest.
+LOGITS_CASES = {
+    ('full', 'parallel', 'multiply'): "b65a4c5c224a0697835630186b8a8c0c8e707ab2640a463d4217dc81b6d8b40a",
+    ('full', 'parallel', 'add'): "386a17df23fb5522a45e47d0c34d0c21896a95313659aec96a53662b623fe345",
+    ('full', 'parallel', 'concat'): "f0976abc845a835d7839f119a8ed7aac3b873c15a7385c6f8f9d70fef7e4caca",
+    ('full', 'r_then_e', 'multiply'): "35f50fbcc8e40d1b5e2550bf1635bc1b20d316d2dce243ec188c4e093618cb87",
+    ('full', 'r_then_e', 'add'): "98c908ed71c85443a79124e43f30d72645efc4405ee3eb3615e4840db44764d2",
+    ('full', 'r_then_e', 'concat'): "874c5661d5969442fd605f49b865079b970637773da371ecb43f5d8cd2f9c6f3",
+    ('full', 'e_then_r', 'multiply'): "ec616503ce69748dd7320ed5fd0f1344487939dad81436d40bbb2e85aee25f4f",
+    ('full', 'e_then_r', 'add'): "bd9fcb29b81f5cc52ae863ded4dbd991fb622b2cf01fcc38dfa908d953e327a0",
+    ('full', 'e_then_r', 'concat'): "93a49679c1c8d4acbb3e794924da171ce9b3be3ce5143c9c6802d31f6943a1b3",
+    ('inter_only', 'parallel', 'multiply'): "ed6cdd4f9df252f8942cf427ca39cd9ef048010548b881e745e73c887e3b59f1",
+    ('inter_only', 'parallel', 'add'): "145c811da66e6053790cb3f9675cd32afa9b2ab8bdc799524a7b0587fda0589e",
+    ('inter_only', 'parallel', 'concat'): "9493ad0a32be3de2d471c6eaedea2764f23b5080b1a9e7bb6886027156c4e830",
+    ('inter_only', 'r_then_e', 'multiply'): "701f1f6e44f6d97ae2c97c0bb945185182d524e9e45ceca45edbc990f39c619d",
+    ('inter_only', 'r_then_e', 'add'): "7e531c9f75f7dea6b346296f8c6689b5a8f299b7d28b3ce0be9d554fce449a0c",
+    ('inter_only', 'r_then_e', 'concat'): "6902dee9e9547ef716fd7d9da707cc9324a4d0b517c24193ad15e469273e968c",
+    ('inter_only', 'e_then_r', 'multiply'): "82061d2ea16b219195050b91316647f96d3d944eb00a59d3148d19d3b0b706cb",
+    ('inter_only', 'e_then_r', 'add'): "2d3e449848b9c6f75786590cb693bd687cc947a927da9f6f8a4de27bbfd1a009",
+    ('inter_only', 'e_then_r', 'concat'): "c5febb35d8b397357f5102affd52e1ad1e04936b17b404a81919fe30bb7914ab",
+    ('intra_only', 'parallel', 'multiply'): "e2a501327bbd5d67588409327e04fca60781b9d7da815c8768762ea2d37c0d7a",
+    ('intra_only', 'parallel', 'add'): "aaaf8ba06e066dd7cb8348114fd21ec0dd04456b970c3db2c7d156a92999ebc7",
+    ('intra_only', 'parallel', 'concat'): "28399e072217848068f71854ef01218b5f597354a9c4f9243817291d208df714",
+    ('intra_only', 'r_then_e', 'multiply'): "e2a501327bbd5d67588409327e04fca60781b9d7da815c8768762ea2d37c0d7a",
+    ('intra_only', 'r_then_e', 'add'): "aaaf8ba06e066dd7cb8348114fd21ec0dd04456b970c3db2c7d156a92999ebc7",
+    ('intra_only', 'r_then_e', 'concat'): "28399e072217848068f71854ef01218b5f597354a9c4f9243817291d208df714",
+    ('intra_only', 'e_then_r', 'multiply'): "e2a501327bbd5d67588409327e04fca60781b9d7da815c8768762ea2d37c0d7a",
+    ('intra_only', 'e_then_r', 'add'): "aaaf8ba06e066dd7cb8348114fd21ec0dd04456b970c3db2c7d156a92999ebc7",
+    ('intra_only', 'e_then_r', 'concat'): "28399e072217848068f71854ef01218b5f597354a9c4f9243817291d208df714",
+    ('dyintra_only', 'parallel', 'multiply'): "3e27905d38af9b498412050805fee5a175f14489e26ea016d19918d984bf440f",
+    ('dyintra_only', 'parallel', 'add'): "d809a3705053892a99d170bad9465952613c95e9a828dac014afc9d81c79eb8f",
+    ('dyintra_only', 'parallel', 'concat'): "fe446d7ac60221cc7c51d9054fca37f7fedbe7cdedbf6a95949a2d17937af916",
+    ('dyintra_only', 'r_then_e', 'multiply'): "3e27905d38af9b498412050805fee5a175f14489e26ea016d19918d984bf440f",
+    ('dyintra_only', 'r_then_e', 'add'): "d809a3705053892a99d170bad9465952613c95e9a828dac014afc9d81c79eb8f",
+    ('dyintra_only', 'r_then_e', 'concat'): "fe446d7ac60221cc7c51d9054fca37f7fedbe7cdedbf6a95949a2d17937af916",
+    ('dyintra_only', 'e_then_r', 'multiply'): "3e27905d38af9b498412050805fee5a175f14489e26ea016d19918d984bf440f",
+    ('dyintra_only', 'e_then_r', 'add'): "d809a3705053892a99d170bad9465952613c95e9a828dac014afc9d81c79eb8f",
+    ('dyintra_only', 'e_then_r', 'concat'): "fe446d7ac60221cc7c51d9054fca37f7fedbe7cdedbf6a95949a2d17937af916",
+}
+
 
 def sha256_of(path) -> str:
     with open(path, "rb") as fh:
@@ -101,6 +149,23 @@ def golden_model(attention_type="full", n_blocks=1):
     moments = [np.full(t.shape, 0.5 * i) for i, (_, t) in enumerate(named)]
     inf_norms = [np.arange(t.size, dtype=np.float64).reshape(t.shape) for _, t in named]
     return params, config, (7, moments, inf_norms)
+
+
+def logits_digest(attention_type: str, order: str, fusion: str) -> str:
+    """SHA-256 of a seeded 2-block model's eval logits on golden_dataset(),
+    batched, then per instance (BLAS may round the two differently)."""
+    config = ModelConfig(
+        dim=4, heads=2, n_blocks=2, hidden=3, d_v=5, d_w=3, n_answers=3,
+        fusion=fusion, order=order, attention_type=attention_type,
+    )
+    params = build_model(config, np.random.default_rng(0))
+    ds = golden_dataset()
+    batched = predict(Tensor(ds.regions), Tensor(ds.tokens), params).logits.data
+    single = np.stack([
+        predict(Tensor(r), Tensor(t), params).logits.data
+        for r, t in zip(ds.regions, ds.tokens)
+    ])
+    return hashlib.sha256(batched.tobytes() + single.tobytes()).hexdigest()
 
 
 def test_feature_file_bytes_are_pinned(tmp_path):
@@ -150,3 +215,10 @@ def test_trained_checkpoint_bytes_are_pinned(tmp_path):
         path = tmp_path / f"{clip_mode}.ckpt"
         save_checkpoint(str(path), params, config, state.as_checkpoint_trailer())
         assert sha256_of(path) == digest, clip_mode
+
+
+def test_eval_logits_are_pinned_for_every_switch():
+    cases = list(itertools.product(ATTENTION_TYPES, ORDERS, FUSIONS))
+    assert sorted(LOGITS_CASES) == sorted(cases)
+    for case in cases:
+        assert logits_digest(*case) == LOGITS_CASES[case], case

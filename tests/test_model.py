@@ -1,5 +1,6 @@
 """End-to-end model: embedding, fusion head, loss, predict, checkpoints."""
 
+import dataclasses
 import math
 import os
 from dataclasses import fields
@@ -18,6 +19,7 @@ from dfaf.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
+from dfaf.attention import VARIANTS
 from dfaf.model import ModelConfig, Prediction, build_model
 from dfaf.tensor import GradTape, ShapeError, Tensor, backward
 
@@ -92,14 +94,7 @@ class TestFuseAndClassify:
         r = Tensor(rng.standard_normal((5, 8)))
         v = r.data.mean(axis=0)
         mul_pred = M.fuse_and_classify(r, Tensor(np.ones((2, 8))), p)
-        p_add = M.ModelParams(
-            region_embed=p.region_embed,
-            word_embed=p.word_embed,
-            stack=p.stack,
-            mlp_hidden=p.mlp_hidden,
-            mlp_out=p.mlp_out,
-            fusion="add",
-        )
+        p_add = dataclasses.replace(p, config=dataclasses.replace(cfg, fusion="add"))
         add_pred = M.fuse_and_classify(r, Tensor(np.zeros((2, 8))), p_add)
         alone = np.maximum(v @ p.mlp_hidden.weight.data + p.mlp_hidden.bias.data, 0)
         alone = alone @ p.mlp_out.weight.data + p.mlp_out.bias.data
@@ -296,6 +291,44 @@ class TestCheckpoint:
             assert n1 == n2
             assert np.array_equal(t1.data, t2.data)
 
+    def test_named_parameters_hold_weights_only(self):
+        # The same names, in the same order, as the checkpoint layout has
+        # always had; the config rides along without a tensor entry.
+        def linear(name):
+            return [f"{name}.weight", f"{name}.bias"]
+
+        def qkv(name):
+            return [n for part in ("query", "key", "value") for n in linear(f"{name}.{part}")]
+
+        expected = linear("region_embed") + linear("word_embed")
+        for i in range(2):
+            inter, intra = f"stack.{i}.inter", f"stack.{i}.intra"
+            expected += qkv(f"{inter}.region_qkv") + qkv(f"{inter}.word_qkv")
+            expected += linear(f"{inter}.region_out") + linear(f"{inter}.word_out")
+            expected += qkv(f"{intra}.region_qkv") + qkv(f"{intra}.word_qkv")
+            for layer in ("gate_from_regions", "gate_from_words", "region_out", "word_out"):
+                expected += linear(f"{intra}.{layer}")
+        expected += linear("mlp_hidden") + linear("mlp_out")
+        p = build_model(small_config(n_blocks=2, attention_type="full"), None)
+        names = [n for n, _ in p.named_parameters()]
+        assert names == expected
+        assert len(names) == 80
+        assert not any("config" in n for n in names)
+
+    def test_loaded_model_carries_the_loaded_config(self, tmp_path):
+        cfg = small_config(fusion="add", order="parallel", attention_type="intra_only")
+        _, _, (loaded, cfg2, _) = self.roundtrip(str(tmp_path), cfg)
+        assert loaded.config == cfg2 == cfg
+
+    def test_save_rejects_config_of_other_architecture(self, tmp_path):
+        cfg = small_config(order="parallel", fusion="add")
+        p = build_model(cfg, np.random.default_rng(20))
+        path = tmp_path / "other.ckpt"
+        other = dataclasses.replace(cfg, order="r_then_e", fusion="multiply")
+        with pytest.raises(CheckpointError, match="parameters"):
+            save_checkpoint(str(path), p, other)
+        assert not path.exists()
+
     def test_load_draws_no_random_model(self, tmp_path, monkeypatch):
         cfg = small_config()
         p, path, _ = self.roundtrip(str(tmp_path), cfg)
@@ -318,7 +351,10 @@ class TestCheckpoint:
         cfg = small_config(attention_type=kind)
         p, _, (loaded, cfg2, _) = self.roundtrip(str(tmp_path), cfg)
         assert cfg2.attention_type == kind
-        assert loaded.stack[0].attention_type == kind
+        assert loaded.config.attention_type == kind
+        variant = VARIANTS[kind]
+        for block in loaded.stack:
+            assert (block.inter is not None, block.intra is not None) == variant[:2]
 
     def test_optimizer_state_roundtrip(self, tmp_path):
         cfg = small_config()
