@@ -26,6 +26,9 @@ sequentially. There is no normalization anywhere, and dropout (train mode,
 which a ForwardContext selects) follows each projection and fusion linear.
 
 All forwards accept an optional leading batch axis on ``r`` and ``e``.
+
+Nothing here checks shapes: ``ModelConfig`` fixes every width the builders
+use, and the ``tensor`` ops reject a wrong width or an empty modality.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ import numpy as np
 from .tensor import (
     LinearLayer,
     Params,
-    ShapeError,
     Tensor,
     add,
     add_scalar,
@@ -98,15 +100,6 @@ class QkvProjection(Params):
     key: LinearLayer
     value: LinearLayer
 
-    def __post_init__(self):
-        dims = {self.query.out_dim, self.key.out_dim, self.value.out_dim}
-        if len(dims) != 1:
-            raise ShapeError(f"q/k/v widths disagree: {sorted(dims)}")
-
-    @property
-    def dim(self) -> int:
-        return self.query.out_dim
-
 
 @dataclass
 class InterMafParams(Params):
@@ -116,21 +109,6 @@ class InterMafParams(Params):
     word_qkv: QkvProjection
     region_out: LinearLayer  # 2*dim -> dim, fuses [r, r_update]
     word_out: LinearLayer  # 2*dim -> dim, fuses [e, e_update]
-
-    def __post_init__(self):
-        dim = self.region_qkv.dim
-        if self.word_qkv.dim != dim:
-            raise ShapeError("region and word projections disagree on width")
-        for layer, name in ((self.region_out, "region_out"), (self.word_out, "word_out")):
-            if layer.in_dim != 2 * dim or layer.out_dim != dim:
-                raise ShapeError(
-                    f"{name} must map {2 * dim} -> {dim}, got "
-                    f"{layer.in_dim} -> {layer.out_dim}"
-                )
-
-    @property
-    def dim(self) -> int:
-        return self.region_qkv.dim
 
 
 @dataclass
@@ -147,26 +125,6 @@ class DyIntraMafParams(Params):
     gate_from_words: LinearLayer  # pooled words -> gate on region q/k
     region_out: LinearLayer  # dim -> dim, applied to the residual sum
     word_out: LinearLayer
-
-    def __post_init__(self):
-        dim = self.region_qkv.dim
-        if self.word_qkv.dim != dim:
-            raise ShapeError("region and word projections disagree on width")
-        for layer, name in (
-            (self.gate_from_regions, "gate_from_regions"),
-            (self.gate_from_words, "gate_from_words"),
-            (self.region_out, "region_out"),
-            (self.word_out, "word_out"),
-        ):
-            if layer.in_dim != dim or layer.out_dim != dim:
-                raise ShapeError(
-                    f"{name} must map {dim} -> {dim}, got "
-                    f"{layer.in_dim} -> {layer.out_dim}"
-                )
-
-    @property
-    def dim(self) -> int:
-        return self.region_qkv.dim
 
 
 @dataclass
@@ -199,19 +157,12 @@ class AttentionRecord:
 class DfafBlockParams(Params):
     """One fusion block: inter-modality flow, then intra-modality flow.
 
-    Either half may be absent (ablation variants); at least one must exist.
+    Either half may be absent (ablation variants); ``VARIANTS`` gives every
+    attention type at least one.
     """
 
     inter: InterMafParams | None
     intra: DyIntraMafParams | None
-
-    def __post_init__(self):
-        if self.inter is None and self.intra is None:
-            raise ValueError("block needs at least one attention module")
-
-    @property
-    def dim(self) -> int:
-        return self.inter.dim if self.inter is not None else self.intra.dim
 
 
 # ---------------------------------------------------------------------------
@@ -227,10 +178,6 @@ def head_copies(w: np.ndarray, like: Tensor) -> list[np.ndarray]:
 
 def compute_gates(other_modality_feats: Tensor, gate_layer: LinearLayer) -> Tensor:
     """Per-channel gate in (0,1) from the other modality's pooled features."""
-    if other_modality_feats.ndim < 2 or other_modality_feats.shape[-2] < 1:
-        raise ShapeError(
-            f"gates need at least one feature row, got {other_modality_feats.shape}"
-        )
     pooled = avg_pool_rows(other_modality_feats)
     return sigmoid(linear_forward(gate_layer, pooled))
 
@@ -346,10 +293,6 @@ def dfaf_block_forward(
     ctx: ForwardContext | None = None,
 ) -> tuple[Tensor, Tensor]:
     """Inter-modality flow followed by intra-modality flow (either optional)."""
-    if r.shape[-1] != p.dim or e.shape[-1] != p.dim:
-        raise ShapeError(
-            f"block expects width {p.dim}, got regions {r.shape} words {e.shape}"
-        )
     if p.inter is not None:
         r, e = inter_maf_forward(r, e, p.inter, heads, order, record, ctx)
     if p.intra is not None:

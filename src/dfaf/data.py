@@ -402,7 +402,8 @@ def generate_toy_dataset(
 @dataclass
 class FeatureDataset:
     """Column-stacked instances plus the name tables needed to interpret
-    answers and per-template breakdowns."""
+    answers and per-template breakdowns. Its makers (the generator, the
+    reader and ``make_batches``) give every column one instance count."""
 
     regions: np.ndarray  # (n, mu, d_v)
     tokens: np.ndarray  # (n, L, d_w)
@@ -410,11 +411,6 @@ class FeatureDataset:
     template_ids: np.ndarray  # (n,) intp
     template_names: list[str]
     answer_names: list[str]
-
-    def __post_init__(self):
-        columns = (self.regions, self.tokens, self.answers, self.template_ids)
-        if len({len(column) for column in columns}) != 1:
-            raise FeatureFileError("instance counts disagree across columns")
 
     def __len__(self) -> int:
         return int(self.regions.shape[0])

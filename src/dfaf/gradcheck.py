@@ -224,8 +224,6 @@ def run_gradcheck(
         raise ValueError(
             f"finite differences are only tractable at dim <= {MAX_DIM}; got {dim}"
         )
-    if min(regions, words) < 1:
-        raise ValueError("regions and words must both be >= 1")
     # The model unit's architecture; building it checks heads, order and
     # n_blocks for every unit.
     config = ModelConfig(

@@ -153,16 +153,6 @@ def embed_inputs(
     raw_r: Tensor, raw_e: Tensor, p: ModelParams, ctx: ForwardContext | None = None
 ) -> tuple[Tensor, Tensor]:
     """Project both modalities to the shared width (dropout in train mode)."""
-    if raw_r.shape[-1] != p.region_embed.in_dim:
-        raise ShapeError(
-            f"region features have width {raw_r.shape[-1]}, "
-            f"model expects {p.region_embed.in_dim}"
-        )
-    if raw_e.shape[-1] != p.word_embed.in_dim:
-        raise ShapeError(
-            f"word features have width {raw_e.shape[-1]}, "
-            f"model expects {p.word_embed.in_dim}"
-        )
     return linear_dropout(p.region_embed, raw_r, ctx), linear_dropout(p.word_embed, raw_e, ctx)
 
 
@@ -173,10 +163,6 @@ def fuse_and_classify(
     records: list[AttentionRecord] | None = None,
 ) -> Prediction:
     """Pool both modalities, fuse, and score the answer vocabulary."""
-    if r.shape[-2] < 1 or e.shape[-2] < 1:
-        raise ShapeError(
-            f"cannot pool an empty modality: regions {r.shape}, words {e.shape}"
-        )
     v = avg_pool_rows(r)
     q = avg_pool_rows(e)
     if p.config.fusion == "multiply":
@@ -220,7 +206,4 @@ def predict(raw_r: Tensor, raw_e: Tensor, p: ModelParams, record: bool = False) 
 def cross_entropy_loss(pred: Prediction, target: int | Sequence[int]) -> Tensor:
     """Mean negative log-likelihood of the target answer(s)."""
     targets = [target] if isinstance(target, (int, np.integer)) else list(target)
-    n = pred.logits.shape[0] if pred.logits.ndim == 2 else 1
-    if len(targets) != n:
-        raise ShapeError(f"{n} prediction rows but {len(targets)} targets")
     return cross_entropy_rows(pred.logits, targets)

@@ -13,6 +13,10 @@ in place into arrays it made itself.
 Matrix ops accept an optional leading batch axis: every contract stated for
 an (n x d) input holds slice-wise for a (B x n x d) input. Broadcasting
 beyond that (and beyond bias-over-rows) is deliberately unsupported.
+
+Ops raise ``ShapeError`` on operands they would otherwise compute garbage
+from. Parameter containers check nothing: builders derive every shape from
+one config, and the checkpoint loader checks each stored shape.
 """
 
 from __future__ import annotations
@@ -314,6 +318,8 @@ def _attention_scale(qd: np.ndarray, kd: np.ndarray, vd: np.ndarray, heads: int)
         raise ShapeError(f"query/key widths or key/value rows disagree: {shapes}")
     if not qd.shape[:-2] == kd.shape[:-2] == vd.shape[:-2]:
         raise ShapeError(f"attention batch sizes disagree: {shapes}")
+    if kd.shape[-2] == 0:
+        raise ShapeError(f"attention needs at least one key row: {shapes}")
     if heads < 1 or qd.shape[-1] % heads or vd.shape[-1] % heads:
         raise ShapeError(f"cannot split {shapes} into {heads} heads")
     return 1.0 / math.sqrt(qd.shape[-1] // heads)
@@ -340,12 +346,13 @@ def attention_weights(q: Tensor, k: Tensor, heads: int) -> np.ndarray:
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.ndarray]:
     """Multi-head attention softmax(q·kᵀ/√d_h)·v as one op.
 
-    Rows of ``q`` are queries, rows of ``k`` and ``v`` are keys; the three are
-    matrices or equal-sized batches of them. The feature axes split into
-    ``heads`` contiguous column groups, each attended on its own and scaled
-    by the square root of its width d_h. Returns the merged values (``q``'s
-    rows, ``v``'s width) and the head-major (B·heads, n, m) weights, whose
-    entry b·heads + h is head h of instance b. The softmax is stabilized by
+    Rows of ``q`` are queries, rows of ``k`` and ``v`` are keys, of which
+    there must be at least one; the three are matrices or equal-sized
+    batches of them. The feature axes split into ``heads`` contiguous
+    column groups, each attended on its own and scaled by the square root
+    of its width d_h. Returns the merged values (``q``'s rows, ``v``'s
+    width) and the head-major (B·heads, n, m) weights, whose entry
+    b·heads + h is head h of instance b. The softmax is stabilized by
     per-row max subtraction. Backward reuses the weights and the head-major
     copies of q, k and v.
     """
@@ -510,21 +517,9 @@ class LinearLayer(Params):
     weight: Tensor
     bias: Tensor
 
-    def __post_init__(self):
-        if self.weight.ndim != 2 or self.bias.ndim != 1:
-            raise ShapeError("weight must be a matrix and bias a vector")
-        if self.weight.shape[1] != self.bias.shape[0]:
-            raise ShapeError(
-                f"weight {self.weight.shape} inconsistent with bias {self.bias.shape}"
-            )
-
     @property
     def in_dim(self) -> int:
         return self.weight.shape[0]
-
-    @property
-    def out_dim(self) -> int:
-        return self.weight.shape[1]
 
 
 def linear_init(in_dim: int, out_dim: int, rng: np.random.Generator | None) -> LinearLayer:

@@ -5,8 +5,8 @@ per parameter; updates are bias-corrected through the first moment only. The
 learning rate starts at its base value, doubles after a short warm phase,
 and later drops to a quarter of the doubled rate, where it stays. Gradients
 are clipped before every step — by global L2 norm by default, or per value
-behind a config switch. A non-finite loss aborts training with a diagnostic
-rather than silently continuing.
+behind a config switch. A non-finite loss or gradient norm aborts training
+with a diagnostic rather than silently continuing.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ CHUNK = 32768
 
 
 class DivergenceError(RuntimeError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss or gradient norm."""
 
 
 @dataclass
@@ -187,14 +187,19 @@ def clip_gradients(
     global_norm: if the L2 norm over all entries of all arrays exceeds the
     threshold, scale every array by threshold/norm (direction preserved).
     per_value: clamp each entry into [−threshold, threshold].
+
+    In either mode a non-finite norm raises DivergenceError before any
+    parameter changes.
     """
     if threshold <= 0:
         raise ValueError(f"clip threshold must be positive, got {threshold}")
-    if mode == "per_value":
-        return [np.clip(g, -threshold, threshold) for g in grads]
-    if mode != "global_norm":
+    if mode not in CLIP_MODES:
         raise ValueError(f"clip mode must be one of {CLIP_MODES}, got {mode!r}")
     total = math.sqrt(sum(float(np.vdot(g, g)) for g in grads))
+    if not math.isfinite(total):
+        raise DivergenceError(f"gradient norm is {total}; no update applied")
+    if mode == "per_value":
+        return [np.clip(g, -threshold, threshold) for g in grads]
     if total <= threshold:
         return list(grads)
     factor = threshold / total
@@ -213,8 +218,6 @@ def evaluate_by_template(
 ) -> dict:
     """Overall and per-template accuracy; the weighted per-template mean
     equals the overall accuracy exactly."""
-    if len(dataset) == 0:
-        raise ValueError("cannot evaluate on an empty dataset")
     hits = np.zeros(len(dataset.template_names), dtype=np.int64)
     totals = np.zeros(len(dataset.template_names), dtype=np.int64)
     for batch in make_batches(dataset, batch_size):

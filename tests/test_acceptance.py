@@ -24,17 +24,14 @@ from dfaf.attention import (
     init_dfaf_block,
     init_dyintra_maf,
 )
-from dfaf.data import ToyTaskSpec, generate_feature_dataset
 from dfaf.model import ModelConfig, build_model, predict
 from dfaf.tensor import Tensor, attention
 from dfaf.training import (
     BETA1,
     EPSILON,
     AdamaxState,
-    TrainConfig,
     adamax_step,
     clip_gradients,
-    train,
 )
 
 

@@ -340,6 +340,8 @@ class TestAttentionOp:
             (((5, 4), (6, 4), (6, 4)), 3, "3 heads"),
             (((5, 4), (6, 4), (6, 3)), 2, "2 heads"),
             (((5, 4), (6, 4), (6, 4)), 0, "0 heads"),
+            (((5, 4), (0, 4), (0, 4)), 1, "at least one key row"),
+            (((2, 5, 4), (2, 0, 4), (2, 0, 4)), 2, "at least one key row"),
         ],
     )
     def test_shape_errors(self, shapes, heads, match):

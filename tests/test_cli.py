@@ -6,9 +6,15 @@ import numpy as np
 import pytest
 from conftest import run_cli
 
-from dfaf.checkpoint import load_checkpoint, save_checkpoint
+from dfaf.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from dfaf.cli import main
-from dfaf.data import read_feature_file
+from dfaf.data import (
+    FeatureFileError,
+    ToyTaskSpec,
+    generate_feature_dataset,
+    read_feature_file,
+    write_feature_file,
+)
 from dfaf.model import ModelConfig, build_model, predict
 from dfaf.tensor import Tensor
 
@@ -196,6 +202,22 @@ class TestTrain:
         assert proc.returncode == 4
         assert "diverged" in proc.stderr.lower()
 
+    @pytest.mark.parametrize("clip_mode", ["global_norm", "per_value"])
+    def test_nan_feature_exits_4_without_checkpoint(self, tmp_path, clip_mode):
+        # One step on five instances, one of them NaN. The loss stays finite
+        # (ReLU maps NaN to 0); the gradient norm does not.
+        ds = generate_feature_dataset(ToyTaskSpec(templates=("attribute",)), 5)
+        ds.regions[3, 0, 0] = float("nan")
+        write_feature_file(str(tmp_path / "nan.bin"), ds)
+        proc = run_cli(
+            ["train", *TINY, "--set", "epochs=1", "--set", f"clip_mode={clip_mode}",
+             "nan.bin", "c.bin"],
+            tmp_path,
+        )
+        assert proc.returncode == 4
+        assert proc.stderr.splitlines()[-1] == "diverged: gradient norm is nan; no update applied"
+        assert not (tmp_path / "c.bin").exists()
+
 
 class TestEval:
     def test_reproduces_final_training_accuracy(self, workspace):
@@ -282,6 +304,77 @@ class TestEval:
         assert proc.returncode == 3
         (line,) = proc.stderr.splitlines()
         assert line.startswith("data error:")
+
+
+def _splices(a: bytes, b: bytes) -> dict[str, bytes]:
+    """Both concatenations, and prefix/suffix swaps at cuts spread from the
+    first byte where the two files differ to the end of the shorter one."""
+    first = next(i for i, (x, y) in enumerate(zip(a, b)) if x != y)
+    end = min(len(a), len(b))
+    cuts = sorted({first + 1, *(first + (end - first) * k // 5 for k in range(1, 5)), end - 1})
+    out = {"a+b": a + b, "b+a": b + a}
+    for cut in cuts:
+        out[f"a[:{cut}]+b"] = a[:cut] + b[cut:]
+        out[f"b[:{cut}]+a"] = b[:cut] + a[cut:]
+    return out
+
+
+class TestSplicedFiles:
+    """Pieces of two valid files of different configs never load: the CLI
+    exits 3 with one ``data error:`` line, and the parser itself rejects the
+    bytes (so the width and answer checks after it cannot hide a splice)."""
+
+    @pytest.fixture(scope="class")
+    def sources(self, workspace, tmp_path_factory):
+        root, _, _ = workspace
+        other = tmp_path_factory.mktemp("splice")
+        spec = ToyTaskSpec(templates=("existence", "counting"), seed=5)
+        write_feature_file(str(other / "data.bin"), generate_feature_dataset(spec, 40))
+        config = ModelConfig(
+            dim=8, heads=2, n_blocks=2, hidden=16, n_answers=5, fusion="concat",
+            order="parallel", attention_type="inter_only",
+        )
+        save_checkpoint(str(other / "ckpt.bin"), build_model(config, np.random.default_rng(1)), config)
+        return root, other
+
+    def outcomes(self, a, b, tmp_path, capsys, load, argv):
+        """Per splice: whether ``load`` accepts it, then the CLI's exit code
+        and stderr lines."""
+        seen = {}
+        for name, blob in _splices(a, b).items():
+            path = tmp_path / "spliced.bin"
+            path.write_bytes(blob)
+            try:
+                load(str(path))
+                parsed = True
+            except (FeatureFileError, CheckpointError):
+                parsed = False
+            code = main(argv(str(path)))
+            seen[name] = (parsed, code, capsys.readouterr().err.splitlines())
+        return seen
+
+    @staticmethod
+    def rejected(seen):
+        return {
+            name: parsed is False and code == 3 and len(err) == 1 and err[0].startswith("data error:")
+            for name, (parsed, code, err) in seen.items()
+        }
+
+    def test_feature_file_splices(self, sources, tmp_path, capsys):
+        root, other = sources
+        a, b = ((d / "data.bin").read_bytes() for d in (root, other))
+        ckpt = str(root / "ckpt.bin")
+        seen = self.outcomes(a, b, tmp_path, capsys, read_feature_file, lambda p: ["eval", ckpt, p])
+        assert len(seen) >= 12
+        assert self.rejected(seen) == dict.fromkeys(seen, True), seen
+
+    def test_checkpoint_splices(self, sources, tmp_path, capsys):
+        root, other = sources
+        a, b = ((d / "ckpt.bin").read_bytes() for d in (root, other))
+        data = str(root / "data.bin")
+        seen = self.outcomes(a, b, tmp_path, capsys, load_checkpoint, lambda p: ["eval", p, data])
+        assert len(seen) >= 12
+        assert self.rejected(seen) == dict.fromkeys(seen, True), seen
 
 
 class TestGradcheckCommand:

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dfaf import model as M
-from dfaf import tensor as T
 from dfaf.checkpoint import (
     STR_FIELDS,
     U32_FIELDS,
@@ -63,12 +62,14 @@ class TestEmbedInputs:
         assert e0.shape == (14, 512)
 
     def test_width_errors_name_the_modality(self):
+        # The embedding layer reports the width it expects: d_v for regions,
+        # d_w for words (10 and 6 here).
         cfg = small_config()
         p = build_model(cfg, np.random.default_rng(2))
         good_e = Tensor(np.ones((3, cfg.d_w)))
-        with pytest.raises(ShapeError, match="region"):
+        with pytest.raises(ShapeError, match=r"expects width 10, input has shape \(4, 11\)"):
             M.embed_inputs(Tensor(np.ones((4, cfg.d_v + 1))), good_e, p)
-        with pytest.raises(ShapeError, match="word"):
+        with pytest.raises(ShapeError, match=r"expects width 6, input has shape \(3, 99\)"):
             M.embed_inputs(Tensor(np.ones((4, cfg.d_v))), Tensor(np.ones((3, 99))), p)
 
     def test_gradient_reaches_both_embeddings(self):
@@ -201,6 +202,20 @@ class TestPredict:
         for i in range(4):
             one = M.predict(Tensor(raw_r.data[i]), Tensor(raw_e.data[i]), p)
             assert np.max(np.abs(batch_logits[i] - one.logits.numpy())) < 1e-12
+
+    @pytest.mark.parametrize("batch", [None, 3])
+    @pytest.mark.parametrize("empty", ["regions", "words"])
+    @pytest.mark.parametrize("kind", sorted(VARIANTS))
+    def test_empty_modality_is_shape_error(self, kind, empty, batch):
+        # A modality with no rows leaves nothing to attend over or pool.
+        cfg = small_config(attention_type=kind)
+        rng = np.random.default_rng(16)
+        p = build_model(cfg, rng)
+        mu, length = (0, 3) if empty == "regions" else (5, 0)
+        raw_r, raw_e = rand_inputs(rng, cfg, mu=mu, length=length, batch=batch)
+        for record in (False, True):
+            with pytest.raises(ShapeError, match="at least one key row|empty input"):
+                M.predict(raw_r, raw_e, p, record=record)
 
     def test_loss_decreases_on_separable_batch(self):
         cfg = small_config(n_blocks=1, n_answers=2)

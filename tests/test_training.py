@@ -267,6 +267,13 @@ class TestClipGradients:
         out = clip_gradients([np.array([-3.0, 0.1, 0.5])], 0.25, mode="per_value")
         assert np.array_equal(out[0], [-0.25, 0.1, 0.25])
 
+    @pytest.mark.parametrize("mode", TR.CLIP_MODES)
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_norm_raises_divergence(self, mode, bad):
+        g = [np.array([0.1, 0.2]), np.array([[0.0, bad]])]
+        with pytest.raises(DivergenceError, match=f"gradient norm is {bad}"):
+            clip_gradients(g, 0.25, mode=mode)
+
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             clip_gradients([np.ones(2)], 0.0)
@@ -348,6 +355,16 @@ class TestTrainLoop:
         model.mlp_out.weight.data[0, 0] = float("nan")
         with pytest.raises(DivergenceError, match="epoch 1"):
             train(model, ds, tcfg)
+
+    @pytest.mark.parametrize("clip_mode", TR.CLIP_MODES)
+    def test_nan_feature_stops_before_its_update(self, clip_mode):
+        # ReLU maps the NaN to 0, so the loss stays finite; the gradient of
+        # the first classifier layer does not, and no step may apply it.
+        model, _, ds, tcfg = tiny_setup(clip_mode=clip_mode)
+        ds.regions[5, 0, 0] = float("nan")
+        with pytest.raises(DivergenceError, match="gradient norm is nan"):
+            train(model, ds, tcfg)
+        assert all(np.isfinite(p.data).all() for p in model.parameters())
 
     def test_answer_space_mismatch_rejected(self):
         model, _, ds, tcfg = tiny_setup()
