@@ -20,15 +20,22 @@ Float arithmetic makes those digests and the logits digests specific to the
 numpy and OpenBLAS build they were computed with (numpy 2.4.6,
 scipy-openblas 0.3.31): they pin that build's bytes, and another build of
 either library may move them without a fault in the code.
+
+The ``dfaf gradcheck`` report is pinned at the 4-wide settings for every
+order and for one corrupted block, less its config echo: the digest covers
+the key order, every error and norm, and which blocks fail. It is float
+output too, so it is tied to the same build.
 """
 
 import hashlib
 import itertools
+import json
 
 import numpy as np
 
 from dfaf.attention import ATTENTION_TYPES, ORDERS
 from dfaf.checkpoint import load_checkpoint, save_checkpoint
+from dfaf.cli import main
 from dfaf.config import RunConfig, sub_config
 from dfaf.data import (
     FeatureDataset,
@@ -222,3 +229,28 @@ def test_eval_logits_are_pinned_for_every_switch():
     assert sorted(LOGITS_CASES) == sorted(cases)
     for case in cases:
         assert logits_digest(*case) == LOGITS_CASES[case], case
+
+
+
+# The gradcheck report at the 4-wide settings, less its config echo, per
+# extra ``--set`` pair; the corrupt run fails.
+GRADCHECK_ARGS = ["--set", "dim=4", "--set", "heads=2", "--set", "n_blocks=1",
+                  "--set", "gradcheck_regions=3", "--set", "gradcheck_words=2"]
+GRADCHECK_CASES = {
+    "order=parallel": "f5990298bc30c24f5671e6442820029e6f3c2f4a810c6ce1942f1b52c2a9f648",
+    "order=r_then_e": "702bf75d7d95bdff622d761392a73d9eb09aad899287d2cc3b3758ce7b782fdb",
+    "order=e_then_r": "d55774ede197476f54d8257382e02e086eb3a27e06b0a2c88a602c1bd5ab9120",
+    "gradcheck_corrupt=dfaf_block/intra.region_out.weight":
+        "73780dc530cdb1e11e372015a00c829020cad0d554da47a74c4692eeb1aac1cf",
+}
+
+
+def test_gradcheck_report_is_pinned(capsys, monkeypatch):
+    monkeypatch.delenv("DFAF_SEED", raising=False)
+    for pair, digest in GRADCHECK_CASES.items():
+        code = main(["gradcheck", *GRADCHECK_ARGS, "--set", pair])
+        assert code == (1 if pair.startswith("gradcheck_corrupt") else 0), pair
+        (line,) = capsys.readouterr().out.splitlines()
+        report = json.loads(line)
+        del report["config"]
+        assert hashlib.sha256(json.dumps(report).encode()).hexdigest() == digest, pair
