@@ -147,6 +147,10 @@ def load_checkpoint(
                     f"{name}: stored shape {shape} != architecture shape {tensor.shape}"
                 )
             _read_into(fh, tensor.data, f"{name} data")
+            # min and max are non-finite when any element is, and need no
+            # full-size mask as np.isfinite(...).all() does.
+            if not (np.isfinite(tensor.data.min()) and np.isfinite(tensor.data.max())):
+                raise CheckpointError(f"{name} holds a non-finite value")
 
         (flag,) = read_struct(fh, "<B", "optimizer flag", CheckpointError)
         optimizer_state = None

@@ -69,7 +69,8 @@ def cmd_gen_data(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def _check_fits(model_config: ModelConfig, dataset: FeatureDataset, source: str) -> None:
     """Raise ShapeError unless the data file has the feature widths and the
-    answer count of ``model_config``, which ``source`` names."""
+    answer count of ``model_config``, which ``source`` names, and finite
+    features."""
     widths = (dataset.regions.shape[2], dataset.tokens.shape[2])
     if (model_config.d_v, model_config.d_w) != widths:
         raise ShapeError(
@@ -80,6 +81,12 @@ def _check_fits(model_config: ModelConfig, dataset: FeatureDataset, source: str)
         raise ShapeError(
             f"{source} answer head has {model_config.n_answers} entries, "
             f"data file has {dataset.n_answers}"
+        )
+    finite = np.isfinite(dataset.regions).all(axis=(1, 2))
+    finite &= np.isfinite(dataset.tokens).all(axis=(1, 2))
+    if not finite.all():
+        raise ShapeError(
+            f"data file instance {int(finite.argmin())} holds a non-finite feature value"
         )
 
 
@@ -163,15 +170,12 @@ def cmd_gradcheck(cfg: RunConfig, args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise ConfigError([str(exc)]) from exc
-    payload = report.as_dict()
-    payload["command"] = "gradcheck"
-    payload["config"] = config_dict(cfg)
-    _emit(payload)
+    _emit({**report, "command": "gradcheck", "config": config_dict(cfg)})
     _log(
-        f"gradcheck {'passed' if report.passed else 'FAILED'} "
-        f"(max rel err {report.max_rel_err:.3e})"
+        f"gradcheck {'passed' if report['passed'] else 'FAILED'} "
+        f"(max rel err {report['max_rel_err']:.3e})"
     )
-    return 0 if report.passed else 1
+    return 0 if report["passed"] else 1
 
 
 # Dump key order: block, the gate-disabled contrast, then the forward's own.

@@ -20,7 +20,6 @@ certify before it counts against the gradient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
@@ -62,91 +61,6 @@ def fd_resolution(f_value: float, n_coords: int, eps: float) -> float:
     return FD_NOISE_SAFETY * math.sqrt(n_coords) * ulp / (2.0 * eps)
 
 
-@dataclass(frozen=True)
-class BlockCheck:
-    """One parameter block's analytic-vs-finite-difference comparison.
-
-    ``fd_noise`` is the oracle's own resolution for this block; the relative
-    error's denominator never drops below ``fd_noise / threshold``.
-    """
-
-    name: str
-    rel_err: float
-    analytic_norm: float
-    fd_norm: float
-    fd_noise: float
-    passed: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "rel_err": self.rel_err,
-            "analytic_norm": self.analytic_norm,
-            "fd_norm": self.fd_norm,
-            "fd_noise": self.fd_noise,
-            "passed": self.passed,
-        }
-
-
-@dataclass(frozen=True)
-class UnitReport:
-    """All parameter blocks of one checked forward pass."""
-
-    unit: str
-    blocks: tuple[BlockCheck, ...]
-
-    @property
-    def max_rel_err(self) -> float:
-        return max(b.rel_err for b in self.blocks)
-
-    @property
-    def passed(self) -> bool:
-        return all(b.passed for b in self.blocks)
-
-    def as_dict(self) -> dict:
-        return {
-            "unit": self.unit,
-            "max_rel_err": self.max_rel_err,
-            "passed": self.passed,
-            "blocks": [b.as_dict() for b in self.blocks],
-        }
-
-
-@dataclass(frozen=True)
-class GradCheckReport:
-    """Full harness result, JSON-ready via :meth:`as_dict`."""
-
-    units: tuple[UnitReport, ...]
-    threshold: float
-    settings: dict
-
-    @property
-    def max_rel_err(self) -> float:
-        return max(u.max_rel_err for u in self.units)
-
-    @property
-    def passed(self) -> bool:
-        return all(u.passed for u in self.units)
-
-    def failing_blocks(self) -> list[str]:
-        return [
-            f"{u.unit}/{b.name}"
-            for u in self.units
-            for b in u.blocks
-            if not b.passed
-        ]
-
-    def as_dict(self) -> dict:
-        return {
-            "settings": self.settings,
-            "threshold": self.threshold,
-            "max_rel_err": self.max_rel_err,
-            "passed": self.passed,
-            "failing_blocks": self.failing_blocks(),
-            "units": [u.as_dict() for u in self.units],
-        }
-
-
 def check_unit(
     unit: str,
     named_params: Iterable[tuple[str, Tensor]],
@@ -154,7 +68,7 @@ def check_unit(
     threshold: float = 1e-4,
     eps: float = 1e-5,
     corrupt: str = "",
-) -> UnitReport:
+) -> dict:
     """Compare taped gradients of ``objective`` against finite differences.
 
     ``objective`` must rebuild its graph on every call (parameters are
@@ -162,6 +76,10 @@ def check_unit(
     names a block as ``"<unit>/<param>"`` whose analytic gradient is
     deliberately spoiled before comparison — the hook that proves the harness
     can actually fail.
+
+    Returns the unit's JSON report, with one entry per parameter block.  A
+    block's ``fd_noise`` is the oracle's own resolution for it; the relative
+    error's denominator never drops below ``fd_noise / threshold``.
     """
     named = list(named_params)
     for _, p in named:
@@ -186,16 +104,21 @@ def check_unit(
         nf = float(np.linalg.norm(fd))
         err = diff / max(na, nf, noise / threshold)
         blocks.append(
-            BlockCheck(
-                name=name,
-                rel_err=err,
-                analytic_norm=na,
-                fd_norm=nf,
-                fd_noise=noise,
-                passed=err < threshold,
-            )
+            {
+                "name": name,
+                "rel_err": err,
+                "analytic_norm": na,
+                "fd_norm": nf,
+                "fd_noise": noise,
+                "passed": err < threshold,
+            }
         )
-    return UnitReport(unit=unit, blocks=tuple(blocks))
+    return {
+        "unit": unit,
+        "max_rel_err": max(b["rel_err"] for b in blocks),
+        "passed": all(b["passed"] for b in blocks),
+        "blocks": blocks,
+    }
 
 
 def _sum_pair(r: Tensor, e: Tensor) -> Tensor:
@@ -213,12 +136,14 @@ def run_gradcheck(
     threshold: float = 1e-4,
     eps: float = 1e-5,
     corrupt: str = "",
-) -> GradCheckReport:
+) -> dict:
     """Check every module in isolation, then the full model end to end.
 
     Module units reduce their outputs to sum(r') + sum(e'); the model unit
     uses the real training loss on a two-instance batch so the classifier and
     embedding gradients are exercised on the same path training uses.
+    Returns the JSON report, with one :func:`check_unit` report per unit.  A
+    ``corrupt`` that names no ``"<unit>/<param>"`` block is a ValueError.
     """
     if dim > MAX_DIM:
         raise ValueError(
@@ -240,57 +165,10 @@ def run_gradcheck(
     rng = np.random.default_rng(seed)
     r = Tensor(rng.standard_normal((regions, dim)))
     e = Tensor(rng.standard_normal((words, dim)))
-    units = []
-
     inter = init_inter_maf(dim, rng)
-    units.append(
-        check_unit(
-            "inter_maf",
-            inter.named_parameters(),
-            lambda: _sum_pair(*inter_maf_forward(r, e, inter, heads=heads, order=order)),
-            threshold,
-            eps,
-            corrupt,
-        )
-    )
-
     dyintra = init_dyintra_maf(dim, rng)
-    units.append(
-        check_unit(
-            "dyintra_maf",
-            dyintra.named_parameters(),
-            lambda: _sum_pair(*dyintra_maf_forward(r, e, dyintra, heads=heads)),
-            threshold,
-            eps,
-            corrupt,
-        )
-    )
-
-    # Naive variant: gate layers must come back with agreed-zero gradients.
     intra = init_dyintra_maf(dim, rng)
-    units.append(
-        check_unit(
-            "intra_maf",
-            intra.named_parameters(),
-            lambda: _sum_pair(*dyintra_maf_forward(r, e, intra, heads=heads, dynamic=False)),
-            threshold,
-            eps,
-            corrupt,
-        )
-    )
-
     block = init_dfaf_block(dim, "full", rng)
-    units.append(
-        check_unit(
-            "dfaf_block",
-            block.named_parameters(),
-            lambda: _sum_pair(*dfaf_block_forward(r, e, block, heads, order, True)),
-            threshold,
-            eps,
-            corrupt,
-        )
-    )
-
     model = build_model(config, rng)
     # ReLU is the model's only kink, and at random init the multiply-fused
     # classifier input is so small that every hidden preactivation sits
@@ -303,25 +181,43 @@ def run_gradcheck(
     raw_r = Tensor(rng.standard_normal((2, regions, config.d_v)))
     raw_e = Tensor(rng.standard_normal((2, words, config.d_w)))
     targets = [int(t) for t in rng.integers(0, config.n_answers, size=2)]
-    units.append(
-        check_unit(
-            "model",
-            model.named_parameters(),
-            lambda: cross_entropy_loss(forward(raw_r, raw_e, model), targets),
-            threshold,
-            eps,
-            corrupt,
-        )
-    )
 
-    settings = {
-        "dim": dim,
-        "regions": regions,
-        "words": words,
-        "n_blocks": n_blocks,
-        "heads": heads,
-        "order": order,
-        "seed": seed,
-        "eps": eps,
+    units = [
+        ("inter_maf", inter,
+         lambda: _sum_pair(*inter_maf_forward(r, e, inter, heads=heads, order=order))),
+        ("dyintra_maf", dyintra,
+         lambda: _sum_pair(*dyintra_maf_forward(r, e, dyintra, heads=heads))),
+        # Naive variant: gate layers must come back with agreed-zero gradients.
+        ("intra_maf", intra,
+         lambda: _sum_pair(*dyintra_maf_forward(r, e, intra, heads=heads, dynamic=False))),
+        ("dfaf_block", block,
+         lambda: _sum_pair(*dfaf_block_forward(r, e, block, heads, order, True))),
+        ("model", model,
+         lambda: cross_entropy_loss(forward(raw_r, raw_e, model), targets)),
+    ]
+    names = {f"{unit}/{name}" for unit, params, _ in units for name, _ in params.named_parameters()}
+    if corrupt and corrupt not in names:
+        raise ValueError(f"corrupt target {corrupt!r} names no <unit>/<param> block")
+    reports = [
+        check_unit(unit, params.named_parameters(), objective, threshold, eps, corrupt)
+        for unit, params, objective in units
+    ]
+    return {
+        "settings": {
+            "dim": dim,
+            "regions": regions,
+            "words": words,
+            "n_blocks": n_blocks,
+            "heads": heads,
+            "order": order,
+            "seed": seed,
+            "eps": eps,
+        },
+        "threshold": threshold,
+        "max_rel_err": max(u["max_rel_err"] for u in reports),
+        "passed": all(u["passed"] for u in reports),
+        "failing_blocks": [
+            f"{u['unit']}/{b['name']}" for u in reports for b in u["blocks"] if not b["passed"]
+        ],
+        "units": reports,
     }
-    return GradCheckReport(units=tuple(units), threshold=threshold, settings=settings)

@@ -85,7 +85,9 @@ def test_criterion_01_gradient_correctness(tmp_path):
     assert proc.returncode == 0, proc.stderr
     (report,) = [json.loads(l) for l in proc.stdout.splitlines() if l.strip()]
     assert report["passed"] is True
-    assert report["max_rel_err"] < 1e-4
+    assert report["max_rel_err"] < 1e-5  # a decade inside the 1e-4 threshold
+    assert report["settings"]["dim"] == 8
+    assert report["settings"]["n_blocks"] == 2
     for unit in report["units"]:
         for block in unit["blocks"]:
             assert block["passed"], f"{unit['unit']}/{block['name']}"

@@ -203,9 +203,8 @@ class TestTrain:
         assert "diverged" in proc.stderr.lower()
 
     @pytest.mark.parametrize("clip_mode", ["global_norm", "per_value"])
-    def test_nan_feature_exits_4_without_checkpoint(self, tmp_path, clip_mode):
-        # One step on five instances, one of them NaN. The loss stays finite
-        # (ReLU maps NaN to 0); the gradient norm does not.
+    def test_nan_feature_exits_3_without_checkpoint(self, tmp_path, clip_mode):
+        # Five instances, one of them NaN: rejected before the first step.
         ds = generate_feature_dataset(ToyTaskSpec(templates=("attribute",)), 5)
         ds.regions[3, 0, 0] = float("nan")
         write_feature_file(str(tmp_path / "nan.bin"), ds)
@@ -214,8 +213,11 @@ class TestTrain:
              "nan.bin", "c.bin"],
             tmp_path,
         )
-        assert proc.returncode == 4
-        assert proc.stderr.splitlines()[-1] == "diverged: gradient norm is nan; no update applied"
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            "data error: data file instance 3 holds a non-finite feature value"
+        ]
         assert not (tmp_path / "c.bin").exists()
 
 
@@ -251,6 +253,23 @@ class TestEval:
         )
         assert proc.returncode == 3
         assert "64" in proc.stderr and "40" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "command, field, value",
+        [("eval", "regions", float("nan")), ("inspect", "tokens", float("-inf"))],
+    )
+    def test_non_finite_feature_exits_3(self, workspace, tmp_path, command, field, value):
+        root, _, _ = workspace
+        ds = read_feature_file(str(root / "data.bin"))
+        getattr(ds, field)[5, 1, 2] = value
+        write_feature_file(str(tmp_path / "bad.bin"), ds)
+        extra = ["0", "x.json"] if command == "inspect" else []
+        proc = run_cli([command, *TINY, str(root / "ckpt.bin"), "bad.bin", *extra], tmp_path)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            "data error: data file instance 5 holds a non-finite feature value"
+        ]
 
     def test_corrupted_checkpoint_magic_exits_3(self, workspace, tmp_path):
         root, _, _ = workspace
@@ -294,6 +313,16 @@ class TestEval:
         assert proc.returncode == 3
         (line,) = proc.stderr.splitlines()
         assert line.startswith("data error:")
+
+    def test_nan_parameter_exits_3(self, workspace, tmp_path):
+        root, _, _ = workspace
+        model, config, _ = load_checkpoint(str(root / "ckpt.bin"))
+        model.mlp_out.bias.data[0] = float("nan")
+        save_checkpoint(str(tmp_path / "nan.bin"), model, config)
+        proc = run_cli(["eval", *TINY, "nan.bin", str(root / "data.bin")], tmp_path)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == ["data error: mlp_out.bias holds a non-finite value"]
 
     def test_fusion_name_not_utf8_exits_3(self, workspace, tmp_path):
         root, _, _ = workspace
@@ -399,6 +428,15 @@ class TestGradcheckCommand:
         assert proc.returncode == 1
         (report,) = stdout_objects(proc)
         assert report["failing_blocks"] == ["model/mlp_out.bias"]
+
+    def test_mistyped_corrupt_target_is_config_error(self, tmp_path):
+        proc = run_cli(
+            ["gradcheck", *self.SMALL, "--set", "gradcheck_corrupt=model/mlp_out.bais"],
+            tmp_path,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "'model/mlp_out.bais'" in proc.stderr
 
     def test_oversized_dim_is_config_error(self, tmp_path):
         proc = run_cli(["gradcheck", "--set", "dim=64"], tmp_path)

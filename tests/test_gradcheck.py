@@ -34,9 +34,9 @@ class TestCheckUnit:
         report = check_unit(
             "lin", layer.named_parameters(), lambda: sum_all(linear_forward(layer, x))
         )
-        assert report.passed
-        assert [b.name for b in report.blocks] == ["weight", "bias"]
-        assert report.max_rel_err < 1e-6
+        assert report["passed"]
+        assert [b["name"] for b in report["blocks"]] == ["weight", "bias"]
+        assert report["max_rel_err"] < 1e-6
 
     def test_corrupted_adjoint_fails_named_block_only(self):
         rng = np.random.default_rng(0)
@@ -48,10 +48,10 @@ class TestCheckUnit:
             lambda: sum_all(linear_forward(layer, x)),
             corrupt="lin/bias",
         )
-        assert not report.passed
-        by_name = {b.name: b for b in report.blocks}
-        assert not by_name["bias"].passed
-        assert by_name["weight"].passed
+        assert not report["passed"]
+        by_name = {b["name"]: b for b in report["blocks"]}
+        assert not by_name["bias"]["passed"]
+        assert by_name["weight"]["passed"]
 
     def test_zero_gradient_block_counts_as_agreement(self):
         # A parameter the objective never reads: analytic and fd both zero.
@@ -65,10 +65,10 @@ class TestCheckUnit:
         report = check_unit(
             "mix", named, lambda: sum_all(linear_forward(used, x))
         )
-        assert report.passed
-        by_name = {b.name: b for b in report.blocks}
-        assert by_name["unused.weight"].analytic_norm == 0.0
-        assert by_name["unused.weight"].fd_norm == 0.0
+        assert report["passed"]
+        by_name = {b["name"]: b for b in report["blocks"]}
+        assert by_name["unused.weight"]["analytic_norm"] == 0.0
+        assert by_name["unused.weight"]["fd_norm"] == 0.0
 
 
 class TestFdResolution:
@@ -90,9 +90,9 @@ class TestFdResolution:
 class TestRunGradcheck:
     def test_small_config_all_units_pass(self):
         report = small_run()
-        assert report.passed
-        assert report.max_rel_err < 1e-4
-        assert [u.unit for u in report.units] == [
+        assert report["passed"]
+        assert report["max_rel_err"] < 1e-4
+        assert [u["unit"] for u in report["units"]] == [
             "inter_maf",
             "dyintra_maf",
             "intra_maf",
@@ -102,8 +102,8 @@ class TestRunGradcheck:
 
     def test_every_model_parameter_block_listed_exactly_once(self):
         report = small_run()
-        unit = {u.unit: u for u in report.units}["model"]
-        names = [b.name for b in unit.blocks]
+        unit = {u["unit"]: u for u in report["units"]}["model"]
+        names = [b["name"] for b in unit["blocks"]]
         assert len(names) == len(set(names))
         config = ModelConfig(
             dim=SMALL["dim"],
@@ -119,43 +119,43 @@ class TestRunGradcheck:
 
     def test_block_names_unique_within_every_unit(self):
         report = small_run()
-        for unit in report.units:
-            names = [b.name for b in unit.blocks]
+        for unit in report["units"]:
+            names = [b["name"] for b in unit["blocks"]]
             assert len(names) == len(set(names))
 
     def test_naive_intra_gate_blocks_have_agreed_zero_gradients(self):
         report = small_run()
-        unit = {u.unit: u for u in report.units}["intra_maf"]
-        gate_blocks = [b for b in unit.blocks if b.name.startswith("gate_")]
+        unit = {u["unit"]: u for u in report["units"]}["intra_maf"]
+        gate_blocks = [b for b in unit["blocks"] if b["name"].startswith("gate_")]
         assert len(gate_blocks) == 4
         for b in gate_blocks:
-            assert b.analytic_norm == 0.0
-            assert b.fd_norm == 0.0
-            assert b.passed
+            assert b["analytic_norm"] == 0.0
+            assert b["fd_norm"] == 0.0
+            assert b["passed"]
 
     def test_key_bias_blocks_pass_despite_structural_zero_gradient(self):
         # A key bias shifts every softmax-row logit uniformly and cancels;
         # its true gradient is zero while fd returns rounding noise.  The
         # noise-floored denominator must not read that as a mismatch.
         report = small_run()
-        unit = {u.unit: u for u in report.units}["inter_maf"]
-        key_biases = [b for b in unit.blocks if b.name.endswith("key.bias")]
+        unit = {u["unit"]: u for u in report["units"]}["inter_maf"]
+        key_biases = [b for b in unit["blocks"] if b["name"].endswith("key.bias")]
         assert len(key_biases) == 2
         for b in key_biases:
-            assert b.analytic_norm < 1e-12
-            assert b.passed
+            assert b["analytic_norm"] < 1e-12
+            assert b["passed"]
 
     def test_corruption_hook_reported_as_failing_block(self):
         target = "dfaf_block/intra.region_out.weight"
         report = small_run(corrupt=target)
-        assert not report.passed
-        assert target in report.failing_blocks()
-        clean_units = [u for u in report.units if u.unit != "dfaf_block"]
-        assert all(u.passed for u in clean_units)
+        assert not report["passed"]
+        assert target in report["failing_blocks"]
+        clean_units = [u for u in report["units"] if u["unit"] != "dfaf_block"]
+        assert all(u["passed"] for u in clean_units)
 
     def test_report_is_json_serializable(self):
         report = small_run()
-        payload = json.loads(json.dumps(report.as_dict()))
+        payload = json.loads(json.dumps(report))
         assert payload["passed"] is True
         assert payload["threshold"] == 1e-4
         assert len(payload["units"]) == 5
@@ -169,13 +169,13 @@ class TestRunGradcheck:
 
     def test_all_orders_pass(self):
         for order in ("parallel", "r_then_e", "e_then_r"):
-            assert small_run(order=order).passed
+            assert small_run(order=order)["passed"]
 
     @pytest.mark.parametrize("heads", [1, SMALL["dim"]])
     def test_single_head_and_unit_head_width_pass(self, heads):
         report = small_run(heads=heads)
-        assert report.passed
-        assert report.settings["heads"] == heads
+        assert report["passed"]
+        assert report["settings"]["heads"] == heads
 
     def test_dim_cap_enforced(self):
         with pytest.raises(ValueError, match=str(MAX_DIM)):
@@ -188,10 +188,3 @@ class TestRunGradcheck:
     def test_unknown_order_rejected(self):
         with pytest.raises(ValueError, match="order"):
             small_run(order="sideways")
-
-    def test_default_scale_passes_with_margin(self):
-        report = run_gradcheck()
-        assert report.passed
-        assert report.max_rel_err < 1e-5
-        assert report.settings["dim"] == 8
-        assert report.settings["n_blocks"] == 2

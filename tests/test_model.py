@@ -493,6 +493,17 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(str(path))
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_parameter_rejected_by_name(self, tmp_path, value):
+        cfg = small_config()
+        p = build_model(cfg, np.random.default_rng(30))
+        p.mlp_out.bias.data[0] = value
+        p.mlp_hidden.weight.data[1, 1] = value
+        path = str(tmp_path / "n.ckpt")
+        save_checkpoint(path, p, cfg)
+        with pytest.raises(CheckpointError, match=r"^mlp_hidden\.weight holds a non-finite"):
+            load_checkpoint(path)
+
     def test_name_not_utf8_rejected(self, tmp_path):
         cfg = small_config()
         p = build_model(cfg, np.random.default_rng(26))
