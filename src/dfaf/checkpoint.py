@@ -13,7 +13,7 @@ Layout (all integers and floats little-endian):
              first-moment and infinity-norm arrays, float64 each
 
 Writer and reader share one declaration of each part. The config fields are
-``U32_FIELDS`` then ``STR_FIELDS``: ``ModelConfig``'s int and str fields in
+``INT_FIELDS`` then ``STR_FIELDS``: ``ModelConfig``'s int and str fields in
 declaration order. Tensor order is the field order of the
 parameter dataclasses (``tensor.Params.named_parameters``), so reordering a
 field changes the format. Writing is deterministic: identical parameters
@@ -34,8 +34,7 @@ from .model import INT_FIELDS, STR_FIELDS, ModelConfig, ModelParams, build_model
 
 MAGIC = b"DFAF"
 VERSION = 1
-U32_FIELDS = INT_FIELDS
-_U32_FORMAT = f"<{len(U32_FIELDS)}I"
+_U32_FORMAT = f"<{len(INT_FIELDS)}I"
 
 
 class CheckpointError(ValueError):
@@ -69,7 +68,7 @@ def save_checkpoint(
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack(_U32_FORMAT, *(getattr(config, f) for f in U32_FIELDS)))
+        fh.write(struct.pack(_U32_FORMAT, *(getattr(config, f) for f in INT_FIELDS)))
         for f in STR_FIELDS:
             write_str(fh, getattr(config, f), CheckpointError)
         fh.write(struct.pack("<I", len(named)))
@@ -108,7 +107,7 @@ def load_checkpoint(
         if version != VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version}")
         nums = read_struct(fh, _U32_FORMAT, "config", CheckpointError)
-        fields = dict(zip(U32_FIELDS, nums))
+        fields = dict(zip(INT_FIELDS, nums))
         for f in STR_FIELDS:
             fields[f] = read_str(fh, f, CheckpointError)
         try:

@@ -211,14 +211,17 @@ def cmd_inspect(cfg: RunConfig, args: argparse.Namespace) -> int:
     regions = Tensor(dataset.regions[args.index])
     tokens = Tensor(dataset.tokens[args.index])
     pred = predict(regions, tokens, model, record=True)
-    predicted = int(pred.logits.data.argmax())
+    logits = pred.logits.data
+    predicted = None  # a non-finite row predicts nothing, not answer 0
+    if np.isfinite(logits).all():
+        predicted = dataset.answer_names[int(logits.argmax())]
     dump = {
         "config": config_dict(cfg),
         "instance": {
             "index": args.index,
             "template": dataset.template_names[dataset.template_ids[args.index]],
             "answer": dataset.answer_names[dataset.answers[args.index]],
-            "predicted": dataset.answer_names[predicted],
+            "predicted": predicted,
         },
         "blocks": [_block_payload(i, rec) for i, rec in enumerate(pred.records)],
     }

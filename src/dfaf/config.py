@@ -73,34 +73,16 @@ def sub_config(cfg: RunConfig, cls: type, **extra):
     return cls(**shared, **extra)
 
 
-def _parse_int(text: str) -> int:
-    return int(text, 10)
-
-
-def _parse_float(text: str) -> float:
-    return float(text)
-
-
-def _parse_str(text: str) -> str:
-    return text
-
-
 def _parse_str_tuple(text: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in text.split(",") if part.strip())
-
-
-def _parse_int_tuple(text: str) -> tuple[int, ...]:
-    return tuple(int(part.strip(), 10) for part in text.split(",") if part.strip())
 
 
 def _field_parser(name: str, annotation: object) -> Callable[[str], object]:
     if name == "templates":
         return _parse_str_tuple
-    if name == "schedule_breakpoints":
-        return _parse_int_tuple
     # Dataclass annotations are strings under deferred evaluation.
     key = annotation.__name__ if isinstance(annotation, type) else str(annotation)
-    return {"int": _parse_int, "float": _parse_float, "str": _parse_str}[key]
+    return {"int": int, "float": float, "str": str}[key]
 
 
 _SCHEMA: dict[str, Callable[[str], object]] = {
@@ -220,7 +202,7 @@ def load_run_config(
     if SEED_ENV_VAR in env:
         raw = env[SEED_ENV_VAR]
         try:
-            values["seed"] = _parse_int(raw)
+            values["seed"] = int(raw)
         except ValueError:
             errors.append(f"bad {SEED_ENV_VAR} value: {raw!r}")
 

@@ -408,7 +408,8 @@ def relu(t: Tensor) -> Tensor:
     def bwd(g):
         return (g * mask,)
 
-    return _apply((t,), np.where(mask, x, 0.0), bwd)
+    # maximum, not where(mask, ...): a NaN input stays NaN downstream.
+    return _apply((t,), np.maximum(x, 0.0), bwd)
 
 
 def avg_pool_rows(m: Tensor) -> Tensor:

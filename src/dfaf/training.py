@@ -4,9 +4,9 @@ The optimizer keeps a first-moment average and an infinity-norm accumulator
 per parameter; updates are bias-corrected through the first moment only. The
 learning rate starts at its base value, doubles after a short warm phase,
 and later drops to a quarter of the doubled rate, where it stays. Gradients
-are clipped before every step — by global L2 norm by default, or per value
-behind a config switch. A non-finite loss or gradient norm aborts training
-with a diagnostic rather than silently continuing.
+are clipped by global L2 norm before every step. A non-finite loss or
+gradient norm aborts training with a diagnostic rather than silently
+continuing.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ BETA1 = 0.9
 BETA2 = 0.999
 EPSILON = 1e-8
 
-CLIP_MODES = ("global_norm", "per_value")
+WARM_EPOCHS = 2
+DECAY_EPOCH = 10
 
 # Elements per Adamax pass: 256 KB per float64 operand, so the four arrays
 # and two scratch buffers of one slice stay in L2 between its ufuncs.
@@ -76,10 +77,8 @@ class TrainConfig:
     epochs: int = 30
     batch_size: int = 32
     clip: float = 0.25
-    clip_mode: str = "global_norm"
     dropout: float = 0.1
     seed: int = 0
-    schedule_breakpoints: tuple[int, int] = (2, 10)
     eval_batch_size: int = 256
 
     def __post_init__(self):
@@ -91,15 +90,8 @@ class TrainConfig:
             raise ValueError("batch sizes must be at least 1")
         if self.clip <= 0:
             raise ValueError(f"clip threshold must be positive, got {self.clip}")
-        if self.clip_mode not in CLIP_MODES:
-            raise ValueError(f"clip_mode must be one of {CLIP_MODES}, got {self.clip_mode!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
-        lo, hi = self.schedule_breakpoints
-        if not (isinstance(lo, int) and isinstance(hi, int) and 1 <= lo < hi):
-            raise ValueError(
-                f"schedule breakpoints must be increasing epochs, got {self.schedule_breakpoints}"
-            )
 
 
 def adamax_step(
@@ -164,42 +156,32 @@ def _adamax_slice(p, g, m, u, step: float, scratch: np.ndarray) -> None:
     p -= a
 
 
-def lr_schedule(
-    epoch: int, base_lr: float, breakpoints: tuple[int, int] = (2, 10)
-) -> float:
-    """Staged rate: base through the first breakpoint epoch, then doubled
-    through the second, then a single drop to half base, held thereafter."""
+def lr_schedule(epoch: int, base_lr: float) -> float:
+    """Staged rate: base through epoch ``WARM_EPOCHS``, then doubled through
+    epoch ``DECAY_EPOCH``, then a single drop to half base, held thereafter."""
     if epoch < 1:
         raise ValueError(f"epochs are 1-based, got {epoch}")
-    lo, hi = breakpoints
-    if epoch <= lo:
+    if epoch <= WARM_EPOCHS:
         return base_lr
-    if epoch <= hi:
+    if epoch <= DECAY_EPOCH:
         return 2.0 * base_lr
     return 2.0 * base_lr * 0.25
 
 
 def clip_gradients(
-    grads: Sequence[np.ndarray], threshold: float = 0.25, mode: str = "global_norm"
+    grads: Sequence[np.ndarray], threshold: float = 0.25
 ) -> list[np.ndarray]:
-    """Bound gradient magnitude before a step.
+    """Bound gradient magnitude before a step: if the L2 norm over all
+    entries of all arrays exceeds the threshold, scale every array by
+    threshold/norm (direction preserved).
 
-    global_norm: if the L2 norm over all entries of all arrays exceeds the
-    threshold, scale every array by threshold/norm (direction preserved).
-    per_value: clamp each entry into [−threshold, threshold].
-
-    In either mode a non-finite norm raises DivergenceError before any
-    parameter changes.
+    A non-finite norm raises DivergenceError before any parameter changes.
     """
     if threshold <= 0:
         raise ValueError(f"clip threshold must be positive, got {threshold}")
-    if mode not in CLIP_MODES:
-        raise ValueError(f"clip mode must be one of {CLIP_MODES}, got {mode!r}")
     total = math.sqrt(sum(float(np.vdot(g, g)) for g in grads))
     if not math.isfinite(total):
         raise DivergenceError(f"gradient norm is {total}; no update applied")
-    if mode == "per_value":
-        return [np.clip(g, -threshold, threshold) for g in grads]
     if total <= threshold:
         return list(grads)
     factor = threshold / total
@@ -217,12 +199,15 @@ def evaluate_by_template(
     model: ModelParams, dataset: FeatureDataset, batch_size: int = 256
 ) -> dict:
     """Overall and per-template accuracy; the weighted per-template mean
-    equals the overall accuracy exactly."""
+    equals the overall accuracy exactly. A logit row with a non-finite entry
+    scores as a miss and still counts in ``n``."""
     hits = np.zeros(len(dataset.template_names), dtype=np.int64)
     totals = np.zeros(len(dataset.template_names), dtype=np.int64)
     for batch in make_batches(dataset, batch_size):
         pred = predict(Tensor(batch.regions), Tensor(batch.tokens), model)
-        good = pred.logits.data.argmax(axis=-1) == batch.answers
+        logits = pred.logits.data
+        good = logits.argmax(axis=-1) == batch.answers
+        good &= np.isfinite(logits).all(axis=-1)
         for tid in range(len(dataset.template_names)):
             mask = batch.template_ids == tid
             hits[tid] += int(good[mask].sum())
@@ -267,7 +252,7 @@ def train(
     metrics: list[dict] = []
     for epoch in range(1, cfg.epochs + 1):
         started = time.perf_counter()
-        lr = lr_schedule(epoch, cfg.base_lr, cfg.schedule_breakpoints)
+        lr = lr_schedule(epoch, cfg.base_lr)
         loss_sum, seen = 0.0, 0
         for batch in make_batches(dataset, cfg.batch_size, rng):
             for p in params:
@@ -285,7 +270,7 @@ def train(
             grads = [
                 p.grad if p.grad is not None else np.zeros_like(p.data) for p in params
             ]
-            grads = clip_gradients(grads, cfg.clip, cfg.clip_mode)
+            grads = clip_gradients(grads, cfg.clip)
             adamax_step(params, grads, state, lr)
             loss_sum += loss_value * len(batch)
             seen += len(batch)

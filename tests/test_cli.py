@@ -202,15 +202,13 @@ class TestTrain:
         assert proc.returncode == 4
         assert "diverged" in proc.stderr.lower()
 
-    @pytest.mark.parametrize("clip_mode", ["global_norm", "per_value"])
-    def test_nan_feature_exits_3_without_checkpoint(self, tmp_path, clip_mode):
+    def test_nan_feature_exits_3_without_checkpoint(self, tmp_path):
         # Five instances, one of them NaN: rejected before the first step.
         ds = generate_feature_dataset(ToyTaskSpec(templates=("attribute",)), 5)
         ds.regions[3, 0, 0] = float("nan")
         write_feature_file(str(tmp_path / "nan.bin"), ds)
         proc = run_cli(
-            ["train", *TINY, "--set", "epochs=1", "--set", f"clip_mode={clip_mode}",
-             "nan.bin", "c.bin"],
+            ["train", *TINY, "--set", "epochs=1", "nan.bin", "c.bin"],
             tmp_path,
         )
         assert proc.returncode == 3
@@ -219,6 +217,17 @@ class TestTrain:
             "data error: data file instance 3 holds a non-finite feature value"
         ]
         assert not (tmp_path / "c.bin").exists()
+
+
+def _overflowing_checkpoint(tmp_path):
+    """A default model whose finite region weights overflow every forward
+    to NaN, and a 64-instance default data file for it."""
+    ds = generate_feature_dataset(ToyTaskSpec(), 64)
+    write_feature_file(str(tmp_path / "data.bin"), ds)
+    config = ModelConfig(d_v=ds.regions.shape[2], d_w=ds.tokens.shape[2], n_answers=ds.n_answers)
+    model = build_model(config, np.random.default_rng(0))
+    model.region_embed.weight.data[:] = 1e308
+    save_checkpoint(str(tmp_path / "ckpt.bin"), model, config)
 
 
 class TestEval:
@@ -241,6 +250,16 @@ class TestEval:
             t["accuracy"] * t["n"] for t in report["per_template"].values()
         )
         assert abs(weighted / report["n_instances"] - report["accuracy"]) < 1e-12
+
+    def test_nan_forward_scores_as_miss(self, tmp_path):
+        # argmax reads a NaN row as answer 0, which would score the
+        # answer-0 share of the file as hits.
+        _overflowing_checkpoint(tmp_path)
+        proc = run_cli(["eval", "ckpt.bin", "data.bin"], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        (report,) = stdout_objects(proc)
+        assert report["accuracy"] == 0.0
+        assert report["n_instances"] == 64
 
     def test_shape_mismatch_names_both_shapes(self, workspace, tmp_path):
         root, _, _ = workspace
@@ -461,6 +480,15 @@ class TestInspect:
             assert np.allclose(matrices.sum(axis=-1), 1.0, atol=1e-6)
         assert len(block["gate_on_regions"]) == 16
         assert len(block["gate_on_words"]) == 16
+
+    def test_nan_forward_predicts_null(self, tmp_path):
+        _overflowing_checkpoint(tmp_path)
+        proc = run_cli(["inspect", "ckpt.bin", "data.bin", "0", "dump.json"], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        (report,) = stdout_objects(proc)
+        assert report["instance"]["predicted"] is None
+        dump = json.loads((tmp_path / "dump.json").read_text())
+        assert dump["instance"]["predicted"] is None
 
     def test_index_out_of_range_exits_3(self, workspace):
         root, _, _ = workspace

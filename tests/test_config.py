@@ -64,11 +64,10 @@ class TestLoadRunConfig:
     def test_tuple_fields_parse(self):
         cfg = load_run_config(
             None,
-            ["templates=attribute, relational", "schedule_breakpoints=3,7"],
+            ["templates=attribute, relational"],
             env={},
         )
         assert cfg.templates == ("attribute", "relational")
-        assert cfg.schedule_breakpoints == (3, 7)
 
     def test_unknown_and_unparsable_collected_together(self):
         with pytest.raises(ConfigError) as err:
@@ -146,7 +145,6 @@ class TestRoundTrip:
                 "templates=existence,counting",
                 "noise_std=0.05",
                 "base_lr=0.0005",
-                "schedule_breakpoints=1,4",
                 "attention_type=dyintra_only",
                 "dim=32",
                 "heads=2",

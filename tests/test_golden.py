@@ -14,12 +14,12 @@ Eval logits are pinned for every attention type, order and fusion: a
 ``golden_dataset()`` as one batch and one instance at a time. They pin
 which switch each forward reads, as the checkpoint pins cannot.
 
-Two trained checkpoints pin a whole train run: the default run config for
-2 epochs (dropout 0.1), saved with its Adamax trailer, once per clip mode.
-Float arithmetic makes those digests and the logits digests specific to the
-numpy and OpenBLAS build they were computed with (numpy 2.4.6,
-scipy-openblas 0.3.31): they pin that build's bytes, and another build of
-either library may move them without a fault in the code.
+A trained checkpoint pins a whole train run: the default run config for
+2 epochs (dropout 0.1), saved with its Adamax trailer. Float arithmetic
+makes that digest and the logits digests specific to the numpy and
+OpenBLAS build they were computed with (numpy 2.4.6, scipy-openblas
+0.3.31): they pin that build's bytes, and another build of either library
+may move them without a fault in the code.
 
 The ``dfaf gradcheck`` report is pinned at the 4-wide settings for every
 order and for one corrupted block, less its config echo: the digest covers
@@ -80,11 +80,8 @@ GENERATED_CASES = [
     ),
 ]
 
-# The default run config trained for 2 epochs, per clip mode.
-TRAINED_CASES = {
-    "global_norm": "89c19a5e20513d0e7dc95ac63a392e6143e011bb7c3ebbd8a0761a558b1f6bcd",
-    "per_value": "168ba4d81838992c114ac034942553731879fca77e90b5d7de59627cd92051bc",
-}
+# The default run config trained for 2 epochs.
+TRAINED_SHA256 = "89c19a5e20513d0e7dc95ac63a392e6143e011bb7c3ebbd8a0761a558b1f6bcd"
 
 # Eval logits per (attention_type, order, fusion); see logits_digest.
 LOGITS_CASES = {
@@ -212,16 +209,15 @@ def test_generated_dataset_bytes_are_pinned(tmp_path):
 
 
 def test_trained_checkpoint_bytes_are_pinned(tmp_path):
-    for clip_mode, digest in TRAINED_CASES.items():
-        cfg = RunConfig(epochs=2, clip_mode=clip_mode)
-        assert cfg.dropout == 0.1
-        dataset = generate_feature_dataset(sub_config(cfg, ToyTaskSpec), cfg.n_instances)
-        config = sub_config(cfg, ModelConfig, n_answers=dataset.n_answers)
-        params = build_model(config, np.random.default_rng(cfg.seed))
-        _, state = train(params, dataset, sub_config(cfg, TrainConfig))
-        path = tmp_path / f"{clip_mode}.ckpt"
-        save_checkpoint(str(path), params, config, state.as_checkpoint_trailer())
-        assert sha256_of(path) == digest, clip_mode
+    cfg = RunConfig(epochs=2)
+    assert cfg.dropout == 0.1
+    dataset = generate_feature_dataset(sub_config(cfg, ToyTaskSpec), cfg.n_instances)
+    config = sub_config(cfg, ModelConfig, n_answers=dataset.n_answers)
+    params = build_model(config, np.random.default_rng(cfg.seed))
+    _, state = train(params, dataset, sub_config(cfg, TrainConfig))
+    path = tmp_path / "trained.ckpt"
+    save_checkpoint(str(path), params, config, state.as_checkpoint_trailer())
+    assert sha256_of(path) == TRAINED_SHA256
 
 
 def test_eval_logits_are_pinned_for_every_switch():

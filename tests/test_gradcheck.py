@@ -4,6 +4,8 @@ The harness is itself an oracle, so these tests focus on its mechanics: does
 it cover every parameter block, does it actually fail when an adjoint is
 wrong, and does its noise model behave sensibly.
 """
+import functools
+import inspect
 import json
 
 import numpy as np
@@ -21,9 +23,18 @@ from dfaf.tensor import Tensor, linear_forward, linear_init, sum_all
 SMALL = dict(dim=4, regions=3, words=2, n_blocks=1, heads=2)
 
 
+@functools.cache
+def _cached_run(settings: tuple) -> dict:
+    return run_gradcheck(**dict(settings))
+
+
 def small_run(**kw):
-    merged = {**SMALL, **kw}
-    return run_gradcheck(**merged)
+    """The report at SMALL overridden by ``kw``, computed once per distinct
+    settings: defaults are filled in, so passing a default value shares the
+    entry. Callers share the returned dict and must not change it."""
+    bound = inspect.signature(run_gradcheck).bind(**{**SMALL, **kw})
+    bound.apply_defaults()
+    return _cached_run(tuple(bound.arguments.items()))
 
 
 class TestCheckUnit:

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from dfaf import model as M
 from dfaf.checkpoint import (
+    INT_FIELDS,
     STR_FIELDS,
-    U32_FIELDS,
     CheckpointError,
     load_checkpoint,
     save_checkpoint,
@@ -266,8 +266,8 @@ class TestModelConfigValidation:
         # A field in neither tuple would be dropped on save and come back
         # as its default on load.
         names = [f.name for f in fields(ModelConfig)]
-        assert sorted(U32_FIELDS + STR_FIELDS) == sorted(names)
-        for name in U32_FIELDS:
+        assert sorted(INT_FIELDS + STR_FIELDS) == sorted(names)
+        for name in INT_FIELDS:
             with pytest.raises(ValueError, match=name):
                 small_config(**{name: 0})
 

@@ -295,8 +295,8 @@ class TestActivations:
         assert np.allclose(s + s[::-1], 1.0, atol=1e-15)
 
     def test_relu_hand_values(self):
-        out = T.relu(Tensor([-2.0, 0.0, 3.5])).numpy()
-        assert np.array_equal(out, [0.0, 0.0, 3.5])
+        out = T.relu(Tensor([-2.0, 0.0, 3.5, np.nan])).numpy()
+        assert np.array_equal(out, [0.0, 0.0, 3.5, np.nan], equal_nan=True)
 
     def test_activation_gradients(self):
         rng = np.random.default_rng(17)

@@ -225,11 +225,6 @@ class TestLrSchedule:
         with pytest.raises(ValueError):
             lr_schedule(0, 1e-3)
 
-    def test_custom_breakpoints(self):
-        assert lr_schedule(4, 1.0, (4, 6)) == 1.0
-        assert lr_schedule(5, 1.0, (4, 6)) == 2.0
-        assert lr_schedule(7, 1.0, (4, 6)) == 0.5
-
 
 class TestClipGradients:
     def test_below_threshold_unchanged(self):
@@ -263,22 +258,15 @@ class TestClipGradients:
         for a, b in zip(g, out):
             assert np.all(np.abs(b) <= np.abs(a) + 1e-15)
 
-    def test_per_value_mode_clamps(self):
-        out = clip_gradients([np.array([-3.0, 0.1, 0.5])], 0.25, mode="per_value")
-        assert np.array_equal(out[0], [-0.25, 0.1, 0.25])
-
-    @pytest.mark.parametrize("mode", TR.CLIP_MODES)
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-    def test_non_finite_norm_raises_divergence(self, mode, bad):
+    def test_non_finite_norm_raises_divergence(self, bad):
         g = [np.array([0.1, 0.2]), np.array([[0.0, bad]])]
         with pytest.raises(DivergenceError, match=f"gradient norm is {bad}"):
-            clip_gradients(g, 0.25, mode=mode)
+            clip_gradients(g, 0.25)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             clip_gradients([np.ones(2)], 0.0)
-        with pytest.raises(ValueError):
-            clip_gradients([np.ones(2)], 0.25, mode="soft")
 
 
 def tiny_setup(seed=0, n=96, templates=("attribute",), dim=16, heads=2, **train_kw):
@@ -356,15 +344,33 @@ class TestTrainLoop:
         with pytest.raises(DivergenceError, match="epoch 1"):
             train(model, ds, tcfg)
 
-    @pytest.mark.parametrize("clip_mode", TR.CLIP_MODES)
-    def test_nan_feature_stops_before_its_update(self, clip_mode):
-        # ReLU maps the NaN to 0, so the loss stays finite; the gradient of
-        # the first classifier layer does not, and no step may apply it.
-        model, _, ds, tcfg = tiny_setup(clip_mode=clip_mode)
+    def test_nan_feature_stops_before_its_update(self):
+        # ReLU passes the NaN on, so the loss of the first batch is NaN and
+        # no step is taken.
+        model, _, ds, tcfg = tiny_setup()
+        before = [p.data.copy() for p in model.parameters()]
         ds.regions[5, 0, 0] = float("nan")
-        with pytest.raises(DivergenceError, match="gradient norm is nan"):
+        with pytest.raises(
+            DivergenceError, match="non-finite loss nan at epoch 1 after 0 optimizer steps"
+        ):
             train(model, ds, tcfg)
-        assert all(np.isfinite(p.data).all() for p in model.parameters())
+        for p, b in zip(model.parameters(), before):
+            assert np.array_equal(p.data, b)
+
+    def test_non_finite_gradient_with_finite_loss_stops_before_its_update(self, monkeypatch):
+        model, _, ds, tcfg = tiny_setup()
+        before = [p.data.copy() for p in model.parameters()]
+        taped_backward = TR.backward
+
+        def poisoned_backward(tape, loss):
+            taped_backward(tape, loss)
+            model.mlp_out.bias.grad[0] = float("inf")
+
+        monkeypatch.setattr(TR, "backward", poisoned_backward)
+        with pytest.raises(DivergenceError, match="gradient norm is inf"):
+            train(model, ds, tcfg)
+        for p, b in zip(model.parameters(), before):
+            assert np.array_equal(p.data, b)
 
     def test_answer_space_mismatch_rejected(self):
         model, _, ds, tcfg = tiny_setup()
@@ -417,6 +423,21 @@ class TestEvaluate:
         acc = evaluate_accuracy(model, ds)
         k = ds.n_answers
         assert abs(acc - 1.0 / k) < 0.08
+
+    def test_non_finite_logit_row_scores_as_miss(self):
+        # The hard-wired model would answer every instance; instance 3's NaN
+        # feature reaches its logits, and that row must not count as a hit.
+        model, _, ds, _ = tiny_setup(n=64)
+        target = int(ds.answers[0])
+        ds.answers[:] = target
+        model.mlp_out.weight.data[:] = 0.0
+        model.mlp_out.bias.data[:] = 0.0
+        model.mlp_out.bias.data[target] = 10.0
+        ds.regions[3, 0, 0] = float("nan")
+        report = evaluate_by_template(model, ds)
+        assert report["overall"] == 63 / 64
+        assert report["n"] == 64
+        assert report["per_template"]["attribute"] == {"n": 64, "accuracy": 63 / 64}
 
     def test_accuracy_invariant_to_batch_size(self):
         model, _, ds, _ = tiny_setup(n=130)
