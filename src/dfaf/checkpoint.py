@@ -18,10 +18,18 @@ declaration order. Tensor order is the field order of the
 parameter dataclasses (``tensor.Params.named_parameters``), so reordering a
 field changes the format. Writing is deterministic: identical parameters
 produce byte-identical files.
+
+The loader reads and checks the parameters, then maps the optimizer trailer
+read-only: its arrays are views of the file, which ``eval`` and ``inspect``
+drop unread. Only ``training.AdamaxState.from_checkpoint_trailer`` reads
+them, and it copies them. Reading a trailer view after its file was
+truncated or rewritten in place raises SIGBUS, so a caller that writes the
+checkpoint it resumed from copies the trailer first, as ``dfaf train`` does.
 """
 
 from __future__ import annotations
 
+import mmap
 import os
 import struct
 import sys
@@ -31,6 +39,7 @@ import numpy as np
 
 from .binio import read_str, read_struct, write_str
 from .model import INT_FIELDS, STR_FIELDS, ModelConfig, ModelParams, build_model
+from .tensor import Tensor
 
 MAGIC = b"DFAF"
 VERSION = 1
@@ -53,6 +62,27 @@ def _read_into(fh: BinaryIO, arr: np.ndarray, what: str) -> np.ndarray:
     return arr if sys.byteorder == "little" else arr.byteswap(inplace=True)
 
 
+def _map_trailer(
+    fh: BinaryIO, named: list[tuple[str, Tensor]]
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    # The rest of the file must be exactly the moments and infinity norms,
+    # returned as read-only views of a mapping (see the module docstring).
+    start = fh.tell()
+    need = 16 * sum(tensor.size for _, tensor in named)
+    left = os.fstat(fh.fileno()).st_size - start
+    if left < need:
+        raise CheckpointError(f"truncated file: wanted {need} bytes of optimizer state, got {left}")
+    if left > need:
+        raise CheckpointError("trailing bytes after checkpoint payload")
+    mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    moments, inf_norms = [], []
+    for _, tensor in named:
+        for out in (moments, inf_norms):
+            out.append(np.frombuffer(mapped, "<f8", tensor.size, start).reshape(tensor.shape))
+            start += 8 * tensor.size
+    return moments, inf_norms
+
+
 def save_checkpoint(
     path: str,
     params: ModelParams,
@@ -65,6 +95,17 @@ def save_checkpoint(
     if config != params.config:
         raise CheckpointError(f"config {config} is not the parameters' own {params.config}")
     named = list(params.named_parameters())
+    # Every check runs before ``open`` truncates the file this may replace.
+    if optimizer_state is not None:
+        step, moments, inf_norms = optimizer_state
+        if len(moments) != len(named) or len(inf_norms) != len(named):
+            raise CheckpointError(
+                f"optimizer state covers {len(moments)}/{len(inf_norms)} arrays "
+                f"for {len(named)} parameters"
+            )
+        for (_, tensor), m, u in zip(named, moments, inf_norms):
+            if m.shape != tensor.shape or u.shape != tensor.shape:
+                raise CheckpointError("optimizer arrays misshapen for parameter")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
@@ -80,17 +121,9 @@ def save_checkpoint(
         if optimizer_state is None:
             fh.write(struct.pack("<B", 0))
         else:
-            step, moments, inf_norms = optimizer_state
-            if len(moments) != len(named) or len(inf_norms) != len(named):
-                raise CheckpointError(
-                    f"optimizer state covers {len(moments)}/{len(inf_norms)} arrays "
-                    f"for {len(named)} parameters"
-                )
             fh.write(struct.pack("<B", 1))
             fh.write(struct.pack("<Q", step))
-            for (_, tensor), m, u in zip(named, moments, inf_norms):
-                if m.shape != tensor.shape or u.shape != tensor.shape:
-                    raise CheckpointError("optimizer arrays misshapen for parameter")
+            for m, u in zip(moments, inf_norms):
                 _write_array(fh, m)
                 _write_array(fh, u)
 
@@ -155,14 +188,9 @@ def load_checkpoint(
         optimizer_state = None
         if flag == 1:
             (step,) = read_struct(fh, "<Q", "step count", CheckpointError)
-            moments, inf_norms = [], []
-            for name, tensor in named:
-                moments.append(_read_into(fh, np.empty(tensor.shape), f"{name} moment"))
-                inf_norms.append(_read_into(fh, np.empty(tensor.shape), f"{name} inf-norm"))
-            optimizer_state = (step, moments, inf_norms)
+            optimizer_state = (step, *_map_trailer(fh, named))
         elif flag != 0:
             raise CheckpointError(f"bad optimizer flag {flag}")
-        extra = fh.read(1)
-        if extra:
+        elif fh.read(1):
             raise CheckpointError("trailing bytes after checkpoint payload")
     return params, config, optimizer_state

@@ -106,7 +106,10 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
                 ]
             )
         if trailer is not None:
+            # Copy the mapped trailer and drop it: the checkpoint written
+            # below may truncate the very file it maps.
             state = AdamaxState.from_checkpoint_trailer(trailer)
+            del trailer
         _log(f"resumed from {cfg.resume_from} at step {state.t if state else 0}")
     else:
         model = build_model(model_config, np.random.default_rng(cfg.seed))

@@ -172,10 +172,16 @@ def load_run_config(
 
     if path is not None:
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
+            with open(path, "rb") as fh:
+                raw = fh.read()
         except OSError as exc:
             raise ConfigError([f"cannot read config file {path}: {exc}"]) from exc
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(
+                [f"config file {path} is not valid utf-8 at byte {exc.start}"]
+            ) from None
         try:
             pairs.update(parse_config_text(text, source=path))
         except ConfigError as exc:

@@ -67,8 +67,14 @@ class AdamaxState:
     def from_checkpoint_trailer(
         cls, trailer: tuple[int, list[np.ndarray], list[np.ndarray]]
     ) -> "AdamaxState":
+        """Copy a trailer, which ``load_checkpoint`` returns as read-only views
+        of the mapped file, into writable, aligned, native float64 arrays."""
         step, moments, inf_norms = trailer
-        return cls(moments=[m.copy() for m in moments], inf_norms=[u.copy() for u in inf_norms], t=step)
+        return cls(
+            moments=[np.array(m, dtype=np.float64) for m in moments],
+            inf_norms=[np.array(u, dtype=np.float64) for u in inf_norms],
+            t=step,
+        )
 
 
 @dataclass

@@ -140,6 +140,20 @@ class TestTrain:
         assert proc.returncode == 0, proc.stderr
         assert stdout_objects(proc)[-1]["steps"] == 2 * first_steps
 
+    def test_resume_into_the_same_path(self, workspace, tmp_path):
+        # The writer truncates the very file whose trailer the loader mapped.
+        root, _, train_out = workspace
+        first_steps = train_out[-1]["steps"]
+        shutil.copy(root / "ckpt.bin", tmp_path / "c.bin")
+        proc = run_cli(
+            ["train", *TINY, "--set", "resume_from=c.bin", str(root / "data.bin"), "c.bin"],
+            tmp_path,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert stdout_objects(proc)[-1]["steps"] == 2 * first_steps
+        _, _, trailer = load_checkpoint(str(tmp_path / "c.bin"))
+        assert trailer[0] == 2 * first_steps
+
     def test_resume_architecture_mismatch_is_config_error(self, workspace, tmp_path):
         root, _, _ = workspace
         proc = run_cli(
@@ -574,6 +588,15 @@ class TestArgumentErrors:
             assert key in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "out.bin").exists()
+
+    def test_config_file_not_utf8_exits_2(self, tmp_path):
+        (tmp_path / "bad.cfg").write_bytes(b"dim=8\n\xff\xfe=1\n")
+        proc = run_cli(["gradcheck", "--config", "bad.cfg"], tmp_path)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            "config error: config file bad.cfg is not valid utf-8 at byte 6"
+        ]
 
     def test_negative_env_seed_exits_2(self, tmp_path):
         proc = run_cli(

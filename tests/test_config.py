@@ -136,6 +136,16 @@ class TestGeneratedConfigText:
             if key.endswith("seed"):
                 assert value >= 0, key
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.binary(max_size=200))
+    def test_raw_bytes_yield_run_config_or_config_error(self, tmp_path_factory, raw):
+        path = tmp_path_factory.getbasetemp() / "raw.cfg"
+        path.write_bytes(raw)
+        try:
+            assert isinstance(load_run_config(str(path), env={}), RunConfig)
+        except ConfigError:
+            pass
+
 
 class TestRoundTrip:
     def test_lines_reload_to_equal_config(self, tmp_path):

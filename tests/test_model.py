@@ -21,6 +21,7 @@ from dfaf.checkpoint import (
 from dfaf.attention import VARIANTS
 from dfaf.model import ModelConfig, Prediction, build_model
 from dfaf.tensor import GradTape, ShapeError, Tensor, backward
+from dfaf.training import AdamaxState
 
 
 def small_config(**kw) -> ModelConfig:
@@ -389,6 +390,60 @@ class TestCheckpoint:
             assert np.array_equal(a, b)
         for a, b in zip(norms, u2):
             assert np.array_equal(a, b)
+
+    def test_trailer_is_read_only_views_that_adamax_state_copies(self, tmp_path):
+        cfg = small_config()
+        rng = np.random.default_rng(31)
+        p = build_model(cfg, rng)
+        moments = [rng.standard_normal(t.shape) for t in p.parameters()]
+        norms = [np.abs(rng.standard_normal(t.shape)) for t in p.parameters()]
+        path = str(tmp_path / "views.ckpt")
+        save_checkpoint(path, p, cfg, optimizer_state=(5, moments, norms))
+        _, _, trailer = load_checkpoint(path)
+        _, m2, u2 = trailer
+        for saved, loaded in zip(moments + norms, m2 + u2):
+            assert loaded.tobytes() == saved.tobytes()
+            assert not loaded.flags.writeable
+            with pytest.raises(ValueError):
+                loaded[...] = 0.0
+        state = AdamaxState.from_checkpoint_trailer(trailer)
+        assert state.t == 5
+        for saved, copied in zip(moments + norms, state.moments + state.inf_norms):
+            assert copied.dtype == np.float64 and copied.dtype.isnative
+            assert copied.flags.writeable and copied.flags.c_contiguous and copied.flags.aligned
+            assert copied.tobytes() == saved.tobytes()
+
+    def optimizer_state(self, p):
+        return 2, [t.data + 1.0 for t in p.parameters()], [t.data + 2.0 for t in p.parameters()]
+
+    @pytest.mark.parametrize("drop", ["count", "shape"])
+    def test_rejected_save_leaves_the_earlier_file(self, tmp_path, drop):
+        cfg = small_config()
+        p = build_model(cfg, np.random.default_rng(32))
+        path = tmp_path / "keep.ckpt"
+        save_checkpoint(str(path), p, cfg)
+        before = path.read_bytes()
+        step, moments, norms = self.optimizer_state(p)
+        if drop == "count":
+            norms = norms[:-1]
+        else:
+            norms[3] = norms[3][..., :-1]
+        with pytest.raises(CheckpointError, match="optimizer"):
+            save_checkpoint(str(path), p, cfg, optimizer_state=(step, moments, norms))
+        assert path.read_bytes() == before
+        with pytest.raises(CheckpointError, match="optimizer"):
+            save_checkpoint(str(tmp_path / "new.ckpt"), p, cfg, (step, moments, norms))
+        assert not (tmp_path / "new.ckpt").exists()
+
+    def test_trailing_byte_after_trailer_rejected(self, tmp_path):
+        cfg = small_config()
+        p = build_model(cfg, np.random.default_rng(33))
+        path = str(tmp_path / "gt.ckpt")
+        save_checkpoint(path, p, cfg, optimizer_state=self.optimizer_state(p))
+        with open(path, "ab") as fh:
+            fh.write(b"\x00")
+        with pytest.raises(CheckpointError, match="trailing"):
+            load_checkpoint(path)
 
     def test_writes_are_byte_deterministic(self, tmp_path):
         cfg = small_config()
