@@ -21,6 +21,11 @@ OpenBLAS build they were computed with (numpy 2.4.6, scipy-openblas
 0.3.31): they pin that build's bytes, and another build of either library
 may move them without a fault in the code.
 
+The ``dfaf inspect`` dump of one instance is pinned for the golden
+``full`` checkpoint, whose softmaxes and gates all saturate to 0 or 1, and
+for two seeded models that do not saturate: ``full``, and ``dyintra_only``
+for its own gates and gate-disabled matrices. It is float output too.
+
 The ``dfaf gradcheck`` report is pinned at the 4-wide settings for every
 order and for one corrupted block, less its config echo: the digest covers
 the key order, every error and norm, and which blocks fail. It is float
@@ -155,14 +160,19 @@ def golden_model(attention_type="full", n_blocks=1):
     return params, config, (7, moments, inf_norms)
 
 
-def logits_digest(attention_type: str, order: str, fusion: str) -> str:
-    """SHA-256 of a seeded 2-block model's eval logits on golden_dataset(),
-    batched, then per instance (BLAS may round the two differently)."""
+def seeded_model(attention_type: str, order: str, fusion: str):
+    """A 2-block model from a seeded build, sized for golden_dataset()."""
     config = ModelConfig(
         dim=4, heads=2, n_blocks=2, hidden=3, d_v=5, d_w=3, n_answers=3,
         fusion=fusion, order=order, attention_type=attention_type,
     )
-    params = build_model(config, np.random.default_rng(0))
+    return build_model(config, np.random.default_rng(0))
+
+
+def logits_digest(attention_type: str, order: str, fusion: str) -> str:
+    """SHA-256 of a seeded 2-block model's eval logits on golden_dataset(),
+    batched, then per instance (BLAS may round the two differently)."""
+    params = seeded_model(attention_type, order, fusion)
     ds = golden_dataset()
     batched = predict(Tensor(ds.regions), Tensor(ds.tokens), params).logits.data
     single = np.stack([
@@ -250,3 +260,26 @@ def test_gradcheck_report_is_pinned(capsys, monkeypatch):
         report = json.loads(line)
         del report["config"]
         assert hashlib.sha256(json.dumps(report).encode()).hexdigest() == digest, pair
+
+
+# The ``dfaf inspect`` dump of instance 1 of golden_dataset(), per model.
+INSPECT_CASES = {
+    "golden full": "6e617aafefc2b406d04593b09cc13ffee061567b3059f085598f47d195fa6e38",
+    "seeded full": "4f12d475564cbd8278b6c141c7722beacec97807c2b2af0be05893b3f41da794",
+    "seeded dyintra_only": "b45b00f81f968f28e742a37297de39beea5c41d66b46984c33c91682d1e06506",
+}
+
+
+def test_inspect_dump_is_pinned(tmp_path, monkeypatch):
+    monkeypatch.delenv("DFAF_SEED", raising=False)
+    models = {
+        "golden full": golden_model("full")[0],
+        "seeded full": seeded_model("full", "e_then_r", "concat"),
+        "seeded dyintra_only": seeded_model("dyintra_only", "e_then_r", "concat"),
+    }
+    data, ckpt, out = (str(tmp_path / name) for name in ("g.dfft", "m.ckpt", "dump.json"))
+    write_feature_file(data, golden_dataset())
+    for case, digest in INSPECT_CASES.items():
+        save_checkpoint(ckpt, models[case], models[case].config)
+        assert main(["inspect", ckpt, data, "1", out]) == 0, case
+        assert sha256_of(out) == digest, case
