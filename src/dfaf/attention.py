@@ -1,7 +1,9 @@
 """Inter- and intra-modality attention flow between region and word features.
 
-Two module families operate on a pair of feature matrices (regions ``r``,
-words ``e``), both projected to a shared width ``dim``:
+Two module families operate on a pair of feature batches (regions ``r`` of
+shape (B, μ, dim), words ``e`` of shape (B, L, dim)), both projected to a
+shared width ``dim``. Every forward takes batches; one instance is a batch
+of one.
 
 * Inter-modality flow: bidirectional co-attention. Each modality attends over
   the other, pulls in weighted value vectors, and fuses them with its own
@@ -24,8 +26,6 @@ are computed at full width and split alongside the channels.
 A block is inter-modality flow followed by intra-modality flow; blocks stack
 sequentially. There is no normalization anywhere, and dropout (train mode,
 which a ForwardContext selects) follows each projection and fusion linear.
-
-All forwards accept an optional leading batch axis on ``r`` and ``e``.
 
 Nothing here checks shapes: ``ModelConfig`` fixes every width the builders
 use, and the ``tensor`` ops reject a wrong width or an empty modality.
@@ -131,10 +131,11 @@ class DyIntraMafParams(Params):
 class AttentionRecord:
     """Attention matrices and gate vectors captured from one block's forward.
 
-    Matrix lists hold one array per head (length ``heads``); gate vectors are
-    full-width. Arrays are detached copies, safe to keep after backward. For
-    dynamic intra modules, ``intra_*_gates_disabled`` hold the same inputs'
-    self-attention with the gates left out of queries and keys.
+    Matrix lists hold one (B, n, m) array per head (length ``heads``), and
+    gates are (B, dim): row b is instance b of the batch, and one instance
+    is a batch of one. Arrays are detached copies, safe to keep after
+    backward. For dynamic intra modules, ``intra_*_gates_disabled`` hold the
+    same inputs' self-attention with the gates left out of queries and keys.
     """
 
     inter_r_from_e: list[np.ndarray] = field(default_factory=list)
@@ -169,11 +170,10 @@ class DfafBlockParams(Params):
 # forward passes
 
 
-def head_copies(w: np.ndarray, like: Tensor) -> list[np.ndarray]:
-    """Per-head copies of head-major weights ``w``, each (n, m) or (B, n, m)
-    as ``like`` (the queries' source) is unbatched or batched."""
-    by_head = w.reshape(like.shape[:-2] + (-1,) + w.shape[1:])
-    return [by_head[..., h, :, :].copy() for h in range(by_head.shape[-3])]
+def head_copies(w: np.ndarray, heads: int) -> list[np.ndarray]:
+    """Per-head (B, n, m) copies of head-major (B·heads, n, m) weights ``w``."""
+    by_head = w.reshape(-1, heads, *w.shape[1:])
+    return [by_head[:, h].copy() for h in range(heads)]
 
 
 def compute_gates(other_modality_feats: Tensor, gate_layer: LinearLayer) -> Tensor:
@@ -227,8 +227,8 @@ def inter_maf_forward(
         e_new, w_e = update_words(*keys_values(p.region_qkv, r_new))
 
     if record is not None:
-        record.inter_r_from_e = head_copies(w_r, r)
-        record.inter_e_from_r = head_copies(w_e, e)
+        record.inter_r_from_e = head_copies(w_r, heads)
+        record.inter_e_from_r = head_copies(w_e, heads)
     return r_new, e_new
 
 
@@ -255,8 +255,8 @@ def dyintra_maf_forward(
     gate_r = gate_e = None
     if dynamic:
         if record is not None:  # what the gates modulate, without them
-            record.intra_r_gates_disabled = head_copies(attention_weights(r_q, r_k, heads), r)
-            record.intra_e_gates_disabled = head_copies(attention_weights(e_q, e_k, heads), e)
+            record.intra_r_gates_disabled = head_copies(attention_weights(r_q, r_k, heads), heads)
+            record.intra_e_gates_disabled = head_copies(attention_weights(e_q, e_k, heads), heads)
         gate_r = compute_gates(e, p.gate_from_words)  # modulates region q/k
         gate_e = compute_gates(r, p.gate_from_regions)  # modulates word q/k
         mult_r = add_scalar(gate_r, 1.0)
@@ -274,8 +274,8 @@ def dyintra_maf_forward(
     e_new = linear_dropout(p.word_out, add(e, e_att), ctx)
 
     if record is not None:
-        record.intra_r = head_copies(w_r, r)
-        record.intra_e = head_copies(w_e, e)
+        record.intra_r = head_copies(w_r, heads)
+        record.intra_e = head_copies(w_e, heads)
         if dynamic:
             record.gate_on_regions = gate_r.numpy()
             record.gate_on_words = gate_e.numpy()

@@ -6,9 +6,10 @@ Grammar::
 
 Reports go to standard output as JSON (training streams one JSON object per
 epoch); progress logs go to standard error.  Exit codes: 0 success, 1 failed
-check, 2 configuration error, 3 data or checkpoint error, 4 numerical
-divergence.  The effective configuration is echoed into every report so any
-run can be reproduced by feeding the echo back as a config file.
+check, 2 configuration error, 3 data or checkpoint error or out of memory,
+4 numerical divergence.  The effective configuration is echoed into every
+report so any run can be reproduced by feeding the echo back as a config
+file.
 """
 from __future__ import annotations
 
@@ -193,13 +194,14 @@ _DUMP_MATRICES = (
 
 
 def _block_payload(index: int, record: AttentionRecord) -> dict:
+    # Row 0 of each record: inspect runs its instance as a batch of one.
     payload: dict = {"block": index}
     for name in _DUMP_MATRICES:
         if getattr(record, name):
-            payload[name] = [m.tolist() for m in getattr(record, name)]
+            payload[name] = [m[0].tolist() for m in getattr(record, name)]
     if record.gate_on_regions is not None:
-        payload["gate_on_regions"] = record.gate_on_regions.tolist()
-        payload["gate_on_words"] = record.gate_on_words.tolist()
+        payload["gate_on_regions"] = record.gate_on_regions[0].tolist()
+        payload["gate_on_words"] = record.gate_on_words[0].tolist()
     return payload
 
 
@@ -211,10 +213,9 @@ def cmd_inspect(cfg: RunConfig, args: argparse.Namespace) -> int:
         raise IndexError(
             f"instance index {args.index} out of range for {len(dataset)} instances"
         )
-    regions = Tensor(dataset.regions[args.index])
-    tokens = Tensor(dataset.tokens[args.index])
-    pred = predict(regions, tokens, model, record=True)
-    logits = pred.logits.data
+    one = slice(args.index, args.index + 1)
+    pred = predict(Tensor(dataset.regions[one]), Tensor(dataset.tokens[one]), model, record=True)
+    logits = pred.logits.data[0]
     predicted = None  # a non-finite row predicts nothing, not answer 0
     if np.isfinite(logits).all():
         predicted = dataset.answer_names[int(logits.argmax())]
@@ -307,6 +308,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 3
     except OSError as exc:
         _log(f"io error: {exc}")
+        return 3
+    except MemoryError as exc:
+        _log(f"out of memory: {exc}")
         return 3
     except DivergenceError as exc:
         _log(f"diverged: {exc}")

@@ -163,8 +163,8 @@ def run_gradcheck(
     )
 
     rng = np.random.default_rng(seed)
-    r = Tensor(rng.standard_normal((regions, dim)))
-    e = Tensor(rng.standard_normal((words, dim)))
+    r = Tensor(rng.standard_normal((1, regions, dim)))
+    e = Tensor(rng.standard_normal((1, words, dim)))
     inter = init_inter_maf(dim, rng)
     dyintra = init_dyintra_maf(dim, rng)
     intra = init_dyintra_maf(dim, rng)

@@ -119,7 +119,7 @@ class ModelParams(Params):
 
 @dataclass
 class Prediction:
-    """Classifier output for one instance (or a batch); ``logits`` stays
+    """Classifier output for a batch: (B, answers) ``logits``, which stay
     tape-connected for the loss."""
 
     logits: Tensor
@@ -182,8 +182,9 @@ def forward(
     ctx: ForwardContext | None = None,
     records: list[AttentionRecord] | None = None,
 ) -> Prediction:
-    """Full pipeline; a ``ctx`` means train mode, None means eval. Blocks
-    run in order, and each appends one AttentionRecord when ``records`` is a
+    """Full pipeline on a batch of (B, μ, d_v) regions and (B, L, d_w)
+    tokens; a ``ctx`` means train mode, None means eval. Blocks run in
+    order, and each appends one AttentionRecord when ``records`` is a
     list."""
     config = p.config
     dynamic = VARIANTS[config.attention_type].dynamic
@@ -203,7 +204,6 @@ def predict(raw_r: Tensor, raw_e: Tensor, p: ModelParams, record: bool = False) 
     return forward(raw_r, raw_e, p, ctx=None, records=records)
 
 
-def cross_entropy_loss(pred: Prediction, target: int | Sequence[int]) -> Tensor:
-    """Mean negative log-likelihood of the target answer(s)."""
-    targets = [target] if isinstance(target, (int, np.integer)) else list(target)
+def cross_entropy_loss(pred: Prediction, targets: Sequence[int]) -> Tensor:
+    """Mean negative log-likelihood of each instance's target answer."""
     return cross_entropy_rows(pred.logits, targets)

@@ -10,9 +10,11 @@ the adjoint it is given. ``backward`` may therefore keep a returned array
 that owns its memory as a leaf's ``.grad``, and adds further contributions
 in place into arrays it made itself.
 
-Matrix ops accept an optional leading batch axis: every contract stated for
-an (n x d) input holds slice-wise for a (B x n x d) input. Broadcasting
-beyond that (and beyond bias-over-rows) is deliberately unsupported.
+Activations are batches: the row ops (``mul_row``, ``attention``,
+``avg_pool_rows``) take (B, n, d) rows, pooled vectors and logits are
+(B, d), and one instance is a batch of one. Each rejects any other rank
+with a ``ShapeError`` that names the shapes. ``linear_forward`` alone is
+rank-generic, and elementwise ops take equal shapes.
 
 Ops raise ``ShapeError`` on operands they would otherwise compute garbage
 from. Parameter containers check nothing: builders derive every shape from
@@ -219,33 +221,16 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _apply((a, b), ad * bd, bwd)
 
 
-def _row_vector_view(m: Tensor, v: Tensor, opname: str) -> np.ndarray:
-    # v is one feature vector shared by all rows, or one per batch element.
-    if m.ndim < 2:
-        raise ShapeError(f"{opname} needs a matrix, got {m.shape}")
-    if v.shape[-1] != m.shape[-1]:
-        raise ShapeError(f"{opname} widths disagree: {m.shape} vs {v.shape}")
-    if v.ndim == 1:
-        return v.data
-    if v.ndim == 2 and m.ndim == 3 and v.shape[0] == m.shape[0]:
-        return v.data[:, None, :]
-    raise ShapeError(f"{opname} cannot broadcast {v.shape} over {m.shape}")
-
-
-def _reduce_rows(g: np.ndarray, v: Tensor) -> np.ndarray:
-    # Sum the row axis (and batch axis when v is unbatched) back to v's shape.
-    if v.ndim == 1:
-        return g.reshape(-1, g.shape[-1]).sum(axis=0)
-    return g.sum(axis=1)
-
-
 def mul_row(m: Tensor, v: Tensor) -> Tensor:
-    """Multiply every row of ``m`` by one feature vector (gate broadcast)."""
-    vb = _row_vector_view(m, v, "mul_row")
+    """Multiply every row of instance b in ``m`` (B, n, d) by row b of
+    ``v`` (B, d): the gate broadcast."""
+    if m.ndim != 3 or v.shape != (m.shape[0], m.shape[2]):
+        raise ShapeError(f"mul_row needs (B, n, d) rows and (B, d) gates: {m.shape} vs {v.shape}")
+    vb = v.data[:, None, :]
     md = m.data
 
     def bwd(g):
-        return g * vb, _reduce_rows(g * md, v)
+        return g * vb, (g * md).sum(axis=1)
 
     return _apply((m, v), md * vb, bwd)
 
@@ -295,16 +280,16 @@ def _swap(x: np.ndarray) -> np.ndarray:
 
 
 def _split_heads(a: np.ndarray, heads: int) -> np.ndarray:
-    # (n, d) or (B, n, d) -> head-major (B·heads, n, d/heads) copy; entry
-    # b·heads + h holds columns [h·d/heads, (h+1)·d/heads) of instance b.
-    b, n, d = (1, *a.shape) if a.ndim == 2 else a.shape
+    # (B, n, d) -> head-major (B·heads, n, d/heads) copy; entry b·heads + h
+    # holds columns [h·d/heads, (h+1)·d/heads) of instance b.
+    b, n, d = a.shape
     grouped = a.reshape(b, n, heads, d // heads).swapaxes(1, 2)
     return np.ascontiguousarray(grouped).reshape(b * heads, n, d // heads)
 
 
 def _merge_heads(a: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    # Inverse of _split_heads; ``shape`` is (n, d) or (B, n, d).
-    b, n, d = (1, *shape) if len(shape) == 2 else shape
+    # Inverse of _split_heads; ``shape`` is (B, n, d).
+    b, n, d = shape
     grouped = a.reshape(b, d // a.shape[-1], n, a.shape[-1]).swapaxes(1, 2)
     return np.ascontiguousarray(grouped).reshape(shape)
 
@@ -312,8 +297,8 @@ def _merge_heads(a: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def _attention_scale(qd: np.ndarray, kd: np.ndarray, vd: np.ndarray, heads: int) -> float:
     # Check the operand shapes of attention; return the logit scale 1/√d_h.
     shapes = f"q {qd.shape}, k {kd.shape}, v {vd.shape}"
-    if qd.ndim < 2 or not qd.ndim == kd.ndim == vd.ndim:
-        raise ShapeError(f"attention needs matrices or batches of equal rank: {shapes}")
+    if not qd.ndim == kd.ndim == vd.ndim == 3:
+        raise ShapeError(f"attention needs (B, n, d) batches of equal rank: {shapes}")
     if qd.shape[-1] != kd.shape[-1] or kd.shape[-2] != vd.shape[-2]:
         raise ShapeError(f"query/key widths or key/value rows disagree: {shapes}")
     if not qd.shape[:-2] == kd.shape[:-2] == vd.shape[:-2]:
@@ -346,12 +331,12 @@ def attention_weights(q: Tensor, k: Tensor, heads: int) -> np.ndarray:
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.ndarray]:
     """Multi-head attention softmax(q·kᵀ/√d_h)·v as one op.
 
-    Rows of ``q`` are queries, rows of ``k`` and ``v`` are keys, of which
-    there must be at least one; the three are matrices or equal-sized
-    batches of them. The feature axes split into ``heads`` contiguous
-    column groups, each attended on its own and scaled by the square root
-    of its width d_h. Returns the merged values (``q``'s rows, ``v``'s
-    width) and the head-major (B·heads, n, m) weights, whose entry
+    ``q`` (B, n, d), ``k`` (B, m, d) and ``v`` (B, m, d_v) are equal-sized
+    batches: rows of ``q`` are queries, rows of ``k`` and ``v`` are keys, of
+    which there must be at least one. The feature axes split into ``heads``
+    contiguous column groups, each attended on its own and scaled by the
+    square root of its width d_h. Returns the merged values (``q``'s rows,
+    ``v``'s width) and the head-major (B·heads, n, m) weights, whose entry
     b·heads + h is head h of instance b. The softmax is stabilized by
     per-row max subtraction. Backward reuses the weights and the head-major
     copies of q, k and v.
@@ -413,9 +398,9 @@ def relu(t: Tensor) -> Tensor:
 
 
 def avg_pool_rows(m: Tensor) -> Tensor:
-    """Arithmetic mean over the row axis: (..., n, d) -> (..., d)."""
-    if m.ndim < 2:
-        raise ShapeError(f"avg_pool_rows needs a matrix, got {m.shape}")
+    """Arithmetic mean over the row axis: (B, n, d) -> (B, d)."""
+    if m.ndim != 3:
+        raise ShapeError(f"avg_pool_rows needs a (B, n, d) batch, got {m.shape}")
     n = m.shape[-2]
     if n == 0:
         raise ShapeError("avg_pool_rows on an empty input")
@@ -446,14 +431,15 @@ def dropout(t: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
 
 
 def cross_entropy_rows(logits: Tensor, targets: Sequence[int]) -> Tensor:
-    """Mean negative log-likelihood of integer targets under row softmax.
+    """Mean negative log-likelihood of one integer target per row of the
+    (B, answers) ``logits`` under row softmax.
 
     Computed through log-sum-exp on the logits for stability; the gradient is
     (softmax - one_hot) / n_rows.
     """
-    if logits.ndim == 3:
-        raise ShapeError(f"cross entropy takes a logit matrix, got {logits.shape}")
-    x = logits.data if logits.ndim == 2 else logits.data[None, :]
+    if logits.ndim != 2:
+        raise ShapeError(f"cross entropy takes a (B, answers) logit matrix, got {logits.shape}")
+    x = logits.data
     idx = np.asarray(targets, dtype=np.intp)
     if idx.ndim != 1 or idx.shape[0] != x.shape[0]:
         raise ShapeError(f"{x.shape[0]} logit rows but {idx.shape} targets")
@@ -466,13 +452,12 @@ def cross_entropy_rows(logits: Tensor, targets: Sequence[int]) -> Tensor:
     losses = lse - x[rows, idx]
     n = x.shape[0]
     probs = e / e.sum(axis=-1, keepdims=True)
-    was_vector = logits.ndim == 1
 
     def bwd(g):
         gl = probs.copy()
         gl[rows, idx] -= 1.0
         gl *= g.reshape(-1)[0] / n
-        return (gl[0] if was_vector else gl,)
+        return (gl,)
 
     return _apply((logits,), np.array([losses.mean()]), bwd)
 

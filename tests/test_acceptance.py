@@ -46,8 +46,8 @@ def random_stack_inputs(rng):
     attention_type = str(rng.choice(ATTENTION_TYPES))
     scale = 10.0 ** float(rng.uniform(-2, 2))
     blocks = [init_dfaf_block(dim, attention_type, rng) for _ in range(n_blocks)]
-    r = Tensor(scale * rng.standard_normal((mu, dim)))
-    e = Tensor(scale * rng.standard_normal((length, dim)))
+    r = Tensor(scale * rng.standard_normal((1, mu, dim)))
+    e = Tensor(scale * rng.standard_normal((1, length, dim)))
     return (blocks, heads, order, VARIANTS[attention_type].dynamic), r, e
 
 
@@ -137,19 +137,19 @@ def test_criterion_03_region_permutation_symmetry():
         )
         model = build_model(config, rng)
         mu = int(rng.integers(2, 8))
-        raw_r = Tensor(rng.standard_normal((mu, config.d_v)))
-        raw_e = Tensor(rng.standard_normal((5, config.d_w)))
+        raw_r = Tensor(rng.standard_normal((1, mu, config.d_v)))
+        raw_e = Tensor(rng.standard_normal((1, 5, config.d_w)))
         perm = rng.permutation(mu)
         base = predict(raw_r, raw_e, model).logits.data
-        shuffled = predict(Tensor(raw_r.data[perm]), raw_e, model).logits.data
+        shuffled = predict(Tensor(raw_r.data[:, perm]), raw_e, model).logits.data
         assert np.max(np.abs(base - shuffled)) <= 1e-12
 
         # Per-module: outputs permute with the rows, words untouched.
         stack, r, e = random_stack_inputs(rng)
         r2, e2 = stack_forward(r, e, stack)
-        perm = rng.permutation(r.shape[0])
-        r2p, e2p = stack_forward(Tensor(r.data[perm]), e, stack)
-        assert np.max(np.abs(r2p.data - r2.data[perm])) <= 1e-12
+        perm = rng.permutation(r.shape[1])
+        r2p, e2p = stack_forward(Tensor(r.data[:, perm]), e, stack)
+        assert np.max(np.abs(r2p.data - r2.data[:, perm])) <= 1e-12
         assert np.max(np.abs(e2p.data - e2.data)) <= 1e-12
 
 
@@ -167,9 +167,9 @@ def test_criterion_04_dynamic_gating_dataflow():
         dim = heads * int(rng.choice([2, 4, 8]))
         mu = int(rng.integers(2, 8))
         length = int(rng.integers(2, 8))
-        r = Tensor(rng.standard_normal((mu, dim)))
-        e = Tensor(rng.standard_normal((length, dim)))
-        e_other = Tensor(rng.standard_normal((length, dim)))
+        r = Tensor(rng.standard_normal((1, mu, dim)))
+        e = Tensor(rng.standard_normal((1, length, dim)))
+        e_other = Tensor(rng.standard_normal((1, length, dim)))
 
         def region_attention(params, dynamic):
             record = AttentionRecord()
@@ -200,29 +200,29 @@ def test_criterion_05_multi_head_consistency():
     for _ in range(20):
         dim = int(rng.choice([8, 16, 32]))
         n, m = int(rng.integers(2, 9)), int(rng.integers(2, 9))
-        q = Tensor(rng.standard_normal((n, dim)))
-        k = Tensor(rng.standard_normal((m, dim)))
-        v = Tensor(rng.standard_normal((m, dim)))
+        q = Tensor(rng.standard_normal((1, n, dim)))
+        k = Tensor(rng.standard_normal((1, m, dim)))
+        v = Tensor(rng.standard_normal((1, m, dim)))
 
         # h=1 must be bit-exact against the unsplit computation.
         merged, weights = attention(q, k, v, 1)
-        logits = q.data @ np.ascontiguousarray(k.data.T) * (1.0 / math.sqrt(dim))
+        logits = q.data[0] @ np.ascontiguousarray(k.data[0].T) * (1.0 / math.sqrt(dim))
         e = np.exp(logits - logits.max(axis=-1, keepdims=True))
         direct_w = e / e.sum(axis=-1, keepdims=True)
         assert np.array_equal(weights[0], direct_w)
-        assert np.array_equal(merged.data, direct_w @ v.data)
+        assert np.array_equal(merged.data[0], direct_w @ v.data[0])
 
         # h=2 must equal two independent half-width runs, concatenated.
         half = dim // 2
         merged2, weights2 = attention(q, k, v, 2)
         parts = []
         for lo, hi, w2 in ((0, half, weights2[0]), (half, dim, weights2[1])):
-            qh = Tensor(q.data[:, lo:hi])
-            kh = Tensor(k.data[:, lo:hi])
+            qh = Tensor(q.data[..., lo:hi])
+            kh = Tensor(k.data[..., lo:hi])
             wh = attention(qh, kh, kh, 1)[1][0]
             assert np.max(np.abs(wh - w2)) <= 1e-10
-            parts.append(wh @ v.data[:, lo:hi])
-        assert np.max(np.abs(merged2.data - np.concatenate(parts, axis=1))) <= 1e-10
+            parts.append(wh @ v.data[0, :, lo:hi])
+        assert np.max(np.abs(merged2.data[0] - np.concatenate(parts, axis=1))) <= 1e-10
 
 
 # --------------------------------------------------------------------------
@@ -320,27 +320,27 @@ def test_criterion_10_full_width_shape_conformance():
     assert model.config.dim // model.config.heads == 64
 
     mu, length = 100, 14
-    raw_r = Tensor(rng.standard_normal((mu, 2048)))
-    raw_e = Tensor(rng.standard_normal((length, 1280)))
+    raw_r = Tensor(rng.standard_normal((1, mu, 2048)))
+    raw_e = Tensor(rng.standard_normal((1, length, 1280)))
     pred = predict(raw_r, raw_e, model, record=True)
-    assert pred.logits.shape == (10,)
+    assert pred.logits.shape == (1, 10)
 
     (record,) = pred.records
     assert len(record.inter_r_from_e) == 8
     for w in record.inter_r_from_e:
-        assert w.shape == (mu, length)
+        assert w.shape == (1, mu, length)
     for w in record.inter_e_from_r:
-        assert w.shape == (length, mu)
+        assert w.shape == (1, length, mu)
     for w in record.intra_r:
-        assert w.shape == (mu, mu)
+        assert w.shape == (1, mu, mu)
     for w in record.intra_e:
-        assert w.shape == (length, length)
-    assert record.gate_on_regions.shape == (512,)
-    assert record.gate_on_words.shape == (512,)
+        assert w.shape == (1, length, length)
+    assert record.gate_on_regions.shape == (1, 512)
+    assert record.gate_on_words.shape == (1, 512)
 
     from dfaf.model import embed_inputs
 
     r, e = embed_inputs(raw_r, raw_e, model)
     r2, e2 = stack_forward(r, e, (model.stack, 8, config.order, True))
-    assert r2.shape == (mu, 512)
-    assert e2.shape == (length, 512)
+    assert r2.shape == (1, mu, 512)
+    assert e2.shape == (1, length, 512)

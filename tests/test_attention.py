@@ -1,9 +1,15 @@
-"""Attention flow: composition oracles, symmetry, gating dataflow, heads."""
+"""Attention flow: composition oracles, symmetry, gating dataflow, heads.
+
+Every forward takes batches; a test of one instance runs it as a batch of
+one. ``np_attention`` (conftest) is the one numpy reference for
+``tensor.attention``.
+"""
 
 import math
 
 import numpy as np
 import pytest
+from conftest import np_attention
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,23 +27,8 @@ def np_linear(layer, x):
     return x @ layer.weight.data + layer.bias.data
 
 
-def np_softmax(x):
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def np_sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
-
-
-def np_heads_attend(q, k, v, heads):
-    hd = q.shape[-1] // heads
-    outs = []
-    for h in range(heads):
-        sl = slice(h * hd, (h + 1) * hd)
-        w = np_softmax(q[..., sl] @ k[..., sl].swapaxes(-1, -2) / math.sqrt(hd))
-        outs.append(w @ v[..., sl])
-    return np.concatenate(outs, axis=-1)
 
 
 def np_qkv(p, x):
@@ -50,12 +41,12 @@ def inter_oracle(r, e, p, heads, order):
 
     def upd_r(keys, values):
         return np_linear(
-            p.region_out, np.concatenate([r, np_heads_attend(rq, keys, values, heads)], -1)
+            p.region_out, np.concatenate([r, np_attention(rq, keys, values, heads)[0]], -1)
         )
 
     def upd_e(keys, values):
         return np_linear(
-            p.word_out, np.concatenate([e, np_heads_attend(eq, keys, values, heads)], -1)
+            p.word_out, np.concatenate([e, np_attention(eq, keys, values, heads)[0]], -1)
         )
 
     if order == "parallel":
@@ -71,57 +62,62 @@ def dyintra_oracle(r, e, p, heads, dynamic):
     rq, rk, rv = np_qkv(p.region_qkv, r)
     eq, ek, ev = np_qkv(p.word_qkv, e)
     if dynamic:
-        gate_r = np_sigmoid(np_linear(p.gate_from_words, e.mean(axis=0)))
-        gate_e = np_sigmoid(np_linear(p.gate_from_regions, r.mean(axis=0)))
+        gate_r = np_sigmoid(np_linear(p.gate_from_words, e.mean(axis=1)))[:, None, :]
+        gate_e = np_sigmoid(np_linear(p.gate_from_regions, r.mean(axis=1)))[:, None, :]
         rq, rk = rq * (1 + gate_r), rk * (1 + gate_r)
         eq, ek = eq * (1 + gate_e), ek * (1 + gate_e)
-    r_new = np_linear(p.region_out, r + np_heads_attend(rq, rk, rv, heads))
-    e_new = np_linear(p.word_out, e + np_heads_attend(eq, ek, ev, heads))
+    r_new = np_linear(p.region_out, r + np_attention(rq, rk, rv, heads)[0])
+    e_new = np_linear(p.word_out, e + np_attention(eq, ek, ev, heads)[0])
     return r_new, e_new
 
 
 def rand_re(rng, mu=5, length=3, dim=8, batch=None):
-    shape_r = (mu, dim) if batch is None else (batch, mu, dim)
-    shape_e = (length, dim) if batch is None else (batch, length, dim)
-    return Tensor(rng.standard_normal(shape_r)), Tensor(rng.standard_normal(shape_e))
+    """Random regions and words for ``batch`` instances, or for one (a batch
+    of one) when ``batch`` is None."""
+    b = 1 if batch is None else batch
+    return Tensor(rng.standard_normal((b, mu, dim))), Tensor(rng.standard_normal((b, length, dim)))
 
 
 # ---------------------------------------------------------------------------
 
 
 def weights_of(q, k):
-    """Single-head attention weights of queries over keys (keys as values)."""
+    """Single-head attention weights of the first instance's queries over its
+    keys (keys as values)."""
     return T.attention(q, k, k, 1)[1][0]
 
 
 class TestScaledDotAttention:
     def test_zero_queries_give_uniform_rows(self):
-        q = Tensor(np.zeros((4, 6)))
-        k = Tensor(np.random.default_rng(0).standard_normal((5, 6)))
+        q = Tensor(np.zeros((1, 4, 6)))
+        k = Tensor(np.random.default_rng(0).standard_normal((1, 5, 6)))
         w = weights_of(q, k)
         assert np.allclose(w, 0.2)
 
     def test_single_key_gives_weight_one(self):
         rng = np.random.default_rng(1)
-        w = weights_of(Tensor(rng.standard_normal((7, 3))), Tensor(rng.standard_normal((1, 3))))
+        w = weights_of(
+            Tensor(rng.standard_normal((1, 7, 3))), Tensor(rng.standard_normal((1, 1, 3)))
+        )
         assert np.array_equal(w, np.ones((7, 1)))
 
     def test_sharp_limit_dominates_diagonal(self):
         c = 50.0
-        qk = Tensor(np.eye(3) * c)
+        qk = Tensor(np.eye(3)[None] * c)
         w = weights_of(qk, qk)
         assert np.all(np.diag(w) > 0.999)
 
     def test_scaling_uses_feature_width(self):
         rng = np.random.default_rng(2)
-        q = rng.standard_normal((3, 4))
-        k = rng.standard_normal((5, 4))
+        q = rng.standard_normal((1, 3, 4))
+        k = rng.standard_normal((1, 5, 4))
         w = weights_of(Tensor(q), Tensor(k))
-        assert np.allclose(w, np_softmax(q @ k.T / 2.0), atol=1e-12)
+        x = np.exp(q[0] @ k[0].T / 2.0)
+        assert np.allclose(w, x / x.sum(axis=-1, keepdims=True), atol=1e-12)
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            weights_of(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4))))
+            weights_of(Tensor(np.ones((1, 2, 3))), Tensor(np.ones((1, 2, 4))))
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -133,24 +129,15 @@ class TestScaledDotAttention:
     def test_rows_are_distributions(self, a, b, d, seed):
         rng = np.random.default_rng(seed)
         w = weights_of(
-            Tensor(rng.standard_normal((a, d)) * 5), Tensor(rng.standard_normal((b, d)) * 5)
+            Tensor(rng.standard_normal((1, a, d)) * 5), Tensor(rng.standard_normal((1, b, d)) * 5)
         )
         assert np.all(w >= 0)
         assert np.allclose(w.sum(axis=-1), 1.0, atol=1e-9)
 
 
-def composed_attention(q, k, g):
-    """softmax_rows(scale(matmul(q, transpose(k)), 1/sqrt(d))), the four-op
-    composition, and its backward for upstream gradient g, in numpy."""
-    c = 1.0 / math.sqrt(q.shape[-1])
-    x = np.matmul(q, np.ascontiguousarray(k.swapaxes(-1, -2))) * c
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    s = e / e.sum(axis=-1, keepdims=True)
-    gl = s * (g - (g * s).sum(axis=-1, keepdims=True)) * c
-    return s, np.matmul(gl, k), np.matmul(q.swapaxes(-1, -2), gl).swapaxes(-1, -2)
-
-
-QK_SHAPES = {"unbatched": ((5, 4), (6, 4)), "batched": ((3, 5, 4), (3, 6, 4))}
+# One instance, as a batch of one, and a batch of three. The one-instance
+# cases keep the name "unbatched" so that their test ids carry over.
+QK_SHAPES = {"unbatched": ((1, 5, 4), (1, 6, 4)), "batched": ((3, 5, 4), (3, 6, 4))}
 
 
 def identity_values(k_shape):
@@ -170,11 +157,12 @@ class TestAttentionWeightsOp:
         q = Tensor(rng.standard_normal(q_shape) * 2, requires_grad=True)
         k = Tensor(rng.standard_normal(k_shape) * 2, requires_grad=True)
         g = rng.standard_normal(q_shape[:-1] + k_shape[-2:-1])
+        values = identity_values(k_shape)
         with GradTape() as tape:
-            out, w = T.attention(q, k, identity_values(k_shape), 1)
+            out, w = T.attention(q, k, values, 1)
             loss = T.sum_all(T.mul(out, Tensor(g)))
         backward(tape, loss)
-        s, gq, gk = composed_attention(q.data, k.data, g)
+        _, s, gq, gk, _ = np_attention(q.data, k.data, values.data, 1, g)
         assert np.array_equal(out.data, s)
         assert np.array_equal(w.reshape(s.shape), s)
         assert np.max(np.abs(q.grad - gq)) < 1e-12
@@ -187,15 +175,15 @@ class TestAttentionWeightsOp:
         q = Tensor(rng.standard_normal(q_shape), requires_grad=True)
         k = Tensor(rng.standard_normal(k_shape), requires_grad=True)
         c = rng.standard_normal(q_shape[:-1] + k_shape[-2:-1])
+        values = identity_values(k_shape)
         with GradTape() as tape:
-            out, _ = T.attention(q, k, identity_values(k_shape), 1)
+            out, _ = T.attention(q, k, values, 1)
             loss = T.sum_all(T.mul(out, Tensor(c)))
         backward(tape, loss)
 
         def f(params):
             qq, kk = (p.data for p in params)
-            logits = np.matmul(qq, kk.swapaxes(-1, -2)) / math.sqrt(qq.shape[-1])
-            return float((np_softmax(logits) * c).sum())
+            return float((np_attention(qq, kk, values.data, 1)[1] * c).sum())
 
         fd = T.finite_diff_gradient(f, [q, k])
         assert T.relative_error(q.grad, fd[0]) < 1e-7
@@ -213,44 +201,11 @@ class TestAttentionWeightsOp:
             T.attention(q, k, identity_values(k.shape), 1)
 
 
-def np_split(x, heads):
-    # (n, d) or (B, n, d) -> (B·heads, n, d/heads); entry b·heads + h is
-    # column group h of instance b.
-    x3 = x.reshape(-1, *x.shape[-2:])
-    hd = x.shape[-1] // heads
-    return np.stack(
-        [x3[b, :, h * hd : (h + 1) * hd] for b in range(len(x3)) for h in range(heads)]
-    )
-
-
-def np_merge(x, shape):
-    # Inverse of np_split; ``shape`` is (n, d) or (B, n, d).
-    heads = x.shape[0] // (shape[0] if len(shape) == 3 else 1)
-    return np.concatenate([x[h::heads] for h in range(heads)], axis=-1).reshape(shape)
-
-
-def composed_multi_head(q, k, v, g, heads):
-    """The four-op composition split -> weights -> matmul -> merge that
-    ``attention`` replaces: values, head-major weights, and the gradients in
-    q, k and v for upstream gradient g, in numpy and in the same order."""
-    qh, kh, vh, gh = (np_split(x, heads) for x in (q, k, v, g))
-    c = 1.0 / math.sqrt(qh.shape[-1])
-    x = np.matmul(qh, np.ascontiguousarray(kh.swapaxes(-1, -2))) * c
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    s = e / e.sum(axis=-1, keepdims=True)
-    out = np_merge(np.matmul(s, vh), q.shape[:-1] + v.shape[-1:])
-    gs = np.matmul(gh, vh.swapaxes(-1, -2))
-    gl = (gs - (gs * s).sum(axis=-1, keepdims=True)) * s * c
-    dq = np_merge(np.matmul(gl, kh), q.shape)
-    dk = np_merge(np.matmul(gl.swapaxes(-1, -2), qh), k.shape)
-    dv = np_merge(np.matmul(s.swapaxes(-1, -2), gh), v.shape)
-    return out, s, dq, dk, dv
-
-
-# (q shape, k and v rows, heads): heads 1, 2 and d, unbatched and batched.
+# (q shape, k and v rows, heads): heads 1, 2 and d, for one instance
+# ("unbatched", as for QK_SHAPES) and a batch of three.
 ATTENTION_CASES = {
     f"{name}-{heads}": (q_shape, 6, heads)
-    for name, q_shape in (("unbatched", (5, 4)), ("batched", (3, 5, 4)))
+    for name, q_shape in (("unbatched", (1, 5, 4)), ("batched", (3, 5, 4)))
     for heads in (1, 2, 4)
 }
 
@@ -274,7 +229,7 @@ class TestAttentionOp:
             out, w = T.attention(q, k, v, heads)
             loss = T.sum_all(T.mul(out, Tensor(g)))
         backward(tape, loss)
-        want = composed_multi_head(q.data, k.data, v.data, g, heads)
+        want = np_attention(q.data, k.data, v.data, heads, g)
         for got, expect in zip((out.data, w, q.grad, k.grad, v.grad), want):
             assert got.shape == expect.shape
             assert np.array_equal(got, expect)
@@ -288,7 +243,7 @@ class TestAttentionOp:
 
         def f(params):
             qq, kk, vv = (p.data for p in params)
-            return float((np_heads_attend(qq, kk, vv, heads) * c).sum())
+            return float((np_attention(qq, kk, vv, heads)[0] * c).sum())
 
         fd = T.finite_diff_gradient(f, [q, k, v])
         for got, expect in zip((q.grad, k.grad, v.grad), fd):
@@ -322,7 +277,7 @@ class TestAttentionOp:
         with GradTape() as tape:
             loss = T.sum_all(T.mul(T.attention(q, k, v, heads)[0], Tensor(g)))
         backward(tape, loss)
-        grads = composed_multi_head(q.data, k.data, v.data, g, heads)[2:]
+        grads = np_attention(q.data, k.data, v.data, heads, g)[2:]
         for (name, t), expect in zip(inputs.items(), grads):
             if name in constant:
                 assert t.grad is None
@@ -334,13 +289,13 @@ class TestAttentionOp:
         [
             (((4,), (4,), (4,)), 1, "equal rank"),
             (((5, 4), (3, 6, 4), (3, 6, 4)), 1, "equal rank"),
-            (((5, 4), (6, 3), (6, 4)), 1, "widths"),
-            (((5, 4), (6, 4), (7, 4)), 1, "rows"),
+            (((1, 5, 4), (1, 6, 3), (1, 6, 4)), 1, "widths"),
+            (((1, 5, 4), (1, 6, 4), (1, 7, 4)), 1, "rows"),
             (((2, 5, 4), (3, 6, 4), (3, 6, 4)), 1, "batch"),
-            (((5, 4), (6, 4), (6, 4)), 3, "3 heads"),
-            (((5, 4), (6, 4), (6, 3)), 2, "2 heads"),
-            (((5, 4), (6, 4), (6, 4)), 0, "0 heads"),
-            (((5, 4), (0, 4), (0, 4)), 1, "at least one key row"),
+            (((1, 5, 4), (1, 6, 4), (1, 6, 4)), 3, "3 heads"),
+            (((1, 5, 4), (1, 6, 4), (1, 6, 3)), 2, "2 heads"),
+            (((1, 5, 4), (1, 6, 4), (1, 6, 4)), 0, "0 heads"),
+            (((1, 5, 4), (1, 0, 4), (1, 0, 4)), 1, "at least one key row"),
             (((2, 5, 4), (2, 0, 4), (2, 0, 4)), 2, "at least one key row"),
         ],
     )
@@ -353,23 +308,23 @@ class TestAttentionOp:
 class TestMultiHead:
     def test_single_head_is_bit_exact_unsplit(self):
         rng = np.random.default_rng(3)
-        q, k, v = (Tensor(rng.standard_normal((4, 8))) for _ in range(3))
+        q, k, v = (Tensor(rng.standard_normal((1, 4, 8))) for _ in range(3))
         merged, weights = T.attention(q, k, v, 1)
-        direct = composed_attention(q.data, k.data, np.zeros((4, 4)))[0]
-        assert np.array_equal(weights[0], direct)
+        direct = np_attention(q.data, k.data, v.data, 1)[1]
+        assert np.array_equal(weights[0], direct[0])
         assert np.array_equal(merged.numpy(), np.matmul(direct, v.data))
         assert weights.shape == (1, 4, 4)
 
     def test_two_heads_equal_independent_half_runs(self):
         rng = np.random.default_rng(4)
-        q, k, v = (Tensor(rng.standard_normal((5, 8))) for _ in range(3))
+        q, k, v = (Tensor(rng.standard_normal((1, 5, 8))) for _ in range(3))
         merged, weights = T.attention(q, k, v, 2)
         halves = []
         for lo, hi in ((0, 4), (4, 8)):
             out_h, w_h = T.attention(
-                Tensor(q.data[:, lo:hi]),
-                Tensor(k.data[:, lo:hi]),
-                Tensor(v.data[:, lo:hi]),
+                Tensor(q.data[..., lo:hi]),
+                Tensor(k.data[..., lo:hi]),
+                Tensor(v.data[..., lo:hi]),
                 1,
             )
             halves.append((out_h.numpy(), w_h[0]))
@@ -379,15 +334,15 @@ class TestMultiHead:
 
     def test_paper_scale_shapes(self):
         rng = np.random.default_rng(5)
-        q = Tensor(rng.standard_normal((100, 512)))
-        k = Tensor(rng.standard_normal((14, 512)))
-        v = Tensor(rng.standard_normal((14, 512)))
+        q = Tensor(rng.standard_normal((1, 100, 512)))
+        k = Tensor(rng.standard_normal((1, 14, 512)))
+        v = Tensor(rng.standard_normal((1, 14, 512)))
         merged, weights = T.attention(q, k, v, 8)
-        assert merged.shape == (100, 512)
+        assert merged.shape == (1, 100, 512)
         assert weights.shape == (8, 100, 14)
 
     def test_indivisible_heads_rejected(self):
-        q = Tensor(np.ones((2, 6)))
+        q = Tensor(np.ones((1, 2, 6)))
         with pytest.raises(ShapeError, match="6"):
             T.attention(q, q, q, 4)
 
@@ -396,15 +351,15 @@ class TestComputeGates:
     def test_zero_features_zero_bias_give_half(self):
         rng = np.random.default_rng(6)
         layer = T.linear_init(4, 4, rng)
-        g = A.compute_gates(Tensor(np.zeros((3, 4))), layer).numpy()
+        g = A.compute_gates(Tensor(np.zeros((1, 3, 4))), layer).numpy()
         assert np.allclose(g, 0.5)
 
     def test_duplicated_rows_leave_gates_unchanged(self):
         rng = np.random.default_rng(7)
         layer = T.linear_init(4, 4, rng)
-        feats = rng.standard_normal((2, 4))
+        feats = rng.standard_normal((1, 2, 4))
         g1 = A.compute_gates(Tensor(feats), layer).numpy()
-        g2 = A.compute_gates(Tensor(np.tile(feats, (3, 1))), layer).numpy()
+        g2 = A.compute_gates(Tensor(np.tile(feats, (1, 3, 1))), layer).numpy()
         assert np.allclose(g1, g2, atol=1e-12)
 
     def test_saturating_bias_drives_multiplier_to_two(self):
@@ -412,21 +367,21 @@ class TestComputeGates:
             Tensor(np.zeros((4, 4)), requires_grad=True),
             Tensor(np.full(4, 60.0), requires_grad=True),
         )
-        g = A.compute_gates(Tensor(np.zeros((2, 4))), layer).numpy()
+        g = A.compute_gates(Tensor(np.zeros((1, 2, 4))), layer).numpy()
         assert np.all(g > 1 - 1e-12)
         assert np.all(1 + g < 2 + 1e-12)
 
     def test_open_interval(self):
         rng = np.random.default_rng(8)
         layer = T.linear_init(6, 6, rng)
-        g = A.compute_gates(Tensor(rng.standard_normal((4, 6)) * 10), layer).numpy()
+        g = A.compute_gates(Tensor(rng.standard_normal((1, 4, 6)) * 10), layer).numpy()
         assert np.all(g > 0) and np.all(g < 1)
 
     def test_empty_input_rejected(self):
         rng = np.random.default_rng(9)
         layer = T.linear_init(4, 4, rng)
         with pytest.raises(ShapeError):
-            A.compute_gates(Tensor(np.zeros((0, 4))), layer)
+            A.compute_gates(Tensor(np.zeros((1, 0, 4))), layer)
 
 
 class TestInterMaf:
@@ -459,8 +414,8 @@ class TestInterMaf:
             region_out=int_layer(8, 4, 1.0),
             word_out=int_layer(8, 4, -0.5),
         )
-        r = Tensor(np.arange(12.0).reshape(3, 4) / 6.0)
-        e = Tensor(np.array([[1.0, 0.0, -1.0, 2.0], [0.5, 0.5, 0.5, 0.5]]))
+        r = Tensor(np.arange(12.0).reshape(1, 3, 4) / 6.0)
+        e = Tensor(np.array([[[1.0, 0.0, -1.0, 2.0], [0.5, 0.5, 0.5, 0.5]]]))
         r_new, e_new = A.inter_maf_forward(r, e, p, heads=1, order="parallel")
         er, ee = inter_oracle(r.data, e.data, p, 1, "parallel")
         assert np.max(np.abs(r_new.numpy() - er)) < 1e-10
@@ -472,7 +427,7 @@ class TestInterMaf:
         r, e = rand_re(rng, mu=4, length=1, dim=6)
         rec = A.AttentionRecord()
         A.inter_maf_forward(r, e, p, record=rec)
-        assert np.array_equal(rec.inter_r_from_e[0], np.ones((4, 1)))
+        assert np.array_equal(rec.inter_r_from_e[0], np.ones((1, 4, 1)))
 
     def test_region_permutation_equivariance(self):
         rng = np.random.default_rng(12)
@@ -480,8 +435,8 @@ class TestInterMaf:
         r, e = rand_re(rng, mu=6, length=3, dim=8)
         perm = rng.permutation(6)
         r_new, e_new = A.inter_maf_forward(r, e, p, order="parallel")
-        r_p, e_p = A.inter_maf_forward(Tensor(r.data[perm]), e, p, order="parallel")
-        assert np.max(np.abs(r_p.numpy() - r_new.numpy()[perm])) < 1e-12
+        r_p, e_p = A.inter_maf_forward(Tensor(r.data[:, perm]), e, p, order="parallel")
+        assert np.max(np.abs(r_p.numpy() - r_new.numpy()[:, perm])) < 1e-12
         assert np.max(np.abs(e_p.numpy() - e_new.numpy())) < 1e-12
 
     def test_orders_differ_generically(self):
@@ -499,10 +454,10 @@ class TestInterMaf:
         r_new, e_new = A.inter_maf_forward(r, e, p, heads=2, order="r_then_e")
         for i in range(3):
             ri, ei = A.inter_maf_forward(
-                Tensor(r.data[i]), Tensor(e.data[i]), p, heads=2, order="r_then_e"
+                Tensor(r.data[i : i + 1]), Tensor(e.data[i : i + 1]), p, heads=2, order="r_then_e"
             )
-            assert np.max(np.abs(r_new.numpy()[i] - ri.numpy())) < 1e-12
-            assert np.max(np.abs(e_new.numpy()[i] - ei.numpy())) < 1e-12
+            assert np.max(np.abs(r_new.numpy()[i] - ri.numpy()[0])) < 1e-12
+            assert np.max(np.abs(e_new.numpy()[i] - ei.numpy()[0])) < 1e-12
 
 
 class TestDyIntraMaf:
@@ -529,8 +484,8 @@ class TestDyIntraMaf:
             region_out=ident(),
             word_out=ident(),
         )
-        r = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        e = Tensor(np.array([[2.0, -1.0]]))
+        r = Tensor(np.array([[[1.0, 0.0], [0.0, 1.0]]]))
+        e = Tensor(np.array([[[2.0, -1.0]]]))
         r_new, e_new = A.dyintra_maf_forward(r, e, p, dynamic=True)
         er, ee = dyintra_oracle(r.data, e.data, p, 1, True)
         assert np.max(np.abs(r_new.numpy() - er)) < 1e-10
@@ -602,10 +557,10 @@ class TestDyIntraMaf:
         r_new, e_new = A.dyintra_maf_forward(r, e, p, heads=2, dynamic=True)
         for i in range(2):
             ri, ei = A.dyintra_maf_forward(
-                Tensor(r.data[i]), Tensor(e.data[i]), p, heads=2, dynamic=True
+                Tensor(r.data[i : i + 1]), Tensor(e.data[i : i + 1]), p, heads=2, dynamic=True
             )
-            assert np.max(np.abs(r_new.numpy()[i] - ri.numpy())) < 1e-12
-            assert np.max(np.abs(e_new.numpy()[i] - ei.numpy())) < 1e-12
+            assert np.max(np.abs(r_new.numpy()[i] - ri.numpy()[0])) < 1e-12
+            assert np.max(np.abs(e_new.numpy()[i] - ei.numpy()[0])) < 1e-12
 
 
 def full_block_forward(r, e, block, heads, **kw):
@@ -620,11 +575,11 @@ class TestDfafBlock:
         r, e = rand_re(rng, mu=100, length=14, dim=512)
         rec = A.AttentionRecord()
         r_new, e_new = full_block_forward(r, e, block, 8, record=rec)
-        assert r_new.shape == (100, 512) and e_new.shape == (14, 512)
-        assert all(w.shape == (100, 14) for w in rec.inter_r_from_e)
-        assert all(w.shape == (14, 100) for w in rec.inter_e_from_r)
-        assert all(w.shape == (100, 100) for w in rec.intra_r)
-        assert all(w.shape == (14, 14) for w in rec.intra_e)
+        assert r_new.shape == (1, 100, 512) and e_new.shape == (1, 14, 512)
+        assert all(w.shape == (1, 100, 14) for w in rec.inter_r_from_e)
+        assert all(w.shape == (1, 14, 100) for w in rec.inter_e_from_r)
+        assert all(w.shape == (1, 100, 100) for w in rec.intra_r)
+        assert all(w.shape == (1, 14, 14) for w in rec.intra_e)
         assert len(rec.intra_r) == 8
 
     def test_region_permutation_equivariance(self):
@@ -633,8 +588,8 @@ class TestDfafBlock:
         r, e = rand_re(rng, mu=7, length=4, dim=8)
         perm = rng.permutation(7)
         r_new, e_new = full_block_forward(r, e, block, 2)
-        r_p, e_p = full_block_forward(Tensor(r.data[perm]), e, block, 2)
-        assert np.max(np.abs(r_p.numpy() - r_new.numpy()[perm])) < 1e-12
+        r_p, e_p = full_block_forward(Tensor(r.data[:, perm]), e, block, 2)
+        assert np.max(np.abs(r_p.numpy() - r_new.numpy()[:, perm])) < 1e-12
         assert np.max(np.abs(e_p.numpy() - e_new.numpy())) < 1e-12
 
     def test_word_permutation_equivariance(self):
@@ -643,8 +598,8 @@ class TestDfafBlock:
         r, e = rand_re(rng, mu=4, length=5, dim=8)
         perm = rng.permutation(5)
         r_new, e_new = full_block_forward(r, e, block, 2)
-        r_p, e_p = full_block_forward(r, Tensor(e.data[perm]), block, 2)
-        assert np.max(np.abs(e_p.numpy() - e_new.numpy()[perm])) < 1e-12
+        r_p, e_p = full_block_forward(r, Tensor(e.data[:, perm]), block, 2)
+        assert np.max(np.abs(e_p.numpy() - e_new.numpy()[:, perm])) < 1e-12
         assert np.max(np.abs(r_p.numpy() - r_new.numpy())) < 1e-12
 
     @pytest.mark.parametrize("attention_type", A.ATTENTION_TYPES)
@@ -653,7 +608,7 @@ class TestDfafBlock:
         block = A.init_dfaf_block(8, attention_type, rng)
         dynamic = A.VARIANTS[attention_type].dynamic
         r, e = rand_re(rng, mu=3, length=2, dim=8)
-        weights = rng.standard_normal((3, 8)), rng.standard_normal((2, 8))
+        weights = rng.standard_normal((1, 3, 8)), rng.standard_normal((1, 2, 8))
 
         with GradTape() as tape:
             r_new, e_new = A.dfaf_block_forward(r, e, block, 2, "r_then_e", dynamic)
@@ -680,7 +635,7 @@ class TestDfafBlock:
         rng = np.random.default_rng(25)
         block = A.init_dfaf_block(8, "full", rng)
         with pytest.raises(ShapeError, match="width 8"):
-            full_block_forward(Tensor(np.ones((3, 6))), Tensor(np.ones((2, 8))), block, 2)
+            full_block_forward(Tensor(np.ones((1, 3, 6))), Tensor(np.ones((1, 2, 8))), block, 2)
 
     def test_attention_type_roundtrip(self):
         # Each type has its own table row, so the row names the type, and
@@ -707,7 +662,7 @@ class TestDfafBlock:
 
 def stack_model(rng, heads, n_blocks, attention_type="full"):
     """A width-8 model whose embeddings are identities, so its blocks see
-    the raw inputs bit for bit, batched or not."""
+    the raw inputs bit for bit."""
     config = M.ModelConfig(
         dim=8, heads=heads, n_blocks=n_blocks, hidden=16, d_v=8, d_w=8,
         attention_type=attention_type,
@@ -753,15 +708,16 @@ class TestDfafStack:
         r, e = rand_re(rng, mu=4, length=3, dim=8, batch=3)
         batched = M.predict(r, e, model, record=True).records
         for i in range(3):
-            single = M.predict(Tensor(r.data[i]), Tensor(e.data[i]), model, record=True).records
+            one = slice(i, i + 1)
+            single = M.predict(Tensor(r.data[one]), Tensor(e.data[one]), model, record=True).records
             for rec_b, rec_1 in zip(batched, single):
                 got = list(rec_b.matrices())
                 want = list(rec_1.matrices())
                 assert len(got) == len(want) == 4 * heads
                 for (name, head, w_b), (name_1, head_1, w_1) in zip(got, want):
                     assert (name, head) == (name_1, head_1)
-                    assert w_b.shape == (3, *w_1.shape)
-                    assert np.array_equal(w_b[i], w_1)
+                    assert w_b.shape == (3, *w_1.shape[1:])
+                    assert np.array_equal(w_b[i], w_1[0])
 
     @pytest.mark.parametrize("heads", [1, 2])
     @pytest.mark.parametrize("batch", [None, 3])

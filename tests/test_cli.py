@@ -540,9 +540,9 @@ class TestInspect:
             n_answers=4, attention_type="dyintra_only",
         )
         model = build_model(config, rng)
-        regions = Tensor(rng.standard_normal((6, 20)))
-        q1 = Tensor(rng.standard_normal((5, 12)))
-        q2 = Tensor(rng.standard_normal((5, 12)))
+        regions = Tensor(rng.standard_normal((1, 6, 20)))
+        q1 = Tensor(rng.standard_normal((1, 5, 12)))
+        q2 = Tensor(rng.standard_normal((1, 5, 12)))
         (b1,) = predict(regions, q1, model, record=True).records
         (b2,) = predict(regions, q2, model, record=True).records
         assert not np.allclose(b1.intra_r, b2.intra_r)
@@ -627,6 +627,26 @@ class TestArgumentErrors:
         )
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "x.bin").exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["gen-data", "--set", "n_instances=10000000000000", "out.bin"],
+            ["gradcheck", "--set", "dim=8", "--set", "heads=2",
+             "--set", "gradcheck_regions=10000000000000"],
+        ],
+        ids=["gen-data", "gradcheck"],
+    )
+    def test_out_of_memory_exits_3_with_one_line(self, tmp_path, capsys, monkeypatch, args):
+        # Both ask numpy for hundreds of TiB, which fails at once.
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("DFAF_SEED", raising=False)
+        assert main(args) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("out of memory: ")
+        assert list(tmp_path.iterdir()) == []
 
     def test_main_returns_int_in_process(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

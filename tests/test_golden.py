@@ -11,7 +11,7 @@ same.
 
 Eval logits are pinned for every attention type, order and fusion: a
 2-block model per combination, from a seeded build, scores
-``golden_dataset()`` as one batch and one instance at a time. They pin
+``golden_dataset()`` as one batch and as batches of one. They pin
 which switch each forward reads, as the checkpoint pins cannot.
 
 A trained checkpoint pins a whole train run: the default run config for
@@ -171,13 +171,14 @@ def seeded_model(attention_type: str, order: str, fusion: str):
 
 def logits_digest(attention_type: str, order: str, fusion: str) -> str:
     """SHA-256 of a seeded 2-block model's eval logits on golden_dataset(),
-    batched, then per instance (BLAS may round the two differently)."""
+    as one batch, then one batch of one per instance (BLAS may round the two
+    differently)."""
     params = seeded_model(attention_type, order, fusion)
     ds = golden_dataset()
     batched = predict(Tensor(ds.regions), Tensor(ds.tokens), params).logits.data
-    single = np.stack([
-        predict(Tensor(r), Tensor(t), params).logits.data
-        for r, t in zip(ds.regions, ds.tokens)
+    single = np.concatenate([
+        predict(Tensor(ds.regions[i : i + 1]), Tensor(ds.tokens[i : i + 1]), params).logits.data
+        for i in range(len(ds))
     ])
     return hashlib.sha256(batched.tobytes() + single.tobytes()).hexdigest()
 

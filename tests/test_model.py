@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dfaf import model as M
+from dfaf import tensor as T
 from dfaf.checkpoint import (
     INT_FIELDS,
     STR_FIELDS,
@@ -31,8 +32,10 @@ def small_config(**kw) -> ModelConfig:
 
 
 def rand_inputs(rng, cfg, mu=5, length=3, batch=None):
-    rs = (mu, cfg.d_v) if batch is None else (batch, mu, cfg.d_v)
-    es = (length, cfg.d_w) if batch is None else (batch, length, cfg.d_w)
+    """Random raw features for ``batch`` instances, or for one (a batch of
+    one) when ``batch`` is None."""
+    b = 1 if batch is None else batch
+    rs, es = (b, mu, cfg.d_v), (b, length, cfg.d_w)
     return Tensor(rng.standard_normal(rs)), Tensor(rng.standard_normal(es))
 
 
@@ -43,8 +46,8 @@ class TestEmbedInputs:
         p = build_model(cfg, rng)
         p.region_embed.weight.data = np.eye(8)
         p.region_embed.bias.data[:] = 0.0
-        r = Tensor(rng.standard_normal((4, 8)))
-        e = Tensor(rng.standard_normal((3, 8)))
+        r = Tensor(rng.standard_normal((1, 4, 8)))
+        e = Tensor(rng.standard_normal((1, 3, 8)))
         r0, _ = M.embed_inputs(r, e, p)
         assert np.allclose(r0.numpy(), r.numpy(), atol=1e-12)
 
@@ -55,23 +58,23 @@ class TestEmbedInputs:
         rng = np.random.default_rng(1)
         p = build_model(cfg, rng)
         r0, e0 = M.embed_inputs(
-            Tensor(rng.standard_normal((100, 2048))),
-            Tensor(rng.standard_normal((14, 1280))),
+            Tensor(rng.standard_normal((1, 100, 2048))),
+            Tensor(rng.standard_normal((1, 14, 1280))),
             p,
         )
-        assert r0.shape == (100, 512)
-        assert e0.shape == (14, 512)
+        assert r0.shape == (1, 100, 512)
+        assert e0.shape == (1, 14, 512)
 
     def test_width_errors_name_the_modality(self):
         # The embedding layer reports the width it expects: d_v for regions,
         # d_w for words (10 and 6 here).
         cfg = small_config()
         p = build_model(cfg, np.random.default_rng(2))
-        good_e = Tensor(np.ones((3, cfg.d_w)))
-        with pytest.raises(ShapeError, match=r"expects width 10, input has shape \(4, 11\)"):
-            M.embed_inputs(Tensor(np.ones((4, cfg.d_v + 1))), good_e, p)
-        with pytest.raises(ShapeError, match=r"expects width 6, input has shape \(3, 99\)"):
-            M.embed_inputs(Tensor(np.ones((4, cfg.d_v))), Tensor(np.ones((3, 99))), p)
+        good_e = Tensor(np.ones((1, 3, cfg.d_w)))
+        with pytest.raises(ShapeError, match=r"expects width 10, input has shape \(1, 4, 11\)"):
+            M.embed_inputs(Tensor(np.ones((1, 4, cfg.d_v + 1))), good_e, p)
+        with pytest.raises(ShapeError, match=r"expects width 6, input has shape \(1, 3, 99\)"):
+            M.embed_inputs(Tensor(np.ones((1, 4, cfg.d_v))), Tensor(np.ones((1, 3, 99))), p)
 
     def test_gradient_reaches_both_embeddings(self):
         cfg = small_config()
@@ -80,7 +83,7 @@ class TestEmbedInputs:
         raw_r, raw_e = rand_inputs(rng, cfg)
         with GradTape() as tape:
             pred = M.forward(raw_r, raw_e, p)
-            loss = M.cross_entropy_loss(pred, 1)
+            loss = M.cross_entropy_loss(pred, [1])
         backward(tape, loss)
         assert p.region_embed.weight.grad is not None
         assert np.linalg.norm(p.region_embed.weight.grad) > 0
@@ -93,11 +96,11 @@ class TestFuseAndClassify:
         cfg = small_config(dim=8, heads=1, n_blocks=1)
         rng = np.random.default_rng(4)
         p = build_model(cfg, rng)
-        r = Tensor(rng.standard_normal((5, 8)))
-        v = r.data.mean(axis=0)
-        mul_pred = M.fuse_and_classify(r, Tensor(np.ones((2, 8))), p)
+        r = Tensor(rng.standard_normal((1, 5, 8)))
+        v = r.data.mean(axis=1)
+        mul_pred = M.fuse_and_classify(r, Tensor(np.ones((1, 2, 8))), p)
         p_add = dataclasses.replace(p, config=dataclasses.replace(cfg, fusion="add"))
-        add_pred = M.fuse_and_classify(r, Tensor(np.zeros((2, 8))), p_add)
+        add_pred = M.fuse_and_classify(r, Tensor(np.zeros((1, 2, 8))), p_add)
         alone = np.maximum(v @ p.mlp_hidden.weight.data + p.mlp_hidden.bias.data, 0)
         alone = alone @ p.mlp_out.weight.data + p.mlp_out.bias.data
         assert np.allclose(mul_pred.logits.numpy(), alone, atol=1e-12)
@@ -107,10 +110,10 @@ class TestFuseAndClassify:
         cfg = small_config(fusion="concat")
         rng = np.random.default_rng(6)
         p = build_model(cfg, rng)
-        r = rng.standard_normal((6, 8))
-        e = rng.standard_normal((4, 8))
+        r = rng.standard_normal((1, 6, 8))
+        e = rng.standard_normal((1, 4, 8))
         pred = M.fuse_and_classify(Tensor(r), Tensor(e), p)
-        fused = np.concatenate([r.mean(axis=0), e.mean(axis=0)])
+        fused = np.concatenate([r.mean(axis=1), e.mean(axis=1)], axis=-1)
         h = np.maximum(fused @ p.mlp_hidden.weight.data + p.mlp_hidden.bias.data, 0)
         logits = h @ p.mlp_out.weight.data + p.mlp_out.bias.data
         assert np.max(np.abs(pred.logits.numpy() - logits)) < 1e-10
@@ -119,37 +122,37 @@ class TestFuseAndClassify:
         cfg = small_config()
         p = build_model(cfg, np.random.default_rng(7))
         with pytest.raises(ShapeError, match="empty"):
-            M.fuse_and_classify(Tensor(np.ones((0, 8))), Tensor(np.ones((2, 8))), p)
+            M.fuse_and_classify(Tensor(np.ones((1, 0, 8))), Tensor(np.ones((1, 2, 8))), p)
 
 
 class TestCrossEntropyLoss:
     def test_uniform_logits_closed_form(self):
-        pred = Prediction(logits=Tensor(np.zeros(4)))
-        assert abs(M.cross_entropy_loss(pred, 2).item() - math.log(4)) < 1e-12
+        pred = Prediction(logits=Tensor(np.zeros((1, 4))))
+        assert abs(M.cross_entropy_loss(pred, [2]).item() - math.log(4)) < 1e-12
 
     def test_dominant_target_saturates_to_zero(self):
-        logits = np.zeros(5)
-        logits[3] = 50.0
+        logits = np.zeros((1, 5))
+        logits[0, 3] = 50.0
         pred = Prediction(logits=Tensor(logits))
-        assert M.cross_entropy_loss(pred, 3).item() < 1e-20
+        assert M.cross_entropy_loss(pred, [3]).item() < 1e-20
 
     def test_gradient_identity_probabilities_minus_onehot(self):
         rng = np.random.default_rng(9)
-        z = rng.standard_normal(6)
+        z = rng.standard_normal((1, 6))
         logits = Tensor(z, requires_grad=True)
         with GradTape() as tape:
-            loss = M.cross_entropy_loss(Prediction(logits=logits), 4)
+            loss = M.cross_entropy_loss(Prediction(logits=logits), [4])
         backward(tape, loss)
         expect = np.exp(z - z.max()) / np.exp(z - z.max()).sum()
-        expect[4] -= 1.0
+        expect[0, 4] -= 1.0
         assert np.max(np.abs(logits.grad - expect)) < 1e-10
 
     def test_out_of_range_target_rejected(self):
-        pred = Prediction(logits=Tensor(np.zeros(4)))
+        pred = Prediction(logits=Tensor(np.zeros((1, 4))))
         with pytest.raises(IndexError):
-            M.cross_entropy_loss(pred, 4)
+            M.cross_entropy_loss(pred, [4])
         with pytest.raises(IndexError):
-            M.cross_entropy_loss(pred, -1)
+            M.cross_entropy_loss(pred, [-1])
 
     def test_batch_loss_is_mean_of_rows(self):
         rng = np.random.default_rng(10)
@@ -157,7 +160,7 @@ class TestCrossEntropyLoss:
         batch_pred = Prediction(logits=Tensor(z))
         batch = M.cross_entropy_loss(batch_pred, [0, 2, 4]).item()
         singles = [
-            M.cross_entropy_loss(Prediction(logits=Tensor(z[i])), t).item()
+            M.cross_entropy_loss(Prediction(logits=Tensor(z[i : i + 1])), [t]).item()
             for i, t in enumerate([0, 2, 4])
         ]
         assert abs(batch - np.mean(singles)) < 1e-12
@@ -181,7 +184,7 @@ class TestPredict:
         base = M.predict(raw_r, raw_e, p).logits.numpy()
         for _ in range(10):
             perm = rng.permutation(7)
-            got = M.predict(Tensor(raw_r.data[perm]), raw_e, p).logits.numpy()
+            got = M.predict(Tensor(raw_r.data[:, perm]), raw_e, p).logits.numpy()
             assert np.max(np.abs(got - base)) <= 1e-12
 
     def test_records_one_per_block(self):
@@ -201,8 +204,8 @@ class TestPredict:
         batch_logits = M.predict(raw_r, raw_e, p).logits.numpy()
         assert batch_logits.shape == (4, cfg.n_answers)
         for i in range(4):
-            one = M.predict(Tensor(raw_r.data[i]), Tensor(raw_e.data[i]), p)
-            assert np.max(np.abs(batch_logits[i] - one.logits.numpy())) < 1e-12
+            one = M.predict(Tensor(raw_r.data[i : i + 1]), Tensor(raw_e.data[i : i + 1]), p)
+            assert np.max(np.abs(batch_logits[i] - one.logits.numpy()[0])) < 1e-12
 
     @pytest.mark.parametrize("batch", [None, 3])
     @pytest.mark.parametrize("empty", ["regions", "words"])
@@ -244,6 +247,32 @@ class TestPredict:
                     q.data -= 0.05 * q.grad
         assert losses[-1] < losses[0]
         assert all(math.isfinite(v) for v in losses)
+
+
+class TestBatchContract:
+    """Every row op and forward takes a batch; an instance without its
+    batch axis is a ShapeError that names the shape, never numpy's own
+    error or a result."""
+
+    @pytest.mark.parametrize(
+        "op",
+        ["attention", "attention_weights", "avg_pool_rows", "mul_row",
+         "cross_entropy_rows", "predict"],
+    )
+    def test_unbatched_input_is_shape_error_naming_it(self, op):
+        rows, vector = Tensor(np.ones((5, 4))), Tensor(np.ones(4))
+        model = build_model(ModelConfig(dim=4, heads=2, d_v=6, d_w=6), None)
+        calls = {
+            "attention": lambda: T.attention(rows, rows, rows, 1),
+            "attention_weights": lambda: T.attention_weights(rows, rows, 1),
+            "avg_pool_rows": lambda: T.avg_pool_rows(rows),
+            "mul_row": lambda: T.mul_row(rows, vector),
+            "cross_entropy_rows": lambda: T.cross_entropy_rows(vector, [0]),
+            "predict": lambda: M.predict(Tensor(np.ones((5, 6))), Tensor(np.ones((3, 6))), model),
+        }
+        named = r"\(4,\)" if op == "cross_entropy_rows" else r"\(5, 4\)"
+        with pytest.raises(ShapeError, match=named):
+            calls[op]()
 
 
 class TestModelConfigValidation:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import np_attention
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -43,40 +44,38 @@ class TestMatmul:
 
     def test_against_loop_oracle(self):
         rng = np.random.default_rng(7)
-        q, k, v = (rng.standard_normal(shape) for shape in ((5, 4), (3, 4), (3, 2)))
+        q, k, v = (rng.standard_normal(shape) for shape in ((1, 5, 4), (1, 3, 4), (1, 3, 2)))
         out, w = attend(q, k, v)
-        assert np.max(np.abs(out.numpy() - matmul_oracle(w[0], v))) < 1e-12
+        assert np.max(np.abs(out.numpy()[0] - matmul_oracle(w[0], v[0]))) < 1e-12
 
     def test_identity_is_bit_exact(self):
         rng = np.random.default_rng(8)
-        a = rng.standard_normal((6, 6))
+        a = rng.standard_normal((1, 6, 6))
+        eye = np.eye(6)[None]
         # Identity values return the weights; keys 100·I make the weights
         # exactly the identity, which returns the values.
-        out, w = attend(a, a, np.eye(6))
-        assert np.array_equal(out.numpy(), w[0])
-        out, w = attend(100.0 * np.eye(6), 100.0 * np.eye(6), a)
-        assert np.array_equal(w[0], np.eye(6))
+        out, w = attend(a, a, eye)
+        assert np.array_equal(out.numpy(), w)
+        out, w = attend(100.0 * eye, 100.0 * eye, a)
+        assert np.array_equal(w, eye)
         assert np.array_equal(out.numpy(), a)
 
     def test_inner_dim_mismatch_mentions_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"k \(4, 3\), v \(2, 3\)"):
-            attend(np.ones((2, 3)), np.ones((4, 3)), np.ones((2, 3)))
+        with pytest.raises(ShapeError, match=r"k \(1, 4, 3\), v \(1, 2, 3\)"):
+            attend(np.ones((1, 2, 3)), np.ones((1, 4, 3)), np.ones((1, 2, 3)))
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(10)
         q, k, v = (
             Tensor(rng.standard_normal(shape), requires_grad=True)
-            for shape in ((3, 4), (5, 4), (5, 2))
+            for shape in ((1, 3, 4), (1, 5, 4), (1, 5, 2))
         )
         with GradTape() as tape:
             loss = T.sum_all(T.attention(q, k, v, 1)[0])
         backward(tape, loss)
 
         def f(params):
-            qq, kk, vv = (p.data for p in params)
-            logits = qq @ kk.T / 2.0
-            e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-            return float((e / e.sum(axis=-1, keepdims=True) @ vv).sum())
+            return float(np_attention(*(p.data for p in params), 1)[0].sum())
 
         fd = T.finite_diff_gradient(f, [q, k, v])
         assert T.relative_error(v.grad, fd[2]) < 1e-8
@@ -97,21 +96,21 @@ class TestElementwiseArithmetic:
 
     def test_mul_row_gradient_sums_over_rows(self):
         rng = np.random.default_rng(12)
-        m = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
-        v = Tensor(rng.standard_normal(3), requires_grad=True)
+        m = Tensor(rng.standard_normal((1, 4, 3)), requires_grad=True)
+        v = Tensor(rng.standard_normal((1, 3)), requires_grad=True)
         with GradTape() as tape:
             loss = T.sum_all(T.mul_row(m, v))
         backward(tape, loss)
-        assert np.allclose(v.grad, m.data.sum(axis=0))
-        assert np.allclose(m.grad, np.broadcast_to(v.data, (4, 3)))
+        assert np.allclose(v.grad, m.data.sum(axis=1))
+        assert np.allclose(m.grad, np.broadcast_to(v.data, (1, 4, 3)))
 
     def test_row_ops_on_batched_input(self):
         rng = np.random.default_rng(13)
         m = rng.standard_normal((2, 3, 4))
-        v = rng.standard_normal(4)
+        v = rng.standard_normal((2, 4))
         got = T.mul_row(Tensor(m), Tensor(v)).numpy()
         for i in range(2):
-            assert np.array_equal(got[i], m[i] * v)
+            assert np.array_equal(got[i], m[i] * v[i])
 
     def test_scalar_ops(self):
         x = Tensor([1.0, 2.0, 3.0])
@@ -138,37 +137,15 @@ class TestConcatAndSlice:
         assert np.allclose(a.grad, 2.0) and np.allclose(b.grad, 2.0)
 
 
-def column_group(x, heads, b, h):
-    # Column group h of instance b of a matrix or a batch of matrices.
-    w = x.shape[-1] // heads
-    return np.ascontiguousarray(x.reshape(-1, *x.shape[-2:])[b, :, h * w : (h + 1) * w])
-
-
-def instance_heads(x, heads):
-    return [(b, h) for b in range(x.size // (x.shape[-2] * x.shape[-1])) for h in range(heads)]
-
-
-def head_major(x, heads):
-    # Loop oracle for the head-major layout: entry b*heads + h is column
-    # group h of instance b.
-    return np.stack([column_group(x, heads, b, h) for b, h in instance_heads(x, heads)])
-
-
 def per_head(q, k, v, g, heads):
-    """Single-head ``attention`` on column group h of instance b, for every
-    (b, h), stacked head-major: values, weights, and the gradients of
-    sum(values · g) in q, k and v."""
-    outs = []
-    for b, h in instance_heads(q, heads):
-        qt, kt, vt = (
-            Tensor(column_group(x, heads, b, h), requires_grad=True) for x in (q, k, v)
-        )
-        with GradTape() as tape:
-            out, w = T.attention(qt, kt, vt, 1)
-            loss = T.sum_all(T.mul(out, Tensor(column_group(g, heads, b, h))))
-        backward(tape, loss)
-        outs.append((out.data, w[0], qt.grad, kt.grad, vt.grad))
-    return [np.stack(parts) for parts in zip(*outs)]
+    """``np_attention`` run single-headed on each column group alone, merged
+    back: values, head-major weights, and the gradients in q, k and v."""
+    w = q.shape[-1] // heads
+    cols = [slice(h * w, (h + 1) * w) for h in range(heads)]
+    groups = [np_attention(q[..., c], k[..., c], v[..., c], 1, g[..., c]) for c in cols]
+    out, _, dq, dk, dv = (np.concatenate(x, axis=-1) for x in zip(*groups))
+    weights = np.stack([group[1] for group in groups], axis=1)
+    return out, weights.reshape(-1, *weights.shape[2:]), dq, dk, dv
 
 
 def attend_with_grads(shape, heads, seed):
@@ -189,64 +166,64 @@ class TestSplitMergeHeads:
     """``attention`` splits into head-major column groups and merges back:
     each head is single-head attention on its group, bit for bit."""
 
-    @pytest.mark.parametrize("shape", [(5, 6), (3, 5, 6)])
+    @pytest.mark.parametrize("shape", [(1, 5, 6), (3, 5, 6)])
     @pytest.mark.parametrize("heads", [1, 2, 6])
     def test_roundtrip_is_bitwise(self, shape, heads):
         q, k, v, g, out, w = attend_with_grads(shape, heads, 40)
         outs, weights, *_ = per_head(q.data, k.data, v.data, g, heads)
         assert np.array_equal(w, weights)
-        assert np.array_equal(head_major(out.data, heads), outs)
+        assert np.array_equal(out.data, outs)
 
-    @pytest.mark.parametrize("shape", [(5, 6), (3, 5, 6)])
+    @pytest.mark.parametrize("shape", [(1, 5, 6), (3, 5, 6)])
     def test_split_backward_is_exact_regrouping(self, shape):
         q, k, v, g, _, _ = attend_with_grads(shape, 3, 41)
         _, _, dq, dk, _ = per_head(q.data, k.data, v.data, g, 3)
-        assert np.array_equal(head_major(q.grad, 3), dq)
-        assert np.array_equal(head_major(k.grad, 3), dk)
+        assert np.array_equal(q.grad, dq)
+        assert np.array_equal(k.grad, dk)
 
     def test_merge_backward_is_exact_split(self):
         q, k, v, g, _, _ = attend_with_grads((2, 5, 6), 3, 42)
         *_, dv = per_head(q.data, k.data, v.data, g, 3)
-        assert np.array_equal(head_major(v.grad, 3), dv)
+        assert np.array_equal(v.grad, dv)
 
     def test_indivisible_heads_rejected(self):
         with pytest.raises(ShapeError, match="6"):
-            attend(np.ones((2, 6)), np.ones((2, 6)), np.ones((2, 6)), 4)
+            attend(np.ones((1, 2, 6)), np.ones((1, 2, 6)), np.ones((1, 2, 6)), 4)
 
     def test_bad_merge_shape_rejected(self):
         with pytest.raises(ShapeError, match="heads"):
-            attend(np.ones((2, 6)), np.ones((3, 6)), np.ones((3, 7)), 2)
+            attend(np.ones((1, 2, 6)), np.ones((1, 3, 6)), np.ones((1, 3, 7)), 2)
 
 
 def softmax_rows(x):
-    # Row softmax through the attention op: keys sqrt(d)·I undo the 1/sqrt(d)
-    # scale, so the logits are the queries themselves, and identity values
-    # return the weights.
+    # Row softmax of a batch of one through the attention op: keys sqrt(d)·I
+    # undo the 1/sqrt(d) scale, so the logits are the queries themselves,
+    # and identity values return the weights.
     q = x if isinstance(x, Tensor) else Tensor(x)
-    d = q.shape[-1]
-    return T.attention(q, Tensor(math.sqrt(d) * np.eye(d)), Tensor(np.eye(d)), 1)[0]
+    eye = np.eye(q.shape[-1])[None]
+    return T.attention(q, Tensor(math.sqrt(q.shape[-1]) * eye), Tensor(eye), 1)[0]
 
 
 class TestSoftmax:
     def test_uniform_rows(self):
-        out = softmax_rows(np.zeros((2, 4))).numpy()
+        out = softmax_rows(np.zeros((1, 2, 4))).numpy()
         assert np.allclose(out, 0.25)
 
     def test_two_column_closed_form(self):
-        x = np.array([[0.0, 1.0]])
-        out = softmax_rows(x).numpy()
+        x = np.array([[[0.0, 1.0]]])
+        out = softmax_rows(x).numpy()[0]
         expect = 1.0 / (1.0 + math.exp(-1.0))
         assert abs(out[0, 1] - expect) < 1e-15
         assert abs(out[0, 0] - (1.0 - expect)) < 1e-15
 
     def test_large_inputs_do_not_overflow(self):
-        out = softmax_rows(np.array([[1000.0, 1000.0, -1000.0]])).numpy()
+        out = softmax_rows(np.array([[[1000.0, 1000.0, -1000.0]]])).numpy()[0]
         assert np.all(np.isfinite(out))
         assert np.allclose(out[0], [0.5, 0.5, 0.0])
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(15)
-        x = rng.standard_normal((3, 5))
+        x = rng.standard_normal((1, 3, 5))
         a = softmax_rows(x).numpy()
         b = softmax_rows(x + 123.0).numpy()
         assert np.allclose(a, b, atol=1e-12)
@@ -260,14 +237,14 @@ class TestSoftmax:
         ).filter(lambda rows: len({len(r) for r in rows}) == 1)
     )
     def test_rows_are_distributions(self, rows):
-        out = softmax_rows(np.array(rows)).numpy()
+        out = softmax_rows(np.array([rows])).numpy()
         assert np.all(out >= 0)
         assert np.allclose(out.sum(axis=-1), 1.0, atol=1e-9)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(16)
-        x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-        c = rng.standard_normal((3, 4))
+        x = Tensor(rng.standard_normal((1, 3, 4)), requires_grad=True)
+        c = rng.standard_normal((1, 3, 4))
         with GradTape() as tape:
             loss = T.sum_all(T.mul(softmax_rows(x), Tensor(c)))
         backward(tape, loss)
@@ -318,12 +295,12 @@ class TestActivations:
 
 class TestAvgPool:
     def test_constant_rows(self):
-        m = Tensor(np.tile([2.0, 4.0], (5, 1)))
-        assert np.array_equal(T.avg_pool_rows(m).numpy(), [2.0, 4.0])
+        m = Tensor(np.tile([2.0, 4.0], (1, 5, 1)))
+        assert np.array_equal(T.avg_pool_rows(m).numpy(), [[2.0, 4.0]])
 
     def test_hand_mean(self):
-        m = Tensor([[1.0, 0.0], [3.0, 8.0]])
-        assert np.array_equal(T.avg_pool_rows(m).numpy(), [2.0, 4.0])
+        m = Tensor([[[1.0, 0.0], [3.0, 8.0]]])
+        assert np.array_equal(T.avg_pool_rows(m).numpy(), [[2.0, 4.0]])
 
     def test_batched_matches_per_slice(self):
         rng = np.random.default_rng(18)
@@ -333,7 +310,7 @@ class TestAvgPool:
             assert np.allclose(out[i], m[i].mean(axis=0))
 
     def test_gradient_spreads_uniformly(self):
-        m = Tensor(np.ones((4, 3)), requires_grad=True)
+        m = Tensor(np.ones((1, 4, 3)), requires_grad=True)
         with GradTape() as tape:
             loss = T.sum_all(T.avg_pool_rows(m))
         backward(tape, loss)
@@ -488,15 +465,15 @@ class TestTapeMechanics:
         assert x.grad.tobytes() == expect.tobytes()
 
     def test_broadcast_view_gradient_becomes_writable_copy(self):
-        m = Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
-        c = Tensor([1.0, -2.0, 4.0])
+        m = Tensor(np.arange(12.0).reshape(1, 4, 3), requires_grad=True)
+        c = Tensor([[1.0, -2.0, 4.0]])
         with GradTape() as tape:
             loss = T.sum_all(T.mul(T.avg_pool_rows(m), c))
         backward(tape, loss)
         assert m.grad.flags.writeable and m.grad.flags.c_contiguous
-        assert np.array_equal(m.grad, np.broadcast_to(c.data / 4.0, (4, 3)))
-        m.grad[0, 0] += 1.0
-        assert m.grad[1, 0] == 0.25
+        assert np.array_equal(m.grad, np.broadcast_to(c.data / 4.0, (1, 4, 3)))
+        m.grad[0, 0, 0] += 1.0
+        assert m.grad[0, 1, 0] == 0.25
 
     def test_no_tape_means_no_recording(self):
         x = Tensor([1.0], requires_grad=True)
