@@ -40,15 +40,15 @@ def run_cli(args, cwd, env_extra=None, timeout=600, command=None):
     )
 
 
-def _split_heads(x, heads):
+def _np_split(x, heads):
     # (B, n, d) -> (B·heads, n, d/heads); entry b·heads + h is column group h
     # of instance b.
     w = x.shape[-1] // heads
     return np.stack([x[b, :, h * w : (h + 1) * w] for b in range(len(x)) for h in range(heads)])
 
 
-def _merge_heads(x, heads):
-    # Inverse of _split_heads.
+def _np_merge(x, heads):
+    # Inverse of _np_split.
     return np.concatenate([x[h::heads] for h in range(heads)], axis=-1)
 
 
@@ -58,18 +58,18 @@ def np_attention(q, k, v, heads, g=None):
     column groups, softmax(q·kᵀ/√d_h) per group, weight the values, merge.
     Returns the values and the head-major weights and, given an upstream
     gradient ``g``, the gradients in q, k and v as well."""
-    qh, kh, vh = (_split_heads(x, heads) for x in (q, k, v))
+    qh, kh, vh = (_np_split(x, heads) for x in (q, k, v))
     c = 1.0 / math.sqrt(qh.shape[-1])
     x = np.matmul(qh, np.ascontiguousarray(kh.swapaxes(-1, -2))) * c
     e = np.exp(x - x.max(axis=-1, keepdims=True))
     s = e / e.sum(axis=-1, keepdims=True)
-    out = _merge_heads(np.matmul(s, vh), heads)
+    out = _np_merge(np.matmul(s, vh), heads)
     if g is None:
         return out, s
-    gh = _split_heads(g, heads)
+    gh = _np_split(g, heads)
     gs = np.matmul(gh, vh.swapaxes(-1, -2))
     gl = (gs - (gs * s).sum(axis=-1, keepdims=True)) * s * c
-    dq = _merge_heads(np.matmul(gl, kh), heads)
-    dk = _merge_heads(np.matmul(gl.swapaxes(-1, -2), qh), heads)
-    dv = _merge_heads(np.matmul(s.swapaxes(-1, -2), gh), heads)
+    dq = _np_merge(np.matmul(gl, kh), heads)
+    dk = _np_merge(np.matmul(gl.swapaxes(-1, -2), qh), heads)
+    dv = _np_merge(np.matmul(s.swapaxes(-1, -2), gh), heads)
     return out, s, dq, dk, dv

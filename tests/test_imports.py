@@ -92,12 +92,11 @@ def read_names(tree: ast.AST) -> Counter:
     return reads
 
 
-def orphans(definers: dict[str, str], readers: dict[str, str]) -> list[str]:
-    """``module.name`` of each module-level name a ``definers`` source
-    defines that no source in ``readers`` reads outside its own definition.
-    Both map a module name to its source."""
-    trees = {name: ast.parse(source) for name, source in readers.items()}
-    total = sum((read_names(tree) for tree in trees.values()), Counter())
+def orphans(definers: dict[str, str], readers: list[str]) -> list[str]:
+    """``module.name`` of each module-level name a ``definers`` source (by
+    module name) defines that no source in ``readers`` reads outside its own
+    definition."""
+    total = sum((read_names(ast.parse(source)) for source in readers), Counter())
     found = []
     for module, source in definers.items():
         for name, node in module_level_names(ast.parse(source)).items():
@@ -117,11 +116,9 @@ def test_orphan_checker_finds_unread_definitions():
         "def patched(): pass\n"
     )
     user = "from pkg import Z\nimport pkg\npkg.g()\nsetattr(pkg, 'patched', None)\n"
-    sources = {"pkg": package, "user": user}
-    assert orphans({"pkg": package}, sources) == ["pkg.Y", "pkg.recurse"]
+    assert orphans({"pkg": package}, [package, user]) == ["pkg.Y", "pkg.recurse"]
 
 
 def test_every_package_name_has_a_reader():
-    readers = {f"{p.parent.name}/{p.name}": p.read_text(encoding="utf-8") for p in READERS}
     definers = {f"dfaf.{p.stem}": p.read_text(encoding="utf-8") for p in PACKAGE}
-    assert orphans(definers, readers) == []
+    assert orphans(definers, [p.read_text(encoding="utf-8") for p in READERS]) == []
