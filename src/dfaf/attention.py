@@ -33,8 +33,8 @@ use, and the ``tensor`` ops reject a wrong width or an empty modality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -129,29 +129,27 @@ class DyIntraMafParams(Params):
 
 @dataclass
 class AttentionRecord:
-    """Attention matrices and gate vectors captured from one block's forward.
+    """Attention weights and gate vectors captured from one block's forward.
 
-    Matrix lists hold one (B, n, m) array per head (length ``heads``), and
-    gates are (B, dim): row b is instance b of the batch, and one instance
-    is a batch of one. Arrays are detached copies, safe to keep after
-    backward. For dynamic intra modules, ``intra_*_gates_disabled`` hold the
-    same inputs' self-attention with the gates left out of queries and keys.
+    Weights are (B, heads, n, m), entry [b, h] being head h of instance b,
+    and gates are (B, dim); one instance is a batch of one. The arrays are
+    the ops' own results, not copies: nothing writes into them, so they
+    stay valid after backward. A field the block did not record stays None:
+    inter fields need an inter half, intra fields an intra half, and the
+    gates and the gates-disabled weights a dynamic one. For dynamic intra
+    modules, ``intra_*_gates_disabled`` hold the same inputs' self-attention
+    with the gates left out of queries and keys. Fields are declared in the
+    order ``dfaf inspect`` dumps them.
     """
 
-    inter_r_from_e: list[np.ndarray] = field(default_factory=list)
-    inter_e_from_r: list[np.ndarray] = field(default_factory=list)
-    intra_r: list[np.ndarray] = field(default_factory=list)
-    intra_e: list[np.ndarray] = field(default_factory=list)
+    intra_r_gates_disabled: np.ndarray | None = None
+    intra_e_gates_disabled: np.ndarray | None = None
+    inter_r_from_e: np.ndarray | None = None
+    inter_e_from_r: np.ndarray | None = None
+    intra_r: np.ndarray | None = None
+    intra_e: np.ndarray | None = None
     gate_on_regions: np.ndarray | None = None
     gate_on_words: np.ndarray | None = None
-    intra_r_gates_disabled: list[np.ndarray] = field(default_factory=list)
-    intra_e_gates_disabled: list[np.ndarray] = field(default_factory=list)
-
-    def matrices(self) -> Iterator[tuple[str, int, np.ndarray]]:
-        """The forward's own attention matrices as (name, head, array)."""
-        for name in ("inter_r_from_e", "inter_e_from_r", "intra_r", "intra_e"):
-            for head, arr in enumerate(getattr(self, name)):
-                yield name, head, arr
 
 
 @dataclass
@@ -168,12 +166,6 @@ class DfafBlockParams(Params):
 
 # ---------------------------------------------------------------------------
 # forward passes
-
-
-def head_copies(w: np.ndarray, heads: int) -> list[np.ndarray]:
-    """Per-head (B, n, m) copies of head-major (B·heads, n, m) weights ``w``."""
-    by_head = w.reshape(-1, heads, *w.shape[1:])
-    return [by_head[:, h].copy() for h in range(heads)]
 
 
 def compute_gates(other_modality_feats: Tensor, gate_layer: LinearLayer) -> Tensor:
@@ -227,8 +219,7 @@ def inter_maf_forward(
         e_new, w_e = update_words(*keys_values(p.region_qkv, r_new))
 
     if record is not None:
-        record.inter_r_from_e = head_copies(w_r, heads)
-        record.inter_e_from_r = head_copies(w_e, heads)
+        record.inter_r_from_e, record.inter_e_from_r = w_r, w_e
     return r_new, e_new
 
 
@@ -255,8 +246,8 @@ def dyintra_maf_forward(
     gate_r = gate_e = None
     if dynamic:
         if record is not None:  # what the gates modulate, without them
-            record.intra_r_gates_disabled = head_copies(attention_weights(r_q, r_k, heads), heads)
-            record.intra_e_gates_disabled = head_copies(attention_weights(e_q, e_k, heads), heads)
+            record.intra_r_gates_disabled = attention_weights(r_q, r_k, heads)
+            record.intra_e_gates_disabled = attention_weights(e_q, e_k, heads)
         gate_r = compute_gates(e, p.gate_from_words)  # modulates region q/k
         gate_e = compute_gates(r, p.gate_from_regions)  # modulates word q/k
         mult_r = add_scalar(gate_r, 1.0)
@@ -274,11 +265,9 @@ def dyintra_maf_forward(
     e_new = linear_dropout(p.word_out, add(e, e_att), ctx)
 
     if record is not None:
-        record.intra_r = head_copies(w_r, heads)
-        record.intra_e = head_copies(w_e, heads)
+        record.intra_r, record.intra_e = w_r, w_e
         if dynamic:
-            record.gate_on_regions = gate_r.numpy()
-            record.gate_on_words = gate_e.numpy()
+            record.gate_on_regions, record.gate_on_words = gate_r.data, gate_e.data
     return r_new, e_new
 
 

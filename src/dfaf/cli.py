@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from typing import Sequence
 
 import numpy as np
@@ -182,26 +183,14 @@ def cmd_gradcheck(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0 if report["passed"] else 1
 
 
-# Dump key order: block, the gate-disabled contrast, then the forward's own.
-_DUMP_MATRICES = (
-    "intra_r_gates_disabled",
-    "intra_e_gates_disabled",
-    "inter_r_from_e",
-    "inter_e_from_r",
-    "intra_r",
-    "intra_e",
-)
-
-
 def _block_payload(index: int, record: AttentionRecord) -> dict:
-    # Row 0 of each record: inspect runs its instance as a batch of one.
+    # Row 0 of each recorded array, in field order: inspect runs its
+    # instance as a batch of one.
     payload: dict = {"block": index}
-    for name in _DUMP_MATRICES:
-        if getattr(record, name):
-            payload[name] = [m[0].tolist() for m in getattr(record, name)]
-    if record.gate_on_regions is not None:
-        payload["gate_on_regions"] = record.gate_on_regions[0].tolist()
-        payload["gate_on_words"] = record.gate_on_words[0].tolist()
+    for f in fields(record):
+        arr = getattr(record, f.name)
+        if arr is not None:
+            payload[f.name] = arr[0].tolist()
     return payload
 
 

@@ -56,19 +56,7 @@ RELATIONS = ("above", "below", "left", "right")
 
 
 class FeatureFileError(ValueError):
-    """Feature file is malformed."""
-
-
-class BadMagicError(FeatureFileError):
-    """File does not start with the expected magic bytes."""
-
-
-class VersionMismatchError(FeatureFileError):
-    """File uses an unsupported format version."""
-
-
-class TruncatedPayloadError(FeatureFileError):
-    """File ends before the header-promised payload does."""
+    """Feature file is malformed; the message names what is wrong."""
 
 
 @dataclass(frozen=True)
@@ -467,12 +455,12 @@ def read_feature_file(path: str) -> FeatureDataset:
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != MAGIC:
-            raise BadMagicError(f"bad feature-file magic {magic!r}, expected {MAGIC!r}")
+            raise FeatureFileError(f"bad feature-file magic {magic!r}, expected {MAGIC!r}")
         version, n, mu, token_len, d_v, d_w, n_answers = read_struct(
-            fh, "<7I", "header", TruncatedPayloadError
+            fh, "<7I", "header", FeatureFileError
         )
         if version != VERSION:
-            raise VersionMismatchError(
+            raise FeatureFileError(
                 f"unsupported feature-file version {version}, expected {VERSION}"
             )
         if min(n, mu, token_len, d_v, d_w) < 1:
@@ -480,17 +468,15 @@ def read_feature_file(path: str) -> FeatureDataset:
                 f"feature-file header has an empty axis: {n} instances of "
                 f"{mu}x{d_v} regions and {token_len}x{d_w} tokens"
             )
-        (n_templates,) = read_struct(fh, "<I", "template count", TruncatedPayloadError)
+        (n_templates,) = read_struct(fh, "<I", "template count", FeatureFileError)
         template_names = [
-            read_str(fh, "template name", TruncatedPayloadError) for _ in range(n_templates)
+            read_str(fh, "template name", FeatureFileError) for _ in range(n_templates)
         ]
-        answer_names = [
-            read_str(fh, "answer name", TruncatedPayloadError) for _ in range(n_answers)
-        ]
+        answer_names = [read_str(fh, "answer name", FeatureFileError) for _ in range(n_answers)]
         need = n * (8 * (mu * d_v + token_len * d_w) + 8)
         left = os.fstat(fh.fileno()).st_size - fh.tell()
         if left < need:
-            raise TruncatedPayloadError(
+            raise FeatureFileError(
                 f"truncated feature file: header promises {n} instances "
                 f"({need} bytes), file holds {left}"
             )
@@ -498,7 +484,7 @@ def read_feature_file(path: str) -> FeatureDataset:
             raise FeatureFileError("trailing bytes after feature payload")
         records = np.empty(n, dtype=_record_dtype(mu, token_len, d_v, d_w))
         if fh.readinto(records) != need:
-            raise TruncatedPayloadError("feature file shrank while being read")
+            raise FeatureFileError("feature file shrank while being read")
     answers = records["answer"].astype(np.intp)
     template_ids = records["template"].astype(np.intp)
     bad = answers >= n_answers

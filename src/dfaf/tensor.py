@@ -321,11 +321,12 @@ def _softmax_weights(qh: np.ndarray, kh: np.ndarray, c: float) -> np.ndarray:
 
 
 def attention_weights(q: Tensor, k: Tensor, heads: int) -> np.ndarray:
-    """The head-major weights ``attention(q, k, v, heads)`` returns, from
-    ``q`` and ``k`` alone: no value product, and nothing is recorded."""
+    """The (B, heads, n, m) weights ``attention(q, k, v, heads)`` returns,
+    from ``q`` and ``k`` alone: no value product, and nothing is recorded."""
     qd, kd = q.data, k.data
     c = _attention_scale(qd, kd, kd, heads)
-    return _softmax_weights(_split_heads(qd, heads), _split_heads(kd, heads), c)
+    s = _softmax_weights(_split_heads(qd, heads), _split_heads(kd, heads), c)
+    return s.reshape(len(qd), heads, *s.shape[1:])
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.ndarray]:
@@ -336,10 +337,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.n
     which there must be at least one. The feature axes split into ``heads``
     contiguous column groups, each attended on its own and scaled by the
     square root of its width d_h. Returns the merged values (``q``'s rows,
-    ``v``'s width) and the head-major (B·heads, n, m) weights, whose entry
-    b·heads + h is head h of instance b. The softmax is stabilized by
-    per-row max subtraction. Backward reuses the weights and the head-major
-    copies of q, k and v.
+    ``v``'s width) and the (B, heads, n, m) weights, whose entry [b, h] is
+    head h of instance b: a view of the head-major (B·heads, n, m) buffer
+    that backward reads, so nothing may write into it. The softmax is
+    stabilized by per-row max subtraction. Backward reuses the weights and
+    the head-major copies of q, k and v.
     """
     qd, kd, vd = q.data, k.data, v.data
     c = _attention_scale(qd, kd, vd, heads)
@@ -371,7 +373,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.n
         dk = _merge_heads(np.matmul(_swap(dl), qh), kd.shape) if need_k else None
         return dq, dk, dv
 
-    return _apply((q, k, v), out, bwd), s
+    return _apply((q, k, v), out, bwd), s.reshape(len(qd), heads, *s.shape[1:])
 
 
 def sigmoid(t: Tensor) -> Tensor:

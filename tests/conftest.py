@@ -56,20 +56,21 @@ def np_attention(q, k, v, heads, g=None):
     """The numpy reference for ``tensor.attention`` on (B, n, d) batches,
     composed in the op's order: split the feature axes into head-major
     column groups, softmax(q·kᵀ/√d_h) per group, weight the values, merge.
-    Returns the values and the head-major weights and, given an upstream
-    gradient ``g``, the gradients in q, k and v as well."""
+    Returns the values and the (B, heads, n, m) weights and, given an
+    upstream gradient ``g``, the gradients in q, k and v as well."""
     qh, kh, vh = (_np_split(x, heads) for x in (q, k, v))
     c = 1.0 / math.sqrt(qh.shape[-1])
     x = np.matmul(qh, np.ascontiguousarray(kh.swapaxes(-1, -2))) * c
     e = np.exp(x - x.max(axis=-1, keepdims=True))
     s = e / e.sum(axis=-1, keepdims=True)
     out = _np_merge(np.matmul(s, vh), heads)
+    weights = s.reshape(len(q), heads, *s.shape[1:])
     if g is None:
-        return out, s
+        return out, weights
     gh = _np_split(g, heads)
     gs = np.matmul(gh, vh.swapaxes(-1, -2))
     gl = (gs - (gs * s).sum(axis=-1, keepdims=True)) * s * c
     dq = _np_merge(np.matmul(gl, kh), heads)
     dk = _np_merge(np.matmul(gl.swapaxes(-1, -2), qh), heads)
     dv = _np_merge(np.matmul(s.swapaxes(-1, -2), gh), heads)
-    return out, s, dq, dk, dv
+    return out, weights, dq, dk, dv

