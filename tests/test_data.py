@@ -333,7 +333,9 @@ class TestFeatureFile:
         path = str(tmp_path / "bad.dft")
         with open(path, "wb") as fh:
             fh.write(b"WAT?" + b"\x00" * 40)
-        with pytest.raises(FeatureFileError, match=r"magic b'WAT\?', expected b'DFFT'"):
+        with pytest.raises(
+            FeatureFileError, match=r"bad feature-file magic b'WAT\?', expected b'DFFT'"
+        ):
             read_feature_file(path)
 
     def test_version_mismatch_distinct_error(self, tmp_path):
