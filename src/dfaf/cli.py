@@ -84,8 +84,11 @@ def _check_fits(model_config: ModelConfig, dataset: FeatureDataset, source: str)
             f"{source} answer head has {model_config.n_answers} entries, "
             f"data file has {dataset.n_answers}"
         )
-    finite = np.isfinite(dataset.regions).all(axis=(1, 2))
-    finite &= np.isfinite(dataset.tokens).all(axis=(1, 2))
+    # Per-instance min and max are non-finite when any element is, and need
+    # no full-size mask as np.isfinite(...).all() does.
+    finite = np.ones(len(dataset), dtype=bool)
+    for feats in (dataset.regions, dataset.tokens):
+        finite &= np.isfinite(feats.min(axis=(1, 2))) & np.isfinite(feats.max(axis=(1, 2)))
     if not finite.all():
         raise ShapeError(
             f"data file instance {int(finite.argmin())} holds a non-finite feature value"

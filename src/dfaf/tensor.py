@@ -14,7 +14,9 @@ Activations are batches: the row ops (``mul_row``, ``attention``,
 ``avg_pool_rows``) take (B, n, d) rows, pooled vectors and logits are
 (B, d), and one instance is a batch of one. Each rejects any other rank
 with a ``ShapeError`` that names the shapes. ``linear_forward`` alone is
-rank-generic, and elementwise ops take equal shapes.
+rank-generic: it multiplies a batch by a large weight as one GEMM over all
+rows, and by a small one instance by instance. Elementwise ops take equal
+shapes.
 
 Ops raise ``ShapeError`` on operands they would otherwise compute garbage
 from. Parameter containers check nothing: builders derive every shape from
@@ -520,15 +522,36 @@ def linear_init(in_dim: int, out_dim: int, rng: np.random.Generator | None) -> L
     return LinearLayer(weight, bias)
 
 
+# A (B, n, d) batch times a weight of at least this many elements runs as one
+# GEMM over its B·n rows. numpy's batched matmul makes one GEMM per instance,
+# and each packs the whole weight again; for small weights that still beats one
+# tall GEMM. tools/linear_sweep.py (1 BLAS thread, B in {8, 32, 256}, n in
+# {6, 14, 100}, square weights; three runs) measured one-GEMM time divided by
+# per-instance time: 0.80-1.40 at 64x64, 0.67-1.11 at 128x128, 0.55-1.00 at
+# 256x256 (2^16, where B=256, n=100 sits at parity) and 0.32-0.90 at 512x512
+# (2^18). 2^17 is the smallest power of two above every weight at which one
+# GEMM lost or tied in any run.
+ONE_GEMM_MIN_WEIGHT = 1 << 17
+
+
 def linear_forward(layer: LinearLayer, x: Tensor) -> Tensor:
-    """x·W + b as one op; ``x`` is a vector, a matrix or a batch of matrices."""
+    """x·W + b as one op; ``x`` is a vector, a matrix or a batch of matrices.
+
+    A batch times a weight of at least ``ONE_GEMM_MIN_WEIGHT`` elements is one
+    GEMM over the flattened rows; a smaller weight multiplies each instance on
+    its own. Both give each instance the bytes it gets alone at the default
+    and paper model widths, but one GEMM may round an instance's last bits
+    differently at some other widths."""
     if x.shape[-1] != layer.in_dim:
         raise ShapeError(
             f"linear layer expects width {layer.in_dim}, input has shape {x.shape}"
         )
     xd, wd = x.data, layer.weight.data
     d, o = wd.shape
-    out = np.matmul(xd, wd)
+    if xd.ndim == 3 and wd.size >= ONE_GEMM_MIN_WEIGHT:
+        out = np.matmul(xd.reshape(-1, d), wd).reshape(xd.shape[:-1] + (o,))
+    else:
+        out = np.matmul(xd, wd)
     out += layer.bias.data
     need_x = x.requires_grad
 

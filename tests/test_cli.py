@@ -289,7 +289,11 @@ class TestEval:
 
     @pytest.mark.parametrize(
         "command, field, value",
-        [("eval", "regions", float("nan")), ("inspect", "tokens", float("-inf"))],
+        [
+            ("eval", "regions", float("nan")),
+            ("inspect", "tokens", float("-inf")),
+            ("eval", "tokens", float("inf")),
+        ],
     )
     def test_non_finite_feature_exits_3(self, workspace, tmp_path, command, field, value):
         root, _, _ = workspace

@@ -1,5 +1,5 @@
-"""Every module in the package and the test suite reads every name it
-imports, and every name the package defines at module level has a reader."""
+"""Every module in the package, the test suite and the tools reads every name
+it imports, and every name the package defines at module level has a reader."""
 import ast
 import re
 from collections import Counter
@@ -9,7 +9,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "dfaf").glob("*.py"))
-MODULES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
+MODULES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py"), *(ROOT / "tools").glob("*.py")])
 READERS = sorted([*MODULES, *(ROOT / "perfbench").glob("*.py")])
 
 

@@ -648,6 +648,39 @@ class TestFusedLinear:
             T.linear_forward(layer, Tensor(np.ones((2, 5, 4))))
         assert len(tape) == 1
 
+    @pytest.mark.parametrize(
+        "weight, n, batch",
+        [
+            (w, n, b)
+            for ws, ns, bs in (
+                ([(64, 64), (32, 64), (128, 64)], (12, 6), (1, 32, 256)),
+                ([(2048, 512), (300, 512), (512, 512), (1024, 512)], (100, 14), (1, 3, 8)),
+            )
+            for w in ws
+            for n in ns
+            for b in bs
+        ],
+    )
+    def test_batch_rows_equal_each_instance_and_other_product(self, weight, n, batch):
+        """At the default and paper model's linear shapes, a batch's rows equal
+        each instance's own ``linear_forward`` bit for bit, and both products
+        (per instance, and one GEMM over the flattened rows) give the same
+        bytes. Rounding is specific to the numpy and OpenBLAS build (numpy
+        2.4.6, scipy-openblas 0.3.31): another build may move the last bits
+        of one product without a fault in the code."""
+        rng = np.random.default_rng(32)
+        d, o = weight
+        layer = T.linear_init(d, o, rng)
+        layer.bias.data[:] = rng.standard_normal(o)
+        x = rng.standard_normal((batch, n, d))
+        got = T.linear_forward(layer, Tensor(x)).data
+        w, b = layer.weight.data, layer.bias.data
+        assert np.array_equal(got, np.matmul(x, w) + b)
+        assert np.array_equal(got, (np.matmul(x.reshape(-1, d), w) + b).reshape(got.shape))
+        for i in range(batch):
+            alone = T.linear_forward(layer, Tensor(x[i : i + 1])).data
+            assert np.array_equal(got[i : i + 1], alone)
+
 
 class TestFiniteDifferenceOracle:
     def test_quadratic_slope(self):
