@@ -1,5 +1,5 @@
 """Little-endian read/write helpers shared by the DFFT feature-file and DFAF
-checkpoint codecs.
+checkpoint codecs, and the one way dfaf opens a file it writes.
 
 Each reader takes the exception class to raise, so each format keeps its own
 error type. Strings are a u16 byte length followed by utf-8 bytes.
@@ -7,8 +7,32 @@ error type. Strings are a u16 byte length followed by utf-8 bytes.
 
 from __future__ import annotations
 
+import os
+import stat
 import struct
 from typing import BinaryIO
+
+
+def open_output(path: str) -> BinaryIO:
+    """Open ``path`` for writing, replacing whatever file is there.
+
+    Every file dfaf writes is opened here, under one rule. A regular file at
+    ``path`` is unlinked and a new one created, so hard links to it and
+    readers that hold it open or mapped keep the old bytes, and the new file
+    gets the default mode, not the old one's. Any other path (missing, a
+    device, a FIFO, or a symlink, which is written through), or a file the
+    unlink fails on, is opened with ``open(path, "wb")`` as it stands.
+    Truncating a regular file instead would make ext4 write the new bytes
+    back when the file is closed (its replace-via-truncate heuristic), and
+    the next truncation wait for them. Nothing is fsynced: a replaced file is
+    as durable as a first write to a new path.
+    """
+    try:
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.unlink(path)
+    except OSError:
+        pass
+    return open(path, "wb")
 
 
 def write_str(fh: BinaryIO, s: str, error: type[Exception]) -> None:

@@ -22,9 +22,10 @@ produce byte-identical files.
 The loader reads and checks the parameters, then maps the optimizer trailer
 read-only: its arrays are views of the file, which ``eval`` and ``inspect``
 drop unread. Only ``training.AdamaxState.from_checkpoint_trailer`` reads
-them, and it copies them. Reading a trailer view after its file was
-truncated or rewritten in place raises SIGBUS, so a caller that writes the
-checkpoint it resumed from copies the trailer first, as ``dfaf train`` does.
+them, and it copies them. ``save_checkpoint`` replaces an existing file by
+unlinking it (``binio.open_output``), so rewriting a checkpoint path leaves
+the views of its old file as they were. Another program that truncates the
+mapped file in place still makes a read of a view raise SIGBUS.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .binio import read_str, read_struct, write_str
+from .binio import open_output, read_str, read_struct, write_str
 from .model import INT_FIELDS, STR_FIELDS, ModelConfig, ModelParams, build_model
 from .tensor import Tensor
 
@@ -95,7 +96,7 @@ def save_checkpoint(
     if config != params.config:
         raise CheckpointError(f"config {config} is not the parameters' own {params.config}")
     named = list(params.named_parameters())
-    # Every check runs before ``open`` truncates the file this may replace.
+    # Every check runs before ``open_output`` unlinks the file this may replace.
     if optimizer_state is not None:
         step, moments, inf_norms = optimizer_state
         if len(moments) != len(named) or len(inf_norms) != len(named):
@@ -106,7 +107,7 @@ def save_checkpoint(
         for (_, tensor), m, u in zip(named, moments, inf_norms):
             if m.shape != tensor.shape or u.shape != tensor.shape:
                 raise CheckpointError("optimizer arrays misshapen for parameter")
-    with open(path, "wb") as fh:
+    with open_output(path) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
         fh.write(struct.pack(_U32_FORMAT, *(getattr(config, f) for f in INT_FIELDS)))

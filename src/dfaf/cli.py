@@ -22,6 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .attention import AttentionRecord
+from .binio import open_output
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig, config_dict, load_run_config, sub_config
 from .data import (
@@ -111,8 +112,8 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
                 ]
             )
         if trailer is not None:
-            # Copy the mapped trailer and drop it: the checkpoint written
-            # below may truncate the very file it maps.
+            # Copy the mapped trailer and drop it: its views are read-only,
+            # and Adamax updates its state in place.
             state = AdamaxState.from_checkpoint_trailer(trailer)
             del trailer
         _log(f"resumed from {cfg.resume_from} at step {state.t if state else 0}")
@@ -221,8 +222,8 @@ def cmd_inspect(cfg: RunConfig, args: argparse.Namespace) -> int:
         },
         "blocks": [_block_payload(i, rec) for i, rec in enumerate(pred.records)],
     }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(dump, fh)
+    with open_output(args.out) as fh:
+        fh.write(json.dumps(dump).encode("utf-8"))
     _log(f"wrote attention dump to {args.out}")
     _emit(
         {

@@ -46,7 +46,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .binio import read_str, read_struct, write_str
+from .binio import open_output, read_str, read_struct, write_str
 
 MAGIC = b"DFFT"
 VERSION = 1
@@ -435,7 +435,7 @@ def write_feature_file(path: str, dataset: FeatureDataset) -> None:
     records["tokens"] = dataset.tokens
     records["answer"] = dataset.answers
     records["template"] = dataset.template_ids
-    with open(path, "wb") as fh:
+    with open_output(path) as fh:
         fh.write(MAGIC)
         fh.write(
             struct.pack(

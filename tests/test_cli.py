@@ -1,5 +1,6 @@
 """End-to-end command-line tests (subprocess level plus a few unit probes)."""
 import json
+import os
 import shutil
 
 import numpy as np
@@ -141,7 +142,7 @@ class TestTrain:
         assert stdout_objects(proc)[-1]["steps"] == 2 * first_steps
 
     def test_resume_into_the_same_path(self, workspace, tmp_path):
-        # The writer truncates the very file whose trailer the loader mapped.
+        # The writer replaces the very file whose trailer the loader mapped.
         root, _, train_out = workspace
         first_steps = train_out[-1]["steps"]
         shutil.copy(root / "ckpt.bin", tmp_path / "c.bin")
@@ -498,6 +499,16 @@ class TestInspect:
             assert np.allclose(matrices.sum(axis=-1), 1.0, atol=1e-6)
         assert len(block["gate_on_regions"]) == 16
         assert len(block["gate_on_words"]) == 16
+
+    def test_dump_replaces_a_hard_linked_file_without_writing_through(self, workspace, tmp_path):
+        root, _, _ = workspace
+        (tmp_path / "old.json").write_text("old")
+        os.link(tmp_path / "old.json", tmp_path / "dump.json")
+        args = [str(root / "ckpt.bin"), str(root / "data.bin"), "0", "dump.json"]
+        proc = run_cli(["inspect", *TINY, *args], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads((tmp_path / "dump.json").read_text())["instance"]["index"] == 0
+        assert (tmp_path / "old.json").read_text() == "old"
 
     def test_nan_forward_predicts_null(self, tmp_path):
         _overflowing_checkpoint(tmp_path)

@@ -329,6 +329,15 @@ class TestFeatureFile:
         write_feature_file(p2, ds)
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
+    def test_rewrite_leaves_an_open_handle_on_the_old_bytes(self, tmp_path):
+        path = str(tmp_path / "toy.dft")
+        write_feature_file(path, generate_feature_dataset(ToyTaskSpec(seed=34), 6))
+        old = open(path, "rb").read()
+        with open(path, "rb") as reader:
+            write_feature_file(path, generate_feature_dataset(ToyTaskSpec(seed=35), 6))
+            assert reader.read() == old
+        assert open(path, "rb").read() != old
+
     def test_bad_magic_distinct_error(self, tmp_path):
         path = str(tmp_path / "bad.dft")
         with open(path, "wb") as fh:

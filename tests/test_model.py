@@ -442,6 +442,23 @@ class TestCheckpoint:
             assert copied.flags.writeable and copied.flags.c_contiguous and copied.flags.aligned
             assert copied.tobytes() == saved.tobytes()
 
+    def test_rewriting_the_path_leaves_mapped_trailer_views_as_they_were(self, tmp_path):
+        cfg = small_config()
+        p = build_model(cfg, np.random.default_rng(34))
+        path = str(tmp_path / "same.ckpt")
+        step, moments, norms = self.optimizer_state(p)
+        save_checkpoint(path, p, cfg, optimizer_state=(step, moments, norms))
+        _, _, (_, m2, u2) = load_checkpoint(path)
+        size = os.path.getsize(path)
+        save_checkpoint(
+            path, p, cfg, (step + 1, [m * 3.0 for m in moments], [u * 3.0 for u in norms])
+        )
+        assert os.path.getsize(path) == size
+        for saved, mapped in zip(moments + norms, m2 + u2):
+            assert mapped.tobytes() == saved.tobytes()
+        _, _, (step2, m3, _) = load_checkpoint(path)
+        assert step2 == step + 1 and np.array_equal(m3[0], moments[0] * 3.0)
+
     def optimizer_state(self, p):
         return 2, [t.data + 1.0 for t in p.parameters()], [t.data + 2.0 for t in p.parameters()]
 

@@ -18,6 +18,14 @@ whether HEAD's median is within the metric's bound. A gain holds when HEAD
 wins at least nine tenths of the pairs and the gap exceeds BASE's IQR. It
 also says whether ``mean_train_loss`` was bitwise equal in every pair, and
 how many operations failed on each side.
+
+Giving the same revision twice is the A/A control:
+
+    python3 tools/ab.py HEAD HEAD --workload train-paper --pairs 10 --seed 800
+
+Both sides are exported into their own directories and run the same code,
+so any gap it reads is noise or order bias. A claimed gain should exceed the
+control's gap on the same workload and metric, measured on other seeds.
 """
 
 import argparse
