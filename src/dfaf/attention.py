@@ -19,9 +19,9 @@ of one.
   fully independent of the other modality. Both use a residual update.
 
 Multi-head attention is one tape op, ``tensor.attention``: it splits the
-feature axis into contiguous groups and attends in all of them at once on a
-head-major view, each group scaled by the square root of its width. Gates
-are computed at full width and split alongside the channels.
+feature axis into contiguous groups and attends in all of them at once on
+strided views of each group, each scaled by the square root of its width.
+Gates are computed at full width and split alongside the channels.
 
 A block is inter-modality flow followed by intra-modality flow; blocks stack
 sequentially. There is no normalization anywhere, and dropout (train mode,

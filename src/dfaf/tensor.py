@@ -281,19 +281,11 @@ def _swap(x: np.ndarray) -> np.ndarray:
     return x.swapaxes(-1, -2)
 
 
-def _split_heads(a: np.ndarray, heads: int) -> np.ndarray:
-    # (B, n, d) -> head-major (B·heads, n, d/heads) copy; entry b·heads + h
-    # holds columns [h·d/heads, (h+1)·d/heads) of instance b.
+def _heads(a: np.ndarray, heads: int) -> np.ndarray:
+    # (B, n, d) -> a strided (B, heads, n, d/heads) view; entry [b, h] is
+    # columns [h·d/heads, (h+1)·d/heads) of instance b.
     b, n, d = a.shape
-    grouped = a.reshape(b, n, heads, d // heads).swapaxes(1, 2)
-    return np.ascontiguousarray(grouped).reshape(b * heads, n, d // heads)
-
-
-def _merge_heads(a: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    # Inverse of _split_heads; ``shape`` is (B, n, d).
-    b, n, d = shape
-    grouped = a.reshape(b, d // a.shape[-1], n, a.shape[-1]).swapaxes(1, 2)
-    return np.ascontiguousarray(grouped).reshape(shape)
+    return a.reshape(b, n, heads, d // heads).swapaxes(1, 2)
 
 
 def _attention_scale(qd: np.ndarray, kd: np.ndarray, vd: np.ndarray, heads: int) -> float:
@@ -312,9 +304,14 @@ def _attention_scale(qd: np.ndarray, kd: np.ndarray, vd: np.ndarray, heads: int)
     return 1.0 / math.sqrt(qd.shape[-1] // heads)
 
 
-def _softmax_weights(qh: np.ndarray, kh: np.ndarray, c: float) -> np.ndarray:
-    # Head-major softmax(qh·khᵀ·c), stabilized by per-row max subtraction.
-    s = np.matmul(qh, np.ascontiguousarray(_swap(kh)))
+def _softmax_weights(qd: np.ndarray, kd: np.ndarray, heads: int, c: float) -> np.ndarray:
+    # softmax(q·kᵀ·c) per head as (B, heads, n, m), stabilized by per-row max
+    # subtraction. The keys' one copy is (B, heads, d_h, m), so each head's
+    # logits are a contiguous NN product; it goes before the row temporaries.
+    b, m, d = kd.shape
+    kt = np.ascontiguousarray(kd.reshape(b, m, heads, d // heads).transpose(0, 2, 3, 1))
+    s = np.matmul(_heads(qd, heads), kt)
+    del kt
     s *= c
     s -= s.max(axis=-1, keepdims=True)
     np.exp(s, out=s)
@@ -322,13 +319,18 @@ def _softmax_weights(qh: np.ndarray, kh: np.ndarray, c: float) -> np.ndarray:
     return s
 
 
+def _matmul_into(a: np.ndarray, b: np.ndarray, shape: tuple[int, ...], heads: int) -> np.ndarray:
+    # A fresh (B, n, d) array whose head view holds the per-head a·b.
+    out = np.empty(shape)
+    np.matmul(a, b, out=_heads(out, heads))
+    return out
+
+
 def attention_weights(q: Tensor, k: Tensor, heads: int) -> np.ndarray:
     """The (B, heads, n, m) weights ``attention(q, k, v, heads)`` returns,
     from ``q`` and ``k`` alone: no value product, and nothing is recorded."""
     qd, kd = q.data, k.data
-    c = _attention_scale(qd, kd, kd, heads)
-    s = _softmax_weights(_split_heads(qd, heads), _split_heads(kd, heads), c)
-    return s.reshape(len(qd), heads, *s.shape[1:])
+    return _softmax_weights(qd, kd, heads, _attention_scale(qd, kd, kd, heads))
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.ndarray]:
@@ -340,42 +342,31 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.n
     contiguous column groups, each attended on its own and scaled by the
     square root of its width d_h. Returns the merged values (``q``'s rows,
     ``v``'s width) and the (B, heads, n, m) weights, whose entry [b, h] is
-    head h of instance b: a view of the head-major (B·heads, n, m) buffer
-    that backward reads, so nothing may write into it. The softmax is
-    stabilized by per-row max subtraction. Backward reuses the weights and
-    the head-major copies of q, k and v.
+    head h of instance b. Backward reads the weights, so nothing may write
+    into them. The softmax is stabilized by per-row max subtraction. Every
+    product runs on strided head views of q, k, v and the gradients; only
+    the keys are copied, once, into the transposed layout of the logits.
     """
     qd, kd, vd = q.data, k.data, v.data
     c = _attention_scale(qd, kd, vd, heads)
-    # A recorded op keeps its head-major copies of q, k and v for backward;
-    # otherwise each is dropped as soon as it has been used.
-    keep = _recorded((q, k, v))
-    qh, kh = _split_heads(qd, heads), _split_heads(kd, heads)
-    s = _softmax_weights(qh, kh, c)
-    if not keep:
-        qh = kh = None
-    vh = _split_heads(vd, heads)
-    out = np.matmul(s, vh)
-    if not keep:
-        vh = None
-    out = _merge_heads(out, qd.shape[:-1] + vd.shape[-1:])
+    s = _softmax_weights(qd, kd, heads, c)
+    out = _matmul_into(s, _heads(vd, heads), qd.shape[:-1] + vd.shape[-1:], heads)
     need_q, need_k, need_v = q.requires_grad, k.requires_grad, v.requires_grad
 
     def bwd(g):
-        g_h = _split_heads(g, heads)
-        dv = _merge_heads(np.matmul(_swap(s), g_h), vd.shape) if need_v else None
+        gh = _heads(g, heads)
+        dv = _matmul_into(_swap(s), gh, vd.shape, heads) if need_v else None
         if not (need_q or need_k):
             return None, None, dv
-        dl = np.matmul(g_h, _swap(vh))
-        del g_h
+        dl = np.matmul(gh, _swap(_heads(vd, heads)))
         dl -= (dl * s).sum(axis=-1, keepdims=True)
         dl *= s
         dl *= c
-        dq = _merge_heads(np.matmul(dl, kh), qd.shape) if need_q else None
-        dk = _merge_heads(np.matmul(_swap(dl), qh), kd.shape) if need_k else None
+        dq = _matmul_into(dl, _heads(kd, heads), qd.shape, heads) if need_q else None
+        dk = _matmul_into(_swap(dl), _heads(qd, heads), kd.shape, heads) if need_k else None
         return dq, dk, dv
 
-    return _apply((q, k, v), out, bwd), s.reshape(len(qd), heads, *s.shape[1:])
+    return _apply((q, k, v), out, bwd), s
 
 
 def sigmoid(t: Tensor) -> Tensor:

@@ -57,7 +57,10 @@ def np_attention(q, k, v, heads, g=None):
     composed in the op's order: split the feature axes into head-major
     column groups, softmax(q·kᵀ/√d_h) per group, weight the values, merge.
     Returns the values and the (B, heads, n, m) weights and, given an
-    upstream gradient ``g``, the gradients in q, k and v as well."""
+    upstream gradient ``g``, the gradients in q, k and v as well.
+
+    It copies every head out and back on purpose: the op multiplies strided
+    views instead, and an oracle that shared its layout would not check it."""
     qh, kh, vh = (_np_split(x, heads) for x in (q, k, v))
     c = 1.0 / math.sqrt(qh.shape[-1])
     x = np.matmul(qh, np.ascontiguousarray(kh.swapaxes(-1, -2))) * c

@@ -6,6 +6,7 @@ one. ``np_attention`` (conftest) is the one numpy reference for
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -210,8 +211,20 @@ ATTENTION_CASES = {
 }
 
 
+# The attention shapes of the default model (dim 64, 4 heads, 12 regions,
+# 6 tokens) and of the paper's (dim 512, 8 heads, 100 regions, 14 tokens):
+# (q shape, k and v rows, heads) for each batch size and pair of modalities.
+MODEL_ATTENTION_CASES = {
+    f"{b}x{n}x{m}-d{d}": ((b, n, d), m, heads)
+    for batches, rows, d, heads in (((1, 32, 256), (12, 6), 64, 4), ((1, 8), (100, 14), 512, 8))
+    for b in batches
+    for n in rows
+    for m in rows
+}
+
+
 def attention_inputs(case, seed):
-    q_shape, m, heads = ATTENTION_CASES[case]
+    q_shape, m, heads = {**ATTENTION_CASES, **MODEL_ATTENTION_CASES}[case]
     rng = np.random.default_rng(seed)
     kv_shape = q_shape[:-2] + (m, q_shape[-1])
     q, k, v = (
@@ -222,8 +235,14 @@ def attention_inputs(case, seed):
 
 
 class TestAttentionOp:
-    @pytest.mark.parametrize("case", sorted(ATTENTION_CASES))
+    @pytest.mark.parametrize("case", sorted(ATTENTION_CASES) + sorted(MODEL_ATTENTION_CASES))
     def test_forward_and_backward_bitwise_match_composition(self, case):
+        """The op multiplies strided head views; ``np_attention`` copies each
+        head out first. Both give the same bytes in the values, the weights
+        and the gradients in q, k and v, also at the default and paper
+        model's shapes. Rounding is specific to the numpy and OpenBLAS build
+        (numpy 2.4.6, scipy-openblas 0.3.31): another build may move the last
+        bits of one product without a fault in the code."""
         q, k, v, g, heads = attention_inputs(case, 10)
         with GradTape() as tape:
             out, w = T.attention(q, k, v, heads)
@@ -267,6 +286,25 @@ class TestAttentionOp:
         assert np.array_equal(got, want)
         with pytest.raises(ShapeError, match="widths"):
             T.attention_weights(q, Tensor(np.ones(k.shape[:-1] + (k.shape[-1] + 1,))), heads)
+
+    @pytest.mark.parametrize("case", ["256x12x6-d64", "8x100x100-d512"])
+    @pytest.mark.parametrize("weights_only", [False, True])
+    def test_untaped_op_makes_no_head_copies(self, case, weights_only):
+        """Untaped, the op allocates at most its results, one copy of the keys
+        and 4 KB of Python objects: no copy of q, v or the values is split
+        into heads or merged."""
+        q, k, v, _, heads = attention_inputs(case, 15)
+        tracemalloc.start()
+        try:
+            if weights_only:
+                results = (T.attention_weights(q, k, heads),)
+            else:
+                out, w = T.attention(q, k, v, heads)
+                results = (out.data, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= sum(r.nbytes for r in results) + k.data.nbytes + 4096
 
     @pytest.mark.parametrize("constant", ["v", "qk"])
     def test_constant_inputs_get_no_gradient(self, constant):

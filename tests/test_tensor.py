@@ -162,8 +162,8 @@ def attend_with_grads(shape, heads, seed):
 
 
 class TestSplitMergeHeads:
-    """``attention`` splits into head-major column groups and merges back:
-    each head is single-head attention on its group, bit for bit."""
+    """``attention`` splits the feature axes into column groups and merges
+    back: each head is single-head attention on its group, bit for bit."""
 
     @pytest.mark.parametrize("shape", [(1, 5, 6), (3, 5, 6)])
     @pytest.mark.parametrize("heads", [1, 2, 6])
