@@ -52,7 +52,9 @@ class CheckpointError(ValueError):
 
 
 def _write_array(fh: BinaryIO, arr: np.ndarray) -> None:
-    fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    # A buffered file writes a buffer larger than its own straight from the
+    # array, so a native float64 tensor is written without a copy.
+    fh.write(np.ascontiguousarray(arr, dtype="<f8"))
 
 
 def _read_into(fh: BinaryIO, arr: np.ndarray, what: str) -> np.ndarray:

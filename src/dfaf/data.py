@@ -9,7 +9,7 @@ tokens are rows of a frozen random codebook; the codebook seed is separate
 from the instance seed so independently generated train and eval files share
 token meanings.
 
-Templates, each with an exact symbolic oracle over the scene graph:
+Templates, each answered exactly from the scene graph:
 
 * attribute   — the color of the object at a named cell. A pooled color
   histogram makes the modal color a better-than-chance guess, so pooling
@@ -32,12 +32,23 @@ Templates, each with an exact symbolic oracle over the scene graph:
 
 Generation writes ``FeatureDataset`` columns directly: the scene loop fills
 preallocated region, token-id and answer arrays, and one indexed write after
-it adds every scene's one-hot blocks. ``FeatureDataset`` is the only dataset
-type; batches are slices of it that share its name tables.
+it adds every scene's one-hot blocks. Questions are drawn from integer
+tables built once per spec (each cell's neighbour per relation, token and
+answer ids), with no per-question string work. The codebook is drawn once
+per (codebook_seed, vocabulary size, d_w), kept in a small cache and handed
+out read-only. ``FeatureDataset`` is the only dataset type; batches are
+slices of it that share its name tables.
+
+``write_feature_file`` scatter-writes the records with ``os.writev``
+straight from the columns, so it makes no payload-sized buffer; ``os.writev``
+makes the writer Unix-only. It refuses a dataset the reader would reject
+before it replaces the file at its path.
 """
 
 from __future__ import annotations
 
+import functools
+import io
 import math
 import os
 import struct
@@ -50,6 +61,8 @@ from .binio import open_output, read_str, read_struct, write_str
 
 MAGIC = b"DFFT"
 VERSION = 1
+
+_F8 = np.dtype("<f8")
 
 TEMPLATES = ("attribute", "relational", "existence", "counting")
 RELATIONS = ("above", "below", "left", "right")
@@ -171,10 +184,16 @@ def token_codebook(spec: ToyTaskSpec) -> np.ndarray:
 
     Rows are drawn at std sqrt(3) so the embed layer (uniform +-1/sqrt(fan_in)
     weights, which attenuate unit-RMS input by 1/sqrt(3)) emits unit-RMS
-    token vectors."""
-    vocab = token_vocabulary(spec)
-    rng = np.random.default_rng(spec.codebook_seed)
-    return rng.standard_normal((len(vocab), spec.d_w)) * math.sqrt(3.0)
+    token vectors. They are drawn once per (codebook_seed, vocabulary size,
+    d_w) and the same array goes to every caller, so it is read-only."""
+    return _codebook(spec.codebook_seed, len(token_vocabulary(spec)), spec.d_w)
+
+
+@functools.lru_cache(maxsize=8)
+def _codebook(seed: int, size: int, d_w: int) -> np.ndarray:
+    rows = np.random.default_rng(seed).standard_normal((size, d_w)) * math.sqrt(3.0)
+    rows.flags.writeable = False
+    return rows
 
 
 def related_cell(cell: int, relation: str, rows: int, cols: int) -> int:
@@ -193,171 +212,131 @@ def related_cell(cell: int, relation: str, rows: int, cols: int) -> int:
     return r * cols + c
 
 
-def oracle_answer(spec: ToyTaskSpec, scene: dict) -> str:
-    """Symbolic ground truth from the scene graph; never touches features."""
-    colors, shapes = scene["colors"], scene["shapes"]
-    q = scene["question"]
-    template = q["template"]
-    if template == "attribute":
-        return f"color_{colors[q['cell']]}"
-    if template == "relational":
-        if "cell" in q:
-            anchor = q["cell"]
-        else:
-            anchors = [
-                cell
-                for cell in range(spec.n_regions)
-                if colors[cell] == q["color"] and shapes[cell] == q["shape"]
-            ]
-            if len(anchors) != 1:
-                raise ValueError(
-                    f"relational anchor color_{q['color']}/shape_{q['shape']} matches "
-                    f"{len(anchors)} cells, need exactly 1"
-                )
-            anchor = anchors[0]
-        target = related_cell(anchor, q["relation"], spec.grid_rows, spec.grid_cols)
-        return f"color_{colors[target]}"
-    if template == "existence":
-        present = (q["color"], q["shape"]) in set(zip(colors, shapes))
-        return "yes" if present else "no"
-    if template == "counting":
-        return f"count_{colors.count(q['color'])}"
-    raise ValueError(f"unknown template {template!r}")
+def _question_sampler(spec: ToyTaskSpec):
+    """``sample(template, colors, shapes, rng)`` for ``spec``: a question
+    about the scene whose cells have ``colors`` and ``shapes``, as the triple
+    (question as the scene dict holds it, answer id, token ids before
+    padding), or None when a relational scene has no fitting anchor.
 
+    The questions, their answers and their rng draws follow the template
+    definitions in the module docstring. ``sample`` reads integer tables
+    built here once: each cell's neighbour per relation, the first token id
+    of each word family, and the answer id of each color, yes/no and count.
+    A (color, shape) pair is the integer color * n_shapes + shape, so pairs
+    in ascending order are pairs sorted by color, then shape."""
+    n_colors, n_shapes, n_pairs = spec.n_colors, spec.n_shapes, spec.n_colors * spec.n_shapes
+    every_cell = np.arange(spec.n_regions)
+    neighbour = np.array(
+        [
+            [related_cell(cell, r, spec.grid_rows, spec.grid_cols) for r in RELATIONS]
+            for cell in range(spec.n_regions)
+        ]
+    )
+    word = {w: i for i, w in enumerate(token_vocabulary(spec))}
+    rel0, cell0, color0, shape0 = (word[w] for w in ("rel_above", "cell_0", "color_0", "shape_0"))
+    answer = {a: i for i, a in enumerate(answer_vocabulary(spec))}
+    color_answer = [answer.get(f"color_{c}") for c in range(n_colors)]
+    count_answer = [answer.get(f"count_{k}") for k in range(spec.max_count + 1)]
+    yes_no = [answer.get("no"), answer.get("yes")]
 
-def _sample_question(spec: ToyTaskSpec, template: str, scene: dict, rng) -> dict | None:
-    mu = spec.n_regions
-    colors, shapes = scene["colors"], scene["shapes"]
-    if template == "attribute":
-        return {"template": template, "cell": int(rng.integers(mu))}
-    if template == "relational":
-        # The answer color is drawn uniformly BEFORE picking the anchor and
-        # direction, which decouples the answer from the scene's color
-        # histogram: a pooled color count predicts nothing. The anchor is
-        # then named one of two ways. A direct question names the anchor
-        # cell outright — spatial lookup plus readout, the easier rung. A
-        # content question names a (color, shape) pair unique in the scene,
-        # so the referent must first be found by matching region content —
-        # that composition cannot be precomputed question-free, which is
-        # what keeps pooling-plus-fusion shortcuts below the full model.
-        target = int(rng.integers(spec.n_colors))
-        direct = rng.random() < spec.relational_direct_fraction
-        if direct:
-            candidates_d = [
-                (cell, relation)
-                for cell in range(mu)
-                for relation in RELATIONS
-                if colors[related_cell(cell, relation, spec.grid_rows, spec.grid_cols)]
-                == target
-            ]
-            if not candidates_d:
+    def sample(template: str, colors: np.ndarray, shapes: np.ndarray, rng):
+        if template == "attribute":
+            cell = int(rng.integers(spec.n_regions))
+            question = {"template": template, "cell": cell}
+            return question, color_answer[colors[cell]], [word["ask_color"], cell0 + cell]
+        if template == "relational":
+            # The answer color is drawn uniformly BEFORE picking the anchor
+            # and direction, which decouples the answer from the scene's
+            # color histogram: a pooled color count predicts nothing. The
+            # anchor is then named one of two ways. A direct question names
+            # the anchor cell outright — spatial lookup plus readout, the
+            # easier rung. A content question names a (color, shape) pair
+            # unique in the scene, so the referent must first be found by
+            # matching region content — that composition cannot be
+            # precomputed question-free, which is what keeps
+            # pooling-plus-fusion shortcuts below the full model.
+            target = int(rng.integers(n_colors))
+            direct = rng.random() < spec.relational_direct_fraction
+            if direct:
+                anchors = every_cell
+            else:
+                pair = colors * n_shapes + shapes
+                anchors = (np.bincount(pair, minlength=n_pairs)[pair] == 1).nonzero()[0]
+                anchors = anchors[pair[anchors].argsort()]
+            # the candidates are (anchor, relation) pairs, anchor-major
+            hits = (colors[neighbour[anchors]] == target).ravel().nonzero()[0]
+            if not hits.size:
                 return None  # caller redraws the scene; see generate_toy_dataset
-            cell, relation = candidates_d[int(rng.integers(len(candidates_d)))]
-            return {"template": template, "relation": relation, "cell": int(cell)}
-        pair_cells: dict[tuple[int, int], list[int]] = {}
-        for cell in range(mu):
-            pair_cells.setdefault((colors[cell], shapes[cell]), []).append(cell)
-        candidates = []
-        for (color, shape), cells in sorted(pair_cells.items()):
-            if len(cells) != 1:
-                continue
-            for relation in RELATIONS:
-                nbr = related_cell(cells[0], relation, spec.grid_rows, spec.grid_cols)
-                if colors[nbr] == target:
-                    candidates.append((color, shape, relation))
-        if not candidates:
-            return None  # caller redraws the scene; see generate_toy_dataset
-        color, shape, relation = candidates[int(rng.integers(len(candidates)))]
-        return {
-            "template": template,
-            "relation": relation,
-            "color": int(color),
-            "shape": int(shape),
-        }
-    if template == "existence":
-        pairs = {(c, s) for c in range(spec.n_colors) for s in range(spec.n_shapes)}
-        present = sorted(set(zip(colors, shapes)))
-        absent = sorted(pairs - set(present))
-        want_yes = bool(rng.integers(2))
-        pool = present if want_yes else absent
-        color, shape = pool[int(rng.integers(len(pool)))]
-        return {"template": template, "color": int(color), "shape": int(shape)}
-    # counting: ask only colors whose count fits the answer vocabulary; the
-    # balanced-shape pigeonhole guarantees at least one color qualifies
-    order = rng.permutation(spec.n_colors)
-    for color in order:
-        if colors.count(int(color)) <= spec.max_count:
-            return {"template": template, "color": int(color)}
-    raise AssertionError("unreachable: some color count is at most mu/n_colors")
+            k, rel = divmod(int(hits[rng.integers(hits.size)]), len(RELATIONS))
+            anchor = int(anchors[k])
+            question = {"template": template, "relation": RELATIONS[rel]}
+            words = [word["ask_color_rel"], rel0 + rel]
+            if direct:
+                question["cell"] = anchor
+                words.append(cell0 + anchor)
+            else:
+                color, shape = int(colors[anchor]), int(shapes[anchor])
+                question.update(color=color, shape=shape)
+                words += [color0 + color, shape0 + shape]
+            return question, color_answer[target], words
+        if template == "existence":
+            present = np.bincount(colors * n_shapes + shapes, minlength=n_pairs) > 0
+            want_yes = bool(rng.integers(2))
+            pool = (present == want_yes).nonzero()[0]
+            color, shape = divmod(int(pool[rng.integers(pool.size)]), n_shapes)
+            question = {"template": template, "color": color, "shape": shape}
+            return question, yes_no[want_yes], [word["ask_exists"], color0 + color, shape0 + shape]
+        # counting: ask only colors whose count fits the answer vocabulary;
+        # the balanced-shape pigeonhole guarantees at least one color does
+        order = rng.permutation(n_colors)
+        counts = np.bincount(colors, minlength=n_colors)[order]
+        first = int((counts <= spec.max_count).argmax())
+        color = int(order[first])
+        question = {"template": template, "color": color}
+        return question, count_answer[counts[first]], [word["ask_count"], color0 + color]
 
-
-def _question_tokens(spec: ToyTaskSpec, q: dict) -> list[str]:
-    template = q["template"]
-    if template == "attribute":
-        words = ["ask_color", f"cell_{q['cell']}"]
-    elif template == "relational":
-        if "cell" in q:
-            words = ["ask_color_rel", f"rel_{q['relation']}", f"cell_{q['cell']}"]
-        else:
-            words = [
-                "ask_color_rel",
-                f"rel_{q['relation']}",
-                f"color_{q['color']}",
-                f"shape_{q['shape']}",
-            ]
-    elif template == "existence":
-        words = ["ask_exists", f"color_{q['color']}", f"shape_{q['shape']}"]
-    else:
-        words = ["ask_count", f"color_{q['color']}"]
-    words = words[: spec.token_len]
-    return words + ["pad"] * (spec.token_len - len(words))
+    return sample
 
 
 def generate_toy_dataset(
     spec: ToyTaskSpec, n: int
 ) -> tuple[FeatureDataset, list[dict]]:
     """Deterministic dataset of ``n`` instances and the scene graph behind
-    each one; templates cycle round-robin so the mix is exact, answers come
-    from the symbolic oracle.
+    each one; templates cycle round-robin so the mix is exact.
 
     The scene loop writes straight into the dataset's columns: each
-    instance's noise is drawn in turn and added into its zeroed region rows,
-    and after the loop one indexed write adds every scene's one-hots."""
+    question's answer id and token ids, and each instance's noise, drawn in
+    turn and added into its zeroed region rows. After the loop one indexed
+    write adds every scene's one-hots, and the scene dicts are built from
+    the color, shape and cell columns."""
     if n < 1:
         raise ValueError(f"need at least one instance, got {n}")
     rng = np.random.default_rng(spec.seed)
-    vocab_index = {w: i for i, w in enumerate(token_vocabulary(spec))}
-    answer_names = answer_vocabulary(spec)
-    answer_index = {a: i for i, a in enumerate(answer_names)}
+    sample = _question_sampler(spec)
     enabled = spec.enabled_templates
     mu = spec.n_regions
 
     shape_pool = np.repeat(np.arange(spec.n_shapes), mu // spec.n_shapes)
     regions = np.zeros((n, mu, spec.d_v))
-    token_ids = np.empty((n, spec.token_len), dtype=np.intp)
+    token_ids = np.zeros((n, spec.token_len), dtype=np.intp)  # token 0 is "pad"
     answers = np.empty(n, dtype=np.intp)
     # per scene: the color and shape of each cell, and the cell of each region
     colors, shapes, cells = np.empty((3, n, mu), dtype=np.intp)
-    scenes: list[dict] = []
+    questions: list[dict] = []
     for i in range(n):
         template = enabled[i % len(enabled)]
         while True:
             colors[i] = rng.integers(spec.n_colors, size=mu)
             shapes[i] = rng.permutation(shape_pool)
             cells[i] = rng.permutation(mu)
-            scene = {
-                "colors": colors[i].tolist(),
-                "shapes": shapes[i].tolist(),
-                "region_cells": cells[i].tolist(),
-            }
-            question = _sample_question(spec, template, scene, rng)
-            if question is not None:
+            drawn = sample(template, colors[i], shapes[i], rng)
+            if drawn is not None:
                 break
-            # relational scene with no uniquely identified cell: redraw
-        scene["question"] = question
-        scenes.append(scene)
-        answers[i] = answer_index[oracle_answer(spec, scene)]
-        token_ids[i] = [vocab_index[w] for w in _question_tokens(spec, question)]
+            # relational scene with no fitting anchor: redraw
+        question, answers[i], words = drawn
+        questions.append(question)
+        words = words[: spec.token_len]
+        token_ids[i, : len(words)] = words
         if spec.noise_std > 0:
             regions[i] += rng.standard_normal((mu, spec.d_v)) * spec.noise_std
 
@@ -378,8 +357,12 @@ def generate_toy_dataset(
         answers=answers,
         template_ids=np.arange(n) % len(enabled),
         template_names=list(enabled),
-        answer_names=answer_names,
+        answer_names=answer_vocabulary(spec),
     )
+    scenes = [
+        {"colors": c, "shapes": s, "region_cells": r, "question": q}
+        for c, s, r, q in zip(colors.tolist(), shapes.tolist(), cells.tolist(), questions)
+    ]
     return dataset, scenes
 
 
@@ -425,27 +408,86 @@ def _record_dtype(mu: int, token_len: int, d_v: int, d_w: int) -> np.dtype:
     )
 
 
+def _check_axes(n: int, mu: int, token_len: int, d_v: int, d_w: int) -> None:
+    if min(n, mu, token_len, d_v, d_w) < 1:
+        raise FeatureFileError(
+            f"feature file has an empty axis: {n} instances of "
+            f"{mu}x{d_v} regions and {token_len}x{d_w} tokens"
+        )
+
+
+def _check_ids(
+    answers: np.ndarray, template_ids: np.ndarray, n_answers: int, n_templates: int
+) -> None:
+    for what, ids, bound in (
+        ("answer", answers, n_answers),
+        ("template", template_ids, n_templates),
+    ):
+        bad = (ids < 0) | (ids >= bound)
+        if bad.any():
+            raise FeatureFileError(
+                f"{what} index out of range in instances {bad.nonzero()[0][:5]}"
+            )
+
+
+def _write_all(fd: int, buffers: list[np.ndarray]) -> None:
+    """Every byte of ``buffers`` to ``fd`` by ``os.writev``, resuming a
+    short write where it stopped."""
+    start = 0
+    while start < len(buffers):
+        done = os.writev(fd, buffers[start:])
+        while start < len(buffers) and done >= buffers[start].nbytes:
+            done -= buffers[start].nbytes
+            start += 1
+        if done:
+            buffers[start] = buffers[start].reshape(-1).view(np.uint8)[done:]
+
+
 def write_feature_file(path: str, dataset: FeatureDataset) -> None:
     """Header, name tables, then one record per instance: regions, tokens,
-    answer, template (float64 and u32, little-endian throughout)."""
+    answer, template (float64 and u32, little-endian throughout).
+
+    A dataset ``read_feature_file`` would reject is refused before
+    ``open_output`` replaces the file at ``path``. No record array is built:
+    each instance goes to ``os.writev`` as three buffers, its region block,
+    its token block and its packed (answer, template) row, at most
+    ``SC_IOV_MAX`` buffers per call. A block that is not C-contiguous
+    ``<f8`` is converted on its own and written before the next one is."""
     n, mu, d_v = dataset.regions.shape
     _, token_len, d_w = dataset.tokens.shape
-    records = np.empty(n, dtype=_record_dtype(mu, token_len, d_v, d_w))
-    records["regions"] = dataset.regions
-    records["tokens"] = dataset.tokens
-    records["answer"] = dataset.answers
-    records["template"] = dataset.template_ids
-    with open_output(path) as fh:
-        fh.write(MAGIC)
-        fh.write(
-            struct.pack(
-                "<7I", VERSION, n, mu, token_len, d_v, d_w, dataset.n_answers
-            )
+    _check_axes(n, mu, token_len, d_v, d_w)
+    counts = (len(dataset.tokens), len(dataset.answers), len(dataset.template_ids))
+    if counts != (n, n, n):
+        raise FeatureFileError(
+            f"columns of different lengths: {n} region blocks, {counts[0]} token "
+            f"blocks, {counts[1]} answers and {counts[2]} template ids"
         )
-        fh.write(struct.pack("<I", len(dataset.template_names)))
-        for name in dataset.template_names + dataset.answer_names:
-            write_str(fh, name, FeatureFileError)
-        fh.write(records)
+    n_templates = len(dataset.template_names)
+    _check_ids(dataset.answers, dataset.template_ids, dataset.n_answers, n_templates)
+    head = io.BytesIO()
+    head.write(MAGIC)
+    head.write(
+        struct.pack("<8I", VERSION, n, mu, token_len, d_v, d_w, dataset.n_answers, n_templates)
+    )
+    for name in dataset.template_names + dataset.answer_names:
+        write_str(head, name, FeatureFileError)
+    labels = np.empty((n, 2), dtype="<u4")
+    labels[:, 0] = dataset.answers
+    labels[:, 1] = dataset.template_ids
+    iov_max = os.sysconf("SC_IOV_MAX")
+    pending = [np.frombuffer(head.getvalue(), dtype=np.uint8)]
+    with open_output(path) as fh:
+        for i in range(n):
+            converted = False
+            for block in (dataset.regions[i], dataset.tokens[i]):
+                if block.dtype != _F8 or not block.flags.c_contiguous:
+                    block = np.ascontiguousarray(block, dtype=_F8)
+                    converted = True
+                pending.append(block)
+            pending.append(labels[i])
+            if converted or len(pending) + 3 > iov_max or i == n - 1:
+                _write_all(fh.fileno(), pending)
+                pending = []
 
 
 def read_feature_file(path: str) -> FeatureDataset:
@@ -463,11 +505,7 @@ def read_feature_file(path: str) -> FeatureDataset:
             raise FeatureFileError(
                 f"unsupported feature-file version {version}, expected {VERSION}"
             )
-        if min(n, mu, token_len, d_v, d_w) < 1:
-            raise FeatureFileError(
-                f"feature-file header has an empty axis: {n} instances of "
-                f"{mu}x{d_v} regions and {token_len}x{d_w} tokens"
-            )
+        _check_axes(n, mu, token_len, d_v, d_w)
         (n_templates,) = read_struct(fh, "<I", "template count", FeatureFileError)
         template_names = [
             read_str(fh, "template name", FeatureFileError) for _ in range(n_templates)
@@ -487,14 +525,7 @@ def read_feature_file(path: str) -> FeatureDataset:
             raise FeatureFileError("feature file shrank while being read")
     answers = records["answer"].astype(np.intp)
     template_ids = records["template"].astype(np.intp)
-    bad = answers >= n_answers
-    if bad.any():
-        raise FeatureFileError(f"answer index out of range in instances {np.where(bad)[0][:5]}")
-    bad = template_ids >= len(template_names)
-    if bad.any():
-        raise FeatureFileError(
-            f"template index out of range in instances {np.where(bad)[0][:5]}"
-        )
+    _check_ids(answers, template_ids, n_answers, len(template_names))
     return FeatureDataset(
         regions=records["regions"],
         tokens=records["tokens"],

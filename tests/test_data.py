@@ -2,6 +2,8 @@
 
 import math
 import os
+import tracemalloc
+from pathlib import Path
 from dataclasses import replace
 
 import numpy as np
@@ -9,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dfaf import data as D
+import reference_data as reference
 from dfaf.data import (
+    TEMPLATES,
     FeatureFileError,
     ToyTaskSpec,
     answer_vocabulary,
@@ -24,6 +27,9 @@ from dfaf.data import (
     token_vocabulary,
     write_feature_file,
 )
+
+
+COLUMNS = ("regions", "tokens", "answers", "template_ids")
 
 
 def spec_for(templates, **kw) -> ToyTaskSpec:
@@ -140,7 +146,7 @@ class TestGeneration:
         answers = answer_vocabulary(spec)
         ds, scenes = generate_toy_dataset(spec, 200)
         for i, scene in enumerate(scenes):
-            assert answers[ds.answers[i]] == D.oracle_answer(spec, scene)
+            assert answers[ds.answers[i]] == reference.oracle_answer(spec, scene)
 
     def test_relational_answer_is_attribute_of_referent(self):
         spec = spec_for(["relational"], seed=6)
@@ -258,6 +264,45 @@ class TestGeneration:
         assert ds.answers.max() < len(names)
 
 
+class TestGeneratorMatchesLoopReference:
+    """The table-driven generator gives the columns and scene dicts of the
+    loop version in ``reference_data``, bit for bit, on specs the golden
+    digests do not pin."""
+
+    SPECS = {
+        "content_only_relational": spec_for(["relational"], relational_direct_fraction=0.0),
+        **{f"only_{t}": spec_for([t]) for t in TEMPLATES},
+        "grid_10x10_26_colors_14_tokens": ToyTaskSpec(
+            grid_rows=10, grid_cols=10, n_colors=26, token_len=14, d_v=160, d_w=16, seed=4
+        ),
+        "token_len_3_truncates": ToyTaskSpec(token_len=3, seed=5),
+        "noisy": ToyTaskSpec(noise_std=0.3, seed=6),
+    }
+
+    @pytest.mark.parametrize("name", SPECS)
+    def test_columns_and_scenes_equal_the_reference(self, name):
+        spec = self.SPECS[name]
+        ds, scenes = generate_toy_dataset(spec, 96)
+        want, want_scenes = reference.generate_toy_dataset(spec, 96)
+        for column in COLUMNS:
+            got, expect = getattr(ds, column), getattr(want, column)
+            assert got.dtype == expect.dtype and got.tobytes() == expect.tobytes(), column
+        assert ds.template_names == want.template_names
+        assert ds.answer_names == want.answer_names
+        assert scenes == want_scenes
+
+    def test_codebook_is_drawn_once_and_read_only(self):
+        spec = ToyTaskSpec(seed=1)
+        book = token_codebook(spec)
+        assert token_codebook(ToyTaskSpec(seed=2)) is book
+        assert not book.flags.writeable
+        with pytest.raises(ValueError):
+            book[0, 0] = 1.0
+        assert np.array_equal(book, reference.token_codebook(spec))
+        other = replace(spec, d_w=spec.d_w + 1)
+        assert np.array_equal(token_codebook(other), reference.token_codebook(other))
+
+
 class TestBaselineSeparation:
     """Pooling-only linear probe: informative on attribute questions, stuck
     at chance on relational ones — the relational task needs interaction."""
@@ -327,16 +372,16 @@ class TestFeatureFile:
         p1, p2 = str(tmp_path / "a.dft"), str(tmp_path / "b.dft")
         write_feature_file(p1, ds)
         write_feature_file(p2, ds)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_rewrite_leaves_an_open_handle_on_the_old_bytes(self, tmp_path):
         path = str(tmp_path / "toy.dft")
         write_feature_file(path, generate_feature_dataset(ToyTaskSpec(seed=34), 6))
-        old = open(path, "rb").read()
+        old = Path(path).read_bytes()
         with open(path, "rb") as reader:
             write_feature_file(path, generate_feature_dataset(ToyTaskSpec(seed=35), 6))
             assert reader.read() == old
-        assert open(path, "rb").read() != old
+        assert Path(path).read_bytes() != old
 
     def test_bad_magic_distinct_error(self, tmp_path):
         path = str(tmp_path / "bad.dft")
@@ -351,9 +396,9 @@ class TestFeatureFile:
         ds = generate_feature_dataset(ToyTaskSpec(seed=34), 3)
         path = str(tmp_path / "v.dft")
         write_feature_file(path, ds)
-        raw = bytearray(open(path, "rb").read())
+        raw = bytearray(Path(path).read_bytes())
         raw[4:8] = (7).to_bytes(4, "little")
-        open(path, "wb").write(bytes(raw))
+        Path(path).write_bytes(bytes(raw))
         with pytest.raises(FeatureFileError, match="unsupported feature-file version 7, expected 1"):
             read_feature_file(path)
 
@@ -361,8 +406,8 @@ class TestFeatureFile:
         ds = generate_feature_dataset(ToyTaskSpec(seed=35), 5)
         path = str(tmp_path / "t.dft")
         write_feature_file(path, ds)
-        raw = open(path, "rb").read()
-        open(path, "wb").write(raw[:-12])
+        raw = Path(path).read_bytes()
+        Path(path).write_bytes(raw[:-12])
         with pytest.raises(FeatureFileError, match="truncated feature file: header promises 5 "):
             read_feature_file(path)
 
@@ -370,9 +415,9 @@ class TestFeatureFile:
         ds = generate_feature_dataset(ToyTaskSpec(seed=37), 2)
         path = str(tmp_path / "n.dft")
         write_feature_file(path, ds)
-        raw = bytearray(open(path, "rb").read())
+        raw = bytearray(Path(path).read_bytes())
         raw[8:12] = (0xFFFFFFFF).to_bytes(4, "little")
-        open(path, "wb").write(bytes(raw))
+        Path(path).write_bytes(bytes(raw))
         with pytest.raises(FeatureFileError, match="header promises 4294967295 instances"):
             read_feature_file(path)
 
@@ -380,10 +425,10 @@ class TestFeatureFile:
         ds = generate_feature_dataset(ToyTaskSpec(seed=38), 2)
         path = str(tmp_path / "z.dft")
         write_feature_file(path, ds)
-        raw = bytearray(open(path, "rb").read())
+        raw = bytearray(Path(path).read_bytes())
         raw[12:16] = (0xFFFFFFFF).to_bytes(4, "little")  # regions per instance
         raw[20:24] = (0).to_bytes(4, "little")  # region width
-        open(path, "wb").write(bytes(raw))
+        Path(path).write_bytes(bytes(raw))
         with pytest.raises(FeatureFileError, match="empty axis"):
             read_feature_file(path)
 
@@ -391,9 +436,9 @@ class TestFeatureFile:
         ds = generate_feature_dataset(ToyTaskSpec(seed=39), 2)
         path = str(tmp_path / "u.dft")
         write_feature_file(path, ds)
-        raw = bytearray(open(path, "rb").read())
+        raw = bytearray(Path(path).read_bytes())
         raw[38] = 0xFF  # first byte of the first template name
-        open(path, "wb").write(bytes(raw))
+        Path(path).write_bytes(bytes(raw))
         with pytest.raises(FeatureFileError, match="template name is not valid utf-8"):
             read_feature_file(path)
 
@@ -405,6 +450,44 @@ class TestFeatureFile:
             fh.write(b"!")
         with pytest.raises(FeatureFileError, match="trailing"):
             read_feature_file(path)
+
+    REFUSED = {
+        "no_instances": (
+            lambda ds: replace(ds, **{c: getattr(ds, c)[:0] for c in COLUMNS}),
+            "empty axis",
+        ),
+        "answer_past_the_names": (
+            lambda ds: replace(ds, answers=ds.answers + ds.n_answers),
+            r"answer index out of range in instances \[0 1 2 3\]",
+        ),
+        "negative_answer": (
+            lambda ds: replace(ds, answers=np.r_[ds.answers[:-1], -1]),
+            r"answer index out of range in instances \[3\]",
+        ),
+        "template_past_the_names": (
+            lambda ds: replace(ds, template_ids=ds.template_ids + 4),
+            "template index out of range",
+        ),
+        "negative_template": (
+            lambda ds: replace(ds, template_ids=-ds.template_ids - 1),
+            "template index out of range",
+        ),
+        "columns_of_different_lengths": (
+            lambda ds: replace(ds, tokens=ds.tokens[:-1]),
+            "different lengths",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", REFUSED)
+    def test_writer_refuses_what_the_reader_refuses_before_replacing(self, tmp_path, case):
+        ds = generate_feature_dataset(ToyTaskSpec(seed=42), 4)
+        path = tmp_path / "keep.dft"
+        write_feature_file(str(path), ds)
+        before = path.read_bytes()
+        change, match = self.REFUSED[case]
+        with pytest.raises(FeatureFileError, match=match):
+            write_feature_file(str(path), change(ds))
+        assert path.read_bytes() == before
 
     @pytest.fixture(scope="class")
     def golden(self, tmp_path_factory):
@@ -441,6 +524,81 @@ class TestFeatureFile:
             read_feature_file(str(root / "flip.dft"))
         except FeatureFileError:
             pass
+
+
+class TestScatterWriter:
+    """``write_feature_file`` gives the bytes of the packed writer it
+    replaced (``reference_data.write_feature_file``) whatever ``os.writev``
+    does and whatever layout the columns have."""
+
+    @pytest.fixture
+    def writev_calls(self, monkeypatch):
+        """The number of buffers of each ``os.writev`` call."""
+        calls = []
+        writev = os.writev
+
+        def counting_writev(fd, buffers):
+            calls.append(len(buffers))
+            return writev(fd, buffers)
+
+        monkeypatch.setattr(os, "writev", counting_writev)
+        return calls
+
+    def assert_reference_bytes(self, tmp_path, ds):
+        write_feature_file(str(tmp_path / "got.dft"), ds)
+        reference.write_feature_file(str(tmp_path / "want.dft"), ds)
+        assert (tmp_path / "got.dft").read_bytes() == (tmp_path / "want.dft").read_bytes()
+
+    def test_short_writes_are_resumed(self, tmp_path, monkeypatch):
+        calls = []
+
+        def writev_1000_bytes(fd, buffers):
+            calls.append(len(buffers))
+            return os.write(fd, b"".join(bytes(b) for b in buffers)[:1000])
+
+        ds = generate_feature_dataset(ToyTaskSpec(seed=60, noise_std=0.1), 5)
+        monkeypatch.setattr(os, "writev", writev_1000_bytes)
+        self.assert_reference_bytes(tmp_path, ds)
+        assert len(calls) == math.ceil((tmp_path / "got.dft").stat().st_size / 1000)
+
+    def test_more_buffers_than_iov_max(self, tmp_path, writev_calls):
+        ds = generate_feature_dataset(ToyTaskSpec(seed=61), 400)
+        self.assert_reference_bytes(tmp_path, ds)
+        assert 3 * len(ds) + 1 > os.sysconf("SC_IOV_MAX") >= max(writev_calls)
+        assert sum(writev_calls) == 3 * len(ds) + 1
+
+    def test_columns_read_back_as_strided_record_views(self, tmp_path):
+        path = str(tmp_path / "in.dft")
+        reference.write_feature_file(path, generate_feature_dataset(ToyTaskSpec(seed=62), 9))
+        back = read_feature_file(path)
+        assert not back.regions.flags.c_contiguous and not back.tokens.flags.c_contiguous
+        self.assert_reference_bytes(tmp_path, back)
+
+    @pytest.mark.parametrize("layout", ["float32_and_fortran", "reversed_and_big_endian"])
+    def test_columns_converted_one_instance_at_a_time(self, tmp_path, layout, writev_calls):
+        ds = generate_feature_dataset(ToyTaskSpec(seed=63, noise_std=0.1), 7)
+        if layout == "float32_and_fortran":
+            ds = replace(
+                ds, regions=ds.regions.astype(np.float32), tokens=np.asfortranarray(ds.tokens)
+            )
+        else:
+            ds = replace(ds, regions=ds.regions[:, ::-1], tokens=ds.tokens.astype(">f8"))
+        self.assert_reference_bytes(tmp_path, ds)
+        # the header goes with the first instance
+        assert writev_calls == [4] + [3] * (len(ds) - 1)
+
+    def test_paper_size_write_makes_no_payload_sized_buffer(self, tmp_path):
+        paper = ToyTaskSpec(
+            grid_rows=10, grid_cols=10, n_colors=26, token_len=14, d_v=2048, d_w=300
+        )
+        ds = generate_feature_dataset(paper, 100)
+        tracemalloc.start()
+        try:
+            write_feature_file(str(tmp_path / "paper.dft"), ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestMakeBatches:

@@ -3,7 +3,9 @@
 import dataclasses
 import math
 import os
+import tracemalloc
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -491,13 +493,27 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="trailing"):
             load_checkpoint(path)
 
+    def test_save_writes_tensors_without_copying_them(self, tmp_path):
+        cfg = small_config(dim=64, d_v=2048)
+        p = build_model(cfg, np.random.default_rng(21))
+        largest = max(t.data.nbytes for t in p.parameters())
+        assert largest >= 1 << 20
+        opt = self.optimizer_state(p)
+        tracemalloc.start()
+        try:
+            save_checkpoint(str(tmp_path / "big.ckpt"), p, cfg, opt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < largest // 2
+
     def test_writes_are_byte_deterministic(self, tmp_path):
         cfg = small_config()
         p = build_model(cfg, np.random.default_rng(20))
         p1, p2 = str(tmp_path / "a.ckpt"), str(tmp_path / "b.ckpt")
         save_checkpoint(p1, p, cfg)
         save_checkpoint(p2, p, cfg)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_bad_magic_is_distinct_clean_error(self, tmp_path):
         path = str(tmp_path / "bad.ckpt")
@@ -511,9 +527,9 @@ class TestCheckpoint:
         p = build_model(cfg, np.random.default_rng(21))
         path = str(tmp_path / "v.ckpt")
         save_checkpoint(path, p, cfg)
-        raw = bytearray(open(path, "rb").read())
+        raw = bytearray(Path(path).read_bytes())
         raw[4:8] = (99).to_bytes(4, "little")
-        open(path, "wb").write(bytes(raw))
+        Path(path).write_bytes(bytes(raw))
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path)
 
@@ -522,8 +538,8 @@ class TestCheckpoint:
         p = build_model(cfg, np.random.default_rng(22))
         path = str(tmp_path / "t.ckpt")
         save_checkpoint(path, p, cfg)
-        raw = open(path, "rb").read()
-        open(path, "wb").write(raw[: len(raw) // 2])
+        raw = Path(path).read_bytes()
+        Path(path).write_bytes(raw[: len(raw) // 2])
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(path)
 

@@ -1,6 +1,7 @@
 """Optimizer closed forms, schedule, clipping, and the training loop."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -312,7 +313,7 @@ class TestTrainLoop:
             )
             path = str(tmp_path / f"run{run}.ckpt")
             save_checkpoint(path, model, mcfg, optimizer_state=state.as_checkpoint_trailer())
-            blobs.append(open(path, "rb").read())
+            blobs.append(Path(path).read_bytes())
         assert rows[0] == rows[1]
         assert blobs[0] == blobs[1]
 
