@@ -1,5 +1,6 @@
 """Little-endian read/write helpers shared by the DFFT feature-file and DFAF
-checkpoint codecs, and the one way dfaf opens a file it writes.
+checkpoint codecs, the one way they map a file they read, and the one way
+dfaf opens a file it writes.
 
 Each reader takes the exception class to raise, so each format keeps its own
 error type. Strings are a u16 byte length followed by utf-8 bytes.
@@ -7,9 +8,11 @@ error type. Strings are a u16 byte length followed by utf-8 bytes.
 
 from __future__ import annotations
 
+import mmap
 import os
 import stat
 import struct
+import sys
 from typing import BinaryIO
 
 
@@ -33,6 +36,33 @@ def open_output(path: str) -> BinaryIO:
     except OSError:
         pass
     return open(path, "wb")
+
+
+# Linux's MAP_NORESERVE, which the mmap module names only from Python 3.13.
+_NORESERVE = getattr(mmap, "MAP_NORESERVE", 0x4000 if sys.platform.startswith("linux") else 0)
+
+
+def map_private(fh: BinaryIO, size: int, what: str, error: type[Exception]) -> mmap.mmap:
+    """The first ``size`` bytes of ``fh``, which the caller has checked
+    against ``fstat``, as a copy-on-write mapping: ``mmap.ACCESS_COPY``
+    without a swap reservation.
+
+    Arrays on it are writable, and a write lands in a private page of this
+    process, never in the file. Linux's default overcommit heuristic refuses
+    a reserving private mapping larger than RAM plus swap, so without
+    ``MAP_NORESERVE`` such a file could not be read at all. A file that
+    shrank below ``size`` since its ``fstat`` raises ``error``. The mapping
+    outlives ``fh``: once it is made, another program that truncates the file
+    in place makes a later read of a page past the new end raise SIGBUS."""
+    try:
+        return mmap.mmap(
+            fh.fileno(),
+            size,
+            flags=mmap.MAP_PRIVATE | _NORESERVE,
+            prot=mmap.PROT_READ | mmap.PROT_WRITE,
+        )
+    except ValueError:  # the file is now empty or shorter than size
+        raise error(f"{what} shrank while being read") from None
 
 
 def write_str(fh: BinaryIO, s: str, error: type[Exception]) -> None:

@@ -19,13 +19,22 @@ parameter dataclasses (``tensor.Params.named_parameters``), so reordering a
 field changes the format. Writing is deterministic: identical parameters
 produce byte-identical files.
 
-The loader reads and checks the parameters, then maps the optimizer trailer
-read-only: its arrays are views of the file, which ``eval`` and ``inspect``
-drop unread. Only ``training.AdamaxState.from_checkpoint_trailer`` reads
-them, and it copies them. ``save_checkpoint`` replaces an existing file by
-unlinking it (``binio.open_output``), so rewriting a checkpoint path leaves
-the views of its old file as they were. Another program that truncates the
-mapped file in place still makes a read of a view raise SIGBUS.
+The loader checks the header, then maps the file once copy-on-write
+(``binio.map_private``) and checks each tensor's name, rank, shape, bytes
+left and values before it makes the parameter a view of the mapping at its
+offset. Nothing payload-sized is copied, and a write to a view lands in a
+private page, never in the file. A tensor whose offset is not a multiple of
+8 is an unaligned view; numpy copies such an operand before a BLAS product,
+and in the backward that copy rounds differently, so a resumed ``train``
+copies the parameters into aligned arrays first (``cli.cmd_train``). The
+optimizer trailer is views of the same mapping marked
+read-only, which ``eval`` and ``inspect`` drop unread. Only
+``training.AdamaxState.from_checkpoint_trailer`` reads them, and it copies
+them. ``save_checkpoint`` replaces an existing file by unlinking it
+(``binio.open_output``), so rewriting a checkpoint path, as a resumed
+``train`` writing to the file it resumed from does, leaves the views of the
+old file as they were. Another program that truncates the mapped file in
+place makes a later read of a view raise SIGBUS.
 """
 
 from __future__ import annotations
@@ -33,12 +42,11 @@ from __future__ import annotations
 import mmap
 import os
 import struct
-import sys
 from typing import BinaryIO
 
 import numpy as np
 
-from .binio import open_output, read_str, read_struct, write_str
+from .binio import map_private, open_output, read_str, read_struct, write_str
 from .model import INT_FIELDS, STR_FIELDS, ModelConfig, ModelParams, build_model
 from .tensor import Tensor
 
@@ -57,31 +65,24 @@ def _write_array(fh: BinaryIO, arr: np.ndarray) -> None:
     fh.write(np.ascontiguousarray(arr, dtype="<f8"))
 
 
-def _read_into(fh: BinaryIO, arr: np.ndarray, what: str) -> np.ndarray:
-    # Fill a native float64 array in place from little-endian file bytes.
-    got = fh.readinto(arr)
-    if got != arr.nbytes:
-        raise CheckpointError(f"truncated file: wanted {arr.nbytes} bytes of {what}, got {got}")
-    return arr if sys.byteorder == "little" else arr.byteswap(inplace=True)
-
-
 def _map_trailer(
-    fh: BinaryIO, named: list[tuple[str, Tensor]]
+    mapped: mmap.mmap, named: list[tuple[str, Tensor]]
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    # The rest of the file must be exactly the moments and infinity norms,
-    # returned as read-only views of a mapping (see the module docstring).
-    start = fh.tell()
+    # The rest of the mapping must be exactly the moments and infinity norms,
+    # returned as read-only views of it (see the module docstring).
+    start = mapped.tell()
     need = 16 * sum(tensor.size for _, tensor in named)
-    left = os.fstat(fh.fileno()).st_size - start
+    left = len(mapped) - start
     if left < need:
         raise CheckpointError(f"truncated file: wanted {need} bytes of optimizer state, got {left}")
     if left > need:
         raise CheckpointError("trailing bytes after checkpoint payload")
-    mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
     moments, inf_norms = [], []
     for _, tensor in named:
         for out in (moments, inf_norms):
-            out.append(np.frombuffer(mapped, "<f8", tensor.size, start).reshape(tensor.shape))
+            view = np.frombuffer(mapped, "<f8", tensor.size, start).reshape(tensor.shape)
+            view.flags.writeable = False
+            out.append(view)
             start += 8 * tensor.size
     return moments, inf_norms
 
@@ -151,49 +152,57 @@ def load_checkpoint(
         except ValueError as exc:
             raise CheckpointError(f"invalid checkpoint config: {exc}") from exc
         need = 8 * config.n_parameters()
-        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        size = os.fstat(fh.fileno()).st_size
+        left = size - fh.tell()
         if left < need:
             raise CheckpointError(
                 f"truncated checkpoint: its config needs {need} bytes of parameters, "
                 f"file holds {left}"
             )
+        # The rest is parsed from the mapping, which the parameters view.
+        mapped = map_private(fh, size, "checkpoint", CheckpointError)
+        mapped.seek(fh.tell())
 
-        params = build_model(config, None)
-        named = list(params.named_parameters())
-        (count,) = read_struct(fh, "<I", "tensor count", CheckpointError)
-        if count != len(named):
+    params = build_model(config, None)
+    named = list(params.named_parameters())
+    (count,) = read_struct(mapped, "<I", "tensor count", CheckpointError)
+    if count != len(named):
+        raise CheckpointError(f"checkpoint holds {count} tensors, architecture needs {len(named)}")
+    for expect_name, tensor in named:
+        name = read_str(mapped, "tensor name", CheckpointError)
+        if name != expect_name:
             raise CheckpointError(
-                f"checkpoint holds {count} tensors, architecture needs {len(named)}"
+                f"tensor order mismatch: found {name!r}, expected {expect_name!r}"
             )
-        for expect_name, tensor in named:
-            name = read_str(fh, "tensor name", CheckpointError)
-            if name != expect_name:
-                raise CheckpointError(
-                    f"tensor order mismatch: found {name!r}, expected {expect_name!r}"
-                )
-            (ndim,) = read_struct(fh, "<I", "tensor rank", CheckpointError)
-            if ndim != tensor.ndim:
-                raise CheckpointError(
-                    f"{name}: stored rank {ndim} != architecture rank {tensor.ndim}"
-                )
-            shape = read_struct(fh, f"<{ndim}I", "tensor shape", CheckpointError)
-            if shape != tensor.shape:
-                raise CheckpointError(
-                    f"{name}: stored shape {shape} != architecture shape {tensor.shape}"
-                )
-            _read_into(fh, tensor.data, f"{name} data")
-            # min and max are non-finite when any element is, and need no
-            # full-size mask as np.isfinite(...).all() does.
-            if not (np.isfinite(tensor.data.min()) and np.isfinite(tensor.data.max())):
-                raise CheckpointError(f"{name} holds a non-finite value")
+        (ndim,) = read_struct(mapped, "<I", "tensor rank", CheckpointError)
+        if ndim != tensor.ndim:
+            raise CheckpointError(f"{name}: stored rank {ndim} != architecture rank {tensor.ndim}")
+        shape = read_struct(mapped, f"<{ndim}I", "tensor shape", CheckpointError)
+        if shape != tensor.shape:
+            raise CheckpointError(
+                f"{name}: stored shape {shape} != architecture shape {tensor.shape}"
+            )
+        start, nbytes = mapped.tell(), tensor.data.nbytes
+        if size - start < nbytes:
+            raise CheckpointError(
+                f"truncated file: wanted {nbytes} bytes of {name} data, got {size - start}"
+            )
+        view = np.frombuffer(mapped, "<f8", tensor.size, start).reshape(shape)
+        # A big-endian host gets a native copy; elsewhere the view is the data.
+        tensor.data = view if view.dtype.isnative else view.astype(np.float64)
+        mapped.seek(nbytes, os.SEEK_CUR)
+        # min and max are non-finite when any element is, and need no
+        # full-size mask as np.isfinite(...).all() does.
+        if not (np.isfinite(tensor.data.min()) and np.isfinite(tensor.data.max())):
+            raise CheckpointError(f"{name} holds a non-finite value")
 
-        (flag,) = read_struct(fh, "<B", "optimizer flag", CheckpointError)
-        optimizer_state = None
-        if flag == 1:
-            (step,) = read_struct(fh, "<Q", "step count", CheckpointError)
-            optimizer_state = (step, *_map_trailer(fh, named))
-        elif flag != 0:
-            raise CheckpointError(f"bad optimizer flag {flag}")
-        elif fh.read(1):
-            raise CheckpointError("trailing bytes after checkpoint payload")
+    (flag,) = read_struct(mapped, "<B", "optimizer flag", CheckpointError)
+    optimizer_state = None
+    if flag == 1:
+        (step,) = read_struct(mapped, "<Q", "step count", CheckpointError)
+        optimizer_state = (step, *_map_trailer(mapped, named))
+    elif flag != 0:
+        raise CheckpointError(f"bad optimizer flag {flag}")
+    elif mapped.read(1):
+        raise CheckpointError("trailing bytes after checkpoint payload")
     return params, config, optimizer_state

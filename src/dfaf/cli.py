@@ -111,6 +111,13 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
                     f"configured architecture {model_config}"
                 ]
             )
+        # Train on aligned copies of the mapped parameters. Adamax writes
+        # every page of them in its first step anyway, and numpy hands BLAS an
+        # aligned C-order copy of an unaligned W.T in the backward, which
+        # rounds some products differently: on the views, the resumed run
+        # would leave the trajectory it continues.
+        for p in model.parameters():
+            p.data = p.data.copy()
         if trailer is not None:
             # Copy the mapped trailer and drop it: its views are read-only,
             # and Adamax updates its state in place.

@@ -43,6 +43,17 @@ slices of it that share its name tables.
 straight from the columns, so it makes no payload-sized buffer; ``os.writev``
 makes the writer Unix-only. It refuses a dataset the reader would reject
 before it replaces the file at its path.
+
+``read_feature_file`` checks the header and the payload size, then maps the
+file copy-on-write (``binio.map_private``) instead of copying the payload.
+Its region and token columns are views of the mapping: writable, but a write
+lands in a private page and never in the file. ``make_batches`` copies each
+batch out, so ``train``, ``eval`` and ``inspect`` hold one batch of features
+on the heap, not the file, and a file larger than RAM can be trained on.
+The mapping outlives the reader's file object. Rewriting a path with
+``write_feature_file`` unlinks the old file, so views of it keep their
+bytes; another program that truncates a mapped file in place makes a later
+read of a view raise SIGBUS.
 """
 
 from __future__ import annotations
@@ -57,7 +68,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .binio import open_output, read_str, read_struct, write_str
+from .binio import map_private, open_output, read_str, read_struct, write_str
 
 MAGIC = b"DFFT"
 VERSION = 1
@@ -492,8 +503,9 @@ def write_feature_file(path: str, dataset: FeatureDataset) -> None:
 
 def read_feature_file(path: str) -> FeatureDataset:
     """The payload size the header promises is checked against the bytes
-    left in the file before anything is allocated for it. The returned
-    columns are views into one record array."""
+    left in the file before the file is mapped (``binio.map_private``).
+    Region and token columns are then strided views of the mapping, writable
+    through private pages; answer and template ids are copied to ``intp``."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != MAGIC:
@@ -512,7 +524,8 @@ def read_feature_file(path: str) -> FeatureDataset:
         ]
         answer_names = [read_str(fh, "answer name", FeatureFileError) for _ in range(n_answers)]
         need = n * (8 * (mu * d_v + token_len * d_w) + 8)
-        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        start = fh.tell()
+        left = os.fstat(fh.fileno()).st_size - start
         if left < need:
             raise FeatureFileError(
                 f"truncated feature file: header promises {n} instances "
@@ -520,9 +533,8 @@ def read_feature_file(path: str) -> FeatureDataset:
             )
         if left > need:
             raise FeatureFileError("trailing bytes after feature payload")
-        records = np.empty(n, dtype=_record_dtype(mu, token_len, d_v, d_w))
-        if fh.readinto(records) != need:
-            raise FeatureFileError("feature file shrank while being read")
+        mapped = map_private(fh, start + need, "feature file", FeatureFileError)
+    records = np.frombuffer(mapped, _record_dtype(mu, token_len, d_v, d_w), n, start)
     answers = records["answer"].astype(np.intp)
     template_ids = records["template"].astype(np.intp)
     _check_ids(answers, template_ids, n_answers, len(template_names))

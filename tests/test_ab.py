@@ -2,6 +2,7 @@
 numbers (no benchmark runs and no timing)."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -100,3 +101,37 @@ def test_nine_of_ten_wins_is_enough_but_a_gap_inside_the_iqr_is_not():
     head = [result(1.0, 30.0 + i if i < 9 else 10.0, 1.0) for i in range(10)]
     results, _ = stub_pairs(base, head, 10)
     assert ab.summarize(results, END_TO_END)[1].gain
+
+
+# A stand-in benchmark that prints its not-gated lines with perfbench/run.py's
+# own ``report``, then its JSON, as run.py does.
+FAKE_BENCH = """
+import json, sys
+sys.path[:0] = [{perfbench!r}, {src!r}]
+import run
+seed = int(sys.argv[sys.argv.index("--seed") + 1])
+values = {{name: (0.5 + seed / 100, 3) for name in run.REPORTED}}
+run.report(run.REPORTED, values, ", not gated")
+print(json.dumps({{"correct": True, "attempted": 1, "failed": 0,
+                  "metrics": {{"mean_train_loss": {{"value": 1.0, "unit": "nats"}}}}}}))
+"""
+
+
+def test_host_slowdown_is_parsed_from_the_not_gated_lines_and_reported(tmp_path):
+    root = _PATH.parent.parent
+    (tmp_path / "bench.py").write_text(
+        FAKE_BENCH.format(perfbench=str(root / "perfbench"), src=str(root / "src"))
+    )
+    run = ab.bench_runner(tmp_path, [sys.executable, "bench.py"], "any", 1)
+    results = ab.run_pairs({"base": run, "head": run}, 3, seed=20)
+    assert [p["head"]["not_gated"]["host_slowdown"] for p in results] == [0.7, 0.71, 0.72]
+
+    lines = ab.report(results, END_TO_END[2:])
+    at = lines.index("host_slowdown (not gated)")
+    assert lines[at + 1] == "  base  0.7 0.71 0.72  median 0.71 (q1 0.705, q3 0.715)"
+    assert lines[at + 2].startswith("  head  0.7 0.71 0.72  median 0.71")
+
+    del results[1]["head"]["not_gated"]["host_slowdown"]
+    assert "host_slowdown (not gated): not printed in every run" in ab.report(
+        results, END_TO_END[2:]
+    )

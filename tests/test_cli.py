@@ -8,6 +8,7 @@ import pytest
 from conftest import run_cli
 
 from dfaf.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from dfaf import cli
 from dfaf.cli import main
 from dfaf.data import (
     FeatureFileError,
@@ -154,6 +155,47 @@ class TestTrain:
         assert stdout_objects(proc)[-1]["steps"] == 2 * first_steps
         _, _, trailer = load_checkpoint(str(tmp_path / "c.bin"))
         assert trailer[0] == 2 * first_steps
+
+    def test_resume_into_the_same_path_leaves_the_old_file_and_writes_the_run(
+        self, workspace, tmp_path
+    ):
+        # Training updates parameters that view the mapped checkpoint; a hard
+        # link keeps the old file, whose bytes must not have changed, and the
+        # new file must equal a resume written to another path.
+        root, _, _ = workspace
+        before = (root / "ckpt.bin").read_bytes()
+        (tmp_path / "c.bin").write_bytes(before)
+        os.link(tmp_path / "c.bin", tmp_path / "old.bin")
+        for source, out in (("c.bin", "c.bin"), (str(root / "ckpt.bin"), "elsewhere.bin")):
+            proc = run_cli(
+                ["train", *TINY, "--set", f"resume_from={source}", str(root / "data.bin"), out],
+                tmp_path,
+            )
+            assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "old.bin").read_bytes() == before
+        assert (tmp_path / "c.bin").read_bytes() == (tmp_path / "elsewhere.bin").read_bytes()
+        assert (tmp_path / "c.bin").read_bytes() != before
+
+    def test_resume_continues_the_exact_trajectory(self, workspace, tmp_path, monkeypatch, capsys):
+        # A run that trains twice in one process (each train call reseeds its
+        # shuffle from the config, as a resumed run does) must write the bytes
+        # of a run resumed from the first half's checkpoint.
+        root, _, _ = workspace
+        data = str(root / "data.bin")
+        real_train = cli.train
+
+        def twice(model, dataset, cfg, state=None, on_epoch=None):
+            _, state = real_train(model, dataset, cfg, state=state)
+            return real_train(model, dataset, cfg, state=state)
+
+        monkeypatch.setattr(cli, "train", twice)
+        assert main(["train", *TINY, data, str(tmp_path / "in_memory.bin")]) == 0
+        monkeypatch.undo()
+        first_half = str(root / "ckpt.bin")
+        resumed = str(tmp_path / "resumed.bin")
+        assert main(["train", *TINY, "--set", f"resume_from={first_half}", data, resumed]) == 0
+        capsys.readouterr()
+        assert (tmp_path / "resumed.bin").read_bytes() == (tmp_path / "in_memory.bin").read_bytes()
 
     def test_resume_architecture_mismatch_is_config_error(self, workspace, tmp_path):
         root, _, _ = workspace

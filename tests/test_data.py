@@ -1,7 +1,9 @@
 """Toy-task generation, the symbolic oracle, feature files, and batching."""
 
 import math
+import mmap
 import os
+import struct
 import tracemalloc
 from pathlib import Path
 from dataclasses import replace
@@ -27,9 +29,12 @@ from dfaf.data import (
     token_vocabulary,
     write_feature_file,
 )
+from dfaf.model import ModelConfig, build_model
+from dfaf.training import evaluate_by_template
 
 
 COLUMNS = ("regions", "tokens", "answers", "template_ids")
+PAPER = ToyTaskSpec(grid_rows=10, grid_cols=10, n_colors=26, token_len=14, d_v=2048, d_w=300)
 
 
 def spec_for(templates, **kw) -> ToyTaskSpec:
@@ -588,10 +593,7 @@ class TestScatterWriter:
         assert writev_calls == [4] + [3] * (len(ds) - 1)
 
     def test_paper_size_write_makes_no_payload_sized_buffer(self, tmp_path):
-        paper = ToyTaskSpec(
-            grid_rows=10, grid_cols=10, n_colors=26, token_len=14, d_v=2048, d_w=300
-        )
-        ds = generate_feature_dataset(paper, 100)
+        ds = generate_feature_dataset(PAPER, 100)
         tracemalloc.start()
         try:
             write_feature_file(str(tmp_path / "paper.dft"), ds)
@@ -599,6 +601,124 @@ class TestScatterWriter:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+def bits(a: np.ndarray) -> np.ndarray:
+    """The float64 column as its 64-bit patterns, so equality is bitwise."""
+    return a.view("<u8")
+
+
+class TestMappedReader:
+    """``read_feature_file`` maps the file copy-on-write instead of copying
+    its payload."""
+
+    @pytest.fixture(scope="class")
+    def paper(self, tmp_path_factory):
+        """100 paper-size instances (167 MB), in memory and written to a file."""
+        ds = generate_feature_dataset(PAPER, 100)
+        path = tmp_path_factory.mktemp("paper") / "paper.dft"
+        write_feature_file(str(path), ds)
+        return ds, path
+
+    def test_paper_size_read_makes_no_payload_sized_buffer(self, paper):
+        ds, path = paper
+        tracemalloc.start()
+        try:
+            back = read_feature_file(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        for column in ("regions", "tokens"):
+            assert not getattr(back, column).flags.owndata
+            assert np.array_equal(bits(getattr(back, column)), bits(getattr(ds, column)))
+        assert np.array_equal(back.answers, ds.answers)
+        assert np.array_equal(back.template_ids, ds.template_ids)
+
+    def test_eval_heap_follows_the_batch_not_the_file(self, paper, tmp_path):
+        ds, path = paper
+        quarter = tmp_path / "quarter.dft"
+        write_feature_file(str(quarter), replace(ds, **{c: getattr(ds, c)[:25] for c in COLUMNS}))
+        cfg = ModelConfig(dim=16, heads=2, hidden=16, d_v=PAPER.d_v, d_w=PAPER.d_w,
+                          n_answers=ds.n_answers)
+        model = build_model(cfg, np.random.default_rng(0))
+        peaks = []
+        for source in (quarter, path):
+            tracemalloc.start()
+            try:
+                evaluate_by_template(model, read_feature_file(str(source)), batch_size=8)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # One batch of 8 paper instances is 13.4 MB; the file holds 100.
+        assert peaks[0] > 8 * ds.regions[0].nbytes
+        assert abs(peaks[1] - peaks[0]) < 1 << 20
+
+    def test_payload_at_an_odd_offset_reads_back_bitwise(self, tmp_path):
+        ds = generate_feature_dataset(ToyTaskSpec(seed=64, noise_std=0.1), 9)
+        ds = replace(ds, answer_names=[ds.answer_names[0] + "!", *ds.answer_names[1:]])
+        path = tmp_path / "odd.dft"
+        write_feature_file(str(path), ds)
+        record = 8 * (ds.regions[0].size + ds.tokens[0].size) + 8
+        assert (path.stat().st_size - len(ds) * record) % 2 == 1
+        back = read_feature_file(str(path))
+        assert not back.regions.flags.aligned and not back.tokens.flags.aligned
+        for column in ("regions", "tokens"):
+            assert np.array_equal(bits(getattr(back, column)), bits(getattr(ds, column)))
+        assert back.answer_names == ds.answer_names
+        (batch,) = make_batches(back, len(back))
+        assert batch.regions.flags.aligned
+        assert np.array_equal(bits(batch.regions), bits(ds.regions))
+
+    def test_writes_to_the_columns_stay_in_this_process(self, tmp_path):
+        ds = generate_feature_dataset(ToyTaskSpec(seed=65), 4)
+        path = tmp_path / "cow.dft"
+        write_feature_file(str(path), ds)
+        before = path.read_bytes()
+        back = read_feature_file(str(path))
+        back.regions[2, 0, 0] = float("nan")
+        back.tokens[...] = 0.0
+        assert path.read_bytes() == before
+        again = read_feature_file(str(path))
+        assert np.array_equal(bits(again.regions), bits(ds.regions))
+        assert np.array_equal(bits(again.tokens), bits(ds.tokens))
+
+    @pytest.mark.skipif(
+        not Path("/proc/sys/vm/overcommit_memory").exists()
+        or Path("/proc/sys/vm/overcommit_memory").read_text().strip() == "2",
+        reason="needs Linux's overcommit heuristic, which strict accounting replaces",
+    )
+    def test_file_larger_than_ram_plus_swap_is_mapped(self, tmp_path):
+        # A sparse file of 1 GiB records: the reader maps it and reads only
+        # the answer and template ids, one page per record.
+        meminfo = dict(line.split(":") for line in Path("/proc/meminfo").read_text().splitlines())
+        limit = sum(int(meminfo[k].split()[0]) << 10 for k in ("MemTotal", "SwapTotal"))
+        d_v = 1 << 27
+        n = limit // (8 * d_v) + 1
+        header = struct.pack("<4s8I", b"DFFT", 1, n, 1, 1, d_v, 1, 1, 1)
+        header += b"".join(struct.pack("<H", len(w)) + w for w in (b"attribute", b"yes"))
+        path = tmp_path / "huge.dft"
+        with open(path, "wb") as fh:
+            fh.write(header)
+            fh.truncate(len(header) + n * (8 * d_v + 16))
+        back = read_feature_file(str(path))
+        assert len(back) == n and back.regions.nbytes > limit
+        assert not back.answers.any() and not back.template_ids.any()
+
+    def test_file_that_shrinks_before_it_is_mapped_is_a_feature_file_error(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "shrinks.dft"
+        write_feature_file(str(path), generate_feature_dataset(ToyTaskSpec(seed=66), 4))
+        real_mmap = mmap.mmap
+
+        def shrink_then_map(fileno, length, **kwargs):
+            os.truncate(path, path.stat().st_size - 1)
+            return real_mmap(fileno, length, **kwargs)
+
+        monkeypatch.setattr(mmap, "mmap", shrink_then_map)
+        with pytest.raises(FeatureFileError, match="feature file shrank while being read"):
+            read_feature_file(str(path))
 
 
 class TestMakeBatches:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import mmap
 import os
 import tracemalloc
 from dataclasses import fields
@@ -620,6 +621,48 @@ class TestCheckpoint:
         save_checkpoint(path, p, cfg)
         with pytest.raises(CheckpointError, match=r"^mlp_hidden\.weight holds a non-finite"):
             load_checkpoint(path)
+
+    def test_parameters_are_copy_on_write_views_of_the_file(self, tmp_path):
+        p, path, (loaded, _, _) = self.roundtrip(str(tmp_path), small_config())
+        before = Path(path).read_bytes()
+        for t in loaded.parameters():
+            assert not t.data.flags.owndata and t.data.flags.writeable
+            assert t.data.flags.c_contiguous and t.data.dtype == np.float64
+            t.data *= 2.0
+        assert Path(path).read_bytes() == before
+        again, _, _ = load_checkpoint(path)
+        for t1, t2 in zip(p.parameters(), again.parameters()):
+            assert t1.data.tobytes() == t2.data.tobytes()
+
+    def test_tensor_running_past_the_end_is_a_checkpoint_error(self, tmp_path):
+        # Cut the file where the up-front check passes (exactly the parameter
+        # bytes left after the config) but names and shapes push the last
+        # tensors past the end.
+        cfg = small_config()
+        path = tmp_path / "short.ckpt"
+        save_checkpoint(str(path), build_model(cfg, np.random.default_rng(35)), cfg)
+        config_end = 36 + sum(2 + len(getattr(cfg, f).encode()) for f in STR_FIELDS)
+        raw = path.read_bytes()
+        path.write_bytes(raw[: config_end + 8 * cfg.n_parameters()])
+        match = r"truncated file: wanted \d+ bytes of [\w.]+ data"
+        with pytest.raises(CheckpointError, match=match):
+            load_checkpoint(str(path))
+
+    def test_file_that_shrinks_before_it_is_mapped_is_a_checkpoint_error(
+        self, tmp_path, monkeypatch
+    ):
+        cfg = small_config()
+        path = tmp_path / "shrinks.ckpt"
+        save_checkpoint(str(path), build_model(cfg, np.random.default_rng(36)), cfg)
+        real_mmap = mmap.mmap
+
+        def shrink_then_map(fileno, length, **kwargs):
+            os.truncate(path, path.stat().st_size - 1)
+            return real_mmap(fileno, length, **kwargs)
+
+        monkeypatch.setattr(mmap, "mmap", shrink_then_map)
+        with pytest.raises(CheckpointError, match="checkpoint shrank while being read"):
+            load_checkpoint(str(path))
 
     def test_name_not_utf8_rejected(self, tmp_path):
         cfg = small_config()

@@ -17,7 +17,10 @@ count for neither), the median gap against BASE's interquartile range, and
 whether HEAD's median is within the metric's bound. A gain holds when HEAD
 wins at least nine tenths of the pairs and the gap exceeds BASE's IQR. It
 also says whether ``mean_train_loss`` was bitwise equal in every pair, and
-how many operations failed on each side.
+how many operations failed on each side. Each side's ``host_slowdown``,
+which the benchmark prints among its not-gated lines before its JSON, is
+listed with its median and quartiles and no verdict: the gated timings are
+divided by it, so a change that moves the heap can move them through it.
 
 Giving the same revision twice is the A/A control:
 
@@ -42,6 +45,8 @@ from pathlib import Path
 from typing import Callable
 
 SIDES = ("base", "head")
+# Not-gated values that the report lists for each side.
+NOT_GATED = ("host_slowdown",)
 
 
 def export(rev: str, dest: Path) -> Path:
@@ -55,8 +60,20 @@ def export(rev: str, dest: Path) -> Path:
     return dest
 
 
+def not_gated(stdout: str) -> dict[str, float]:
+    """name -> value of each line the benchmark prints as ``(... is better,
+    not gated)``: the name and the value are its first two fields."""
+    values = {}
+    for line in stdout.splitlines():
+        if line.endswith(", not gated)"):
+            name, value = line.split()[:2]
+            values[name] = float(value)
+    return values
+
+
 def bench_runner(root: Path, command: list[str], workload: str, seconds: int):
-    """A runner for one checkout: seed -> the benchmark's last-line JSON."""
+    """A runner for one checkout: seed -> the benchmark's last-line JSON, with
+    its not-gated values under ``"not_gated"``."""
 
     def run(seed: int) -> dict:
         args = ["--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
@@ -67,6 +84,7 @@ def bench_runner(root: Path, command: list[str], workload: str, seconds: int):
             result = {}
         if not result.get("metrics"):
             raise RuntimeError(f"benchmark in {root} gave no metrics:\n{proc.stdout}{proc.stderr}")
+        result["not_gated"] = not_gated(proc.stdout)
         return result
 
     return run
@@ -167,6 +185,17 @@ def report(results: list[dict[str, dict]], end_to_end: list[dict]) -> list[str]:
             f"{m.base_iqr:.6g}; gain {'holds' if m.gain else 'not shown'}; "
             f"within bound: {'yes' if m.within_bound else 'NO'}",
         ]
+    for name in NOT_GATED:
+        values = {s: [pair[s].get("not_gated", {}).get(name) for pair in results] for s in SIDES}
+        if None in values["base"] + values["head"]:
+            lines.append(f"{name} (not gated): not printed in every run")
+            continue
+        lines.append(f"{name} (not gated)")
+        for side in SIDES:
+            q1, med, q3 = quartiles(values[side])
+            lines.append(
+                f"  {side:<5} {fmt(values[side])}  median {med:.6g} (q1 {q1:.6g}, q3 {q3:.6g})"
+            )
     losses = [tuple(pair[s]["metrics"]["mean_train_loss"]["value"] for s in SIDES) for pair in results]
     equal = sum(b == h for b, h in losses)
     lines.append(f"mean_train_loss bitwise equal in {equal}/{len(losses)} pairs")
