@@ -48,7 +48,6 @@ from .tensor import (
     attention_weights,
     avg_pool_rows,
     concat_cols,
-    dropout,
     linear_forward,
     linear_init,
     mul_row,
@@ -87,9 +86,10 @@ class ForwardContext:
 
 
 def linear_dropout(layer: LinearLayer, x: Tensor, ctx: ForwardContext | None) -> Tensor:
-    """A linear layer, followed by dropout in train mode."""
-    out = linear_forward(layer, x)
-    return out if ctx is None else dropout(out, ctx.dropout_rate, ctx.rng)
+    """A linear layer, followed by dropout in train mode (one tape node)."""
+    if ctx is None:
+        return linear_forward(layer, x)
+    return linear_forward(layer, x, ctx.dropout_rate, ctx.rng)
 
 
 @dataclass

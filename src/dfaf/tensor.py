@@ -15,8 +15,10 @@ Activations are batches: the row ops (``mul_row``, ``attention``,
 (B, d), and one instance is a batch of one. Each rejects any other rank
 with a ``ShapeError`` that names the shapes. ``linear_forward`` alone is
 rank-generic: it multiplies a batch by a large weight as one GEMM over all
-rows, and by a small one instance by instance. Elementwise ops take equal
-shapes.
+rows, and by a small one instance by instance. It is also the only dropout:
+given a rate, it masks its own output in place and keeps one boolean per
+element for backward, so a layer and its dropout are one tape node.
+Elementwise ops take equal shapes.
 
 Ops raise ``ShapeError`` on operands they would otherwise compute garbage
 from. Parameter containers check nothing: builders derive every shape from
@@ -407,24 +409,6 @@ def avg_pool_rows(m: Tensor) -> Tensor:
     return _apply((m,), m.data.mean(axis=-2), bwd)
 
 
-def dropout(t: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout: zeroes each element with probability ``rate`` and
-    scales survivors by 1/(1-rate). Eval mode never calls it."""
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if rate == 0.0:
-        return t
-    # One array: the uniform draws become the 0/1 mask, then the scaled mask.
-    keep = rng.random(t.shape)
-    np.greater_equal(keep, rate, out=keep)
-    keep *= 1.0 / (1.0 - rate)
-
-    def bwd(g):
-        return (g * keep,)
-
-    return _apply((t,), t.data * keep, bwd)
-
-
 def cross_entropy_rows(logits: Tensor, targets: Sequence[int]) -> Tensor:
     """Mean negative log-likelihood of one integer target per row of the
     (B, answers) ``logits`` under row softmax.
@@ -525,14 +509,26 @@ def linear_init(in_dim: int, out_dim: int, rng: np.random.Generator | None) -> L
 ONE_GEMM_MIN_WEIGHT = 1 << 17
 
 
-def linear_forward(layer: LinearLayer, x: Tensor) -> Tensor:
+def linear_forward(
+    layer: LinearLayer, x: Tensor, rate: float = 0.0, rng: np.random.Generator | None = None
+) -> Tensor:
     """x·W + b as one op; ``x`` is a vector, a matrix or a batch of matrices.
 
     A batch times a weight of at least ``ONE_GEMM_MIN_WEIGHT`` elements is one
     GEMM over the flattened rows; a smaller weight multiplies each instance on
     its own. Both give each instance the bytes it gets alone at the default
     and paper model widths, but one GEMM may round an instance's last bits
-    differently at some other widths."""
+    differently at some other widths.
+
+    A ``rate`` above 0 applies inverted dropout to the output: one uniform
+    draw ``rng.random(out.shape)`` per call, and each element with a draw
+    below ``rate`` is zeroed while the others are scaled by 1/(1-rate). Only
+    the boolean mask is kept for backward. Masking before scaling gives the
+    bytes of ``out * keep`` for a float mask ``keep`` of 0 and 1/(1-rate),
+    signed zeros, infinities and NaN included, and so does the gradient,
+    ``(g * mask) * (1/(1-rate))``. Rate 0 draws nothing."""
+    if not 0.0 <= rate < 1.0:
+        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if x.shape[-1] != layer.in_dim:
         raise ShapeError(
             f"linear layer expects width {layer.in_dim}, input has shape {x.shape}"
@@ -544,9 +540,18 @@ def linear_forward(layer: LinearLayer, x: Tensor) -> Tensor:
     else:
         out = np.matmul(xd, wd)
     out += layer.bias.data
+    mask = None
+    if rate:
+        scale = 1.0 / (1.0 - rate)
+        mask = rng.random(out.shape) >= rate
+        out *= mask
+        out *= scale
     need_x = x.requires_grad
 
     def bwd(g):
+        if mask is not None:
+            g = g * mask
+            g *= scale
         # One GEMM per gradient on the flattened rows, for any number of axes.
         g2 = g.reshape(-1, o)
         gx = np.matmul(g2, wd.T).reshape(xd.shape) if need_x else None

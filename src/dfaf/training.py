@@ -245,6 +245,8 @@ def train(
 
     Eval accuracy is measured on ``eval_dataset`` when given, otherwise on
     the training data. Fully deterministic given cfg.seed (wall_ms aside).
+    Every parameter's ``.grad`` is None during each epoch-end eval and
+    ``on_epoch`` call, and on return.
     """
     if dataset.n_answers != model.config.n_answers:
         raise ShapeError(
@@ -283,6 +285,8 @@ def train(
         # Release the last step's tape and gradients before evaluating, so
         # they are not held through the eval pass and on_epoch.
         del tape, pred, loss, grads
+        for p in params:
+            p.zero_grad()
         eval_ds = eval_dataset if eval_dataset is not None else dataset
         row = {
             "epoch": epoch,

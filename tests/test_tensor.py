@@ -316,15 +316,70 @@ class TestAvgPool:
         assert np.allclose(m.grad, 0.25)
 
 
+def reference_linear_forward(layer: LinearLayer, x: Tensor) -> Tensor:
+    """``linear_forward`` as it was before it took a dropout rate, verbatim."""
+    if x.shape[-1] != layer.in_dim:
+        raise ShapeError(
+            f"linear layer expects width {layer.in_dim}, input has shape {x.shape}"
+        )
+    xd, wd = x.data, layer.weight.data
+    d, o = wd.shape
+    if xd.ndim == 3 and wd.size >= T.ONE_GEMM_MIN_WEIGHT:
+        out = np.matmul(xd.reshape(-1, d), wd).reshape(xd.shape[:-1] + (o,))
+    else:
+        out = np.matmul(xd, wd)
+    out += layer.bias.data
+    need_x = x.requires_grad
+
+    def bwd(g):
+        # One GEMM per gradient on the flattened rows, for any number of axes.
+        g2 = g.reshape(-1, o)
+        gx = np.matmul(g2, wd.T).reshape(xd.shape) if need_x else None
+        return gx, np.matmul(xd.reshape(-1, d).T, g2), g2.sum(axis=0)
+
+    return T._apply((x, layer.weight, layer.bias), out, bwd)
+
+
+def reference_dropout(t: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
+    """The float-mask dropout op that ``linear_forward``'s rate replaced,
+    verbatim."""
+    if not 0.0 <= rate < 1.0:
+        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
+    if rate == 0.0:
+        return t
+    # One array: the uniform draws become the 0/1 mask, then the scaled mask.
+    keep = rng.random(t.shape)
+    np.greater_equal(keep, rate, out=keep)
+    keep *= 1.0 / (1.0 - rate)
+
+    def bwd(g):
+        return (g * keep,)
+
+    return T._apply((t,), t.data * keep, bwd)
+
+
+def same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 class TestDropout:
-    def test_rate_zero_is_identity_object(self):
-        x = Tensor(np.ones((3, 3)))
-        assert T.dropout(x, 0.0, np.random.default_rng(0)) is x
+    """Train-mode dropout, which ``linear_forward`` applies given a rate."""
+
+    def test_rate_zero_draws_nothing_and_gives_eval_bytes(self):
+        rng = np.random.default_rng(0)
+        layer = T.linear_init(3, 3, rng)
+        x = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        state = rng.bit_generator.state
+        with GradTape() as tape:
+            out = T.linear_forward(layer, x, 0.0, rng)
+        assert rng.bit_generator.state == state
+        assert len(tape) == 1
+        assert same_bytes(out.data, T.linear_forward(layer, x).data)
 
     def test_monte_carlo_zero_fraction_and_scaling(self):
         rng = np.random.default_rng(19)
-        x = Tensor(np.ones((1000, 1000)))
-        out = T.dropout(x, 0.1, rng).numpy()
+        ones = LinearLayer(Tensor(np.zeros((1, 1000))), Tensor(np.ones(1000)))
+        out = T.linear_forward(ones, Tensor(np.zeros((1000, 1))), 0.1, rng).numpy()
         zero_frac = float((out == 0.0).mean())
         assert abs(zero_frac - 0.1) < 0.002
         survivors = out[out != 0.0]
@@ -334,19 +389,89 @@ class TestDropout:
 
     def test_mask_shared_between_value_and_gradient(self):
         rng = np.random.default_rng(20)
+        layer = LinearLayer(Tensor(np.eye(50), requires_grad=True), Tensor(np.zeros(50)))
         x = Tensor(np.ones((50, 50)), requires_grad=True)
         with GradTape() as tape:
-            y = T.dropout(x, 0.3, rng)
+            y = T.linear_forward(layer, x, 0.3, rng)
             loss = T.sum_all(y)
         backward(tape, loss)
         assert np.array_equal(x.grad == 0.0, y.numpy() == 0.0)
+        assert np.array_equal(layer.weight.grad, x.data.T @ y.data)
 
     def test_invalid_arguments(self):
+        layer = T.linear_init(3, 3, np.random.default_rng(0))
         x = Tensor(np.ones(3))
-        with pytest.raises(ValueError):
-            T.dropout(x, -0.1, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            T.dropout(x, 1.0, np.random.default_rng(0))
+        for rate in (-0.1, 1.0, float("nan")):
+            with pytest.raises(ValueError, match="dropout rate"):
+                T.linear_forward(layer, x, rate, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("rate", [0.1, 0.5])
+    @pytest.mark.parametrize(
+        "weight, shape",
+        [((512, 256), (2, 6, 512)), ((8, 6), (3, 5, 8)), ((8, 6), (12, 8))],
+        ids=["one-gemm", "per-instance", "matrix"],
+    )
+    def test_equals_linear_then_float_mask_dropout(self, weight, shape, rate):
+        """The fused op gives the bytes of the two ops it replaced: values,
+        the three gradients and the generator state afterwards. Three input
+        rows hold +inf, -inf and NaN, the rest are finite and of both signs,
+        and every other output column is so large that scaling a dropped
+        element before masking it would give inf·0 = NaN instead of 0."""
+        rng = np.random.default_rng(33)
+        layer = T.linear_init(*weight, rng)
+        layer.bias.data[:] = rng.standard_normal(weight[1])
+        layer.bias.data[::2] = 1.7e308
+        xd = rng.standard_normal(shape)
+        rows = xd.reshape(-1, weight[0])
+        rows[0, 0], rows[1, 1], rows[2, 2] = np.inf, -np.inf, np.nan
+        g = rng.standard_normal(shape[:-1] + weight[1:])
+        g.reshape(-1)[::7] = 0.0
+        runs = []
+        with np.errstate(invalid="ignore", over="ignore"):
+            for fused in (True, False):
+                layer.weight.grad = layer.bias.grad = None
+                x = Tensor(xd, requires_grad=True)
+                draws = np.random.default_rng(34)
+                with GradTape() as tape:
+                    if fused:
+                        out = T.linear_forward(layer, x, rate, draws)
+                    else:
+                        out = reference_dropout(reference_linear_forward(layer, x), rate, draws)
+                    loss = T.sum_all(T.mul(out, Tensor(g)))
+                backward(tape, loss)
+                runs.append((out.data, x.grad, layer.weight.grad, layer.bias.grad, draws))
+        fused_run, reference_run = runs
+        out = fused_run[0]
+        assert np.isnan(out).any() and np.isinf(out).any()
+        assert (np.signbit(out) & (out == 0.0)).any()
+        assert (out[..., ::2] == 0.0).any()
+        for got, want in zip(fused_run[:4], reference_run[:4]):
+            assert same_bytes(got, want)
+        assert fused_run[4].bit_generator.state == reference_run[4].bit_generator.state
+
+    def test_train_mode_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(35)
+        layer = T.linear_init(4, 3, rng)
+        layer.bias.data[:] = rng.standard_normal(3)
+        x = Tensor(rng.standard_normal((2, 5, 4)), requires_grad=True)
+
+        def dropped(xx):
+            # The same seed each time, so every evaluation keeps one mask.
+            return T.linear_forward(layer, xx, 0.3, np.random.default_rng(36))
+
+        with GradTape() as tape:
+            out = dropped(x)
+            loss = T.sum_all(T.mul(out, out))
+        backward(tape, loss)
+        assert (out.data == 0.0).any()
+
+        def f(params):
+            y = dropped(params[2]).data
+            return float((y * y).sum())
+
+        fd = T.finite_diff_gradient(f, [layer.weight, layer.bias, x])
+        for got, expect in zip((layer.weight.grad, layer.bias.grad, x.grad), fd):
+            assert T.relative_error(got, expect) < 1e-7
 
 
 class TestCrossEntropy:
