@@ -178,10 +178,13 @@ def clip_gradients(
     grads: Sequence[np.ndarray], threshold: float = 0.25
 ) -> list[np.ndarray]:
     """Bound gradient magnitude before a step: if the L2 norm over all
-    entries of all arrays exceeds the threshold, scale every array by
-    threshold/norm (direction preserved).
+    entries of all arrays exceeds the threshold, scale every array in place
+    by threshold/norm (direction preserved).
 
-    A non-finite norm raises DivergenceError before any parameter changes.
+    The arrays must be distinct and writable. Returns the arrays themselves
+    when nothing was scaled, and new views of them (``g[...]``) when they
+    were, so a caller can tell a rescale by object identity. A non-finite
+    norm raises DivergenceError before any array or parameter changes.
     """
     if threshold <= 0:
         raise ValueError(f"clip threshold must be positive, got {threshold}")
@@ -191,7 +194,9 @@ def clip_gradients(
     if total <= threshold:
         return list(grads)
     factor = threshold / total
-    return [g * factor for g in grads]
+    for g in grads:
+        g *= factor
+    return [g[...] for g in grads]
 
 
 def evaluate_accuracy(
@@ -245,8 +250,13 @@ def train(
 
     Eval accuracy is measured on ``eval_dataset`` when given, otherwise on
     the training data. Fully deterministic given cfg.seed (wall_ms aside).
-    Every parameter's ``.grad`` is None during each epoch-end eval and
-    ``on_epoch`` call, and on return.
+
+    Each epoch gives every parameter one ``grad_buffer``, into which each
+    step's backward writes its gradient (a parameter the step did not reach
+    gets its buffer zero-filled), and the clip scales those arrays in place:
+    a step allocates no gradient arrays. Every parameter's ``.grad`` and
+    ``grad_buffer`` are None during each epoch-end eval and ``on_epoch``
+    call, and on return or raise.
     """
     if dataset.n_answers != model.config.n_answers:
         raise ShapeError(
@@ -262,31 +272,39 @@ def train(
         started = time.perf_counter()
         lr = lr_schedule(epoch, cfg.base_lr)
         loss_sum, seen = 0.0, 0
-        for batch in make_batches(dataset, cfg.batch_size, rng):
+        for p in params:
+            p.grad_buffer = np.empty_like(p.data)
+        try:
+            for batch in make_batches(dataset, cfg.batch_size, rng):
+                for p in params:
+                    p.zero_grad()
+                with GradTape() as tape:
+                    pred = forward(Tensor(batch.regions), Tensor(batch.tokens), model, ctx)
+                    loss = cross_entropy_loss(pred, batch.answers.tolist())
+                loss_value = loss.item()
+                if not math.isfinite(loss_value):
+                    raise DivergenceError(
+                        f"non-finite loss {loss_value} at epoch {epoch} after "
+                        f"{state.t} optimizer steps (lr {lr})"
+                    )
+                backward(tape, loss)
+                for p in params:
+                    if p.grad is None:
+                        p.grad_buffer.fill(0.0)
+                        p.grad = p.grad_buffer
+                grads = clip_gradients([p.grad for p in params], cfg.clip)
+                adamax_step(params, grads, state, lr)
+                loss_sum += loss_value * len(batch)
+                seen += len(batch)
+        finally:
+            # Release the gradients and their buffers before evaluating, and
+            # also when a step raises, so a diverged model holds none.
             for p in params:
                 p.zero_grad()
-            with GradTape() as tape:
-                pred = forward(Tensor(batch.regions), Tensor(batch.tokens), model, ctx)
-                loss = cross_entropy_loss(pred, batch.answers.tolist())
-            loss_value = loss.item()
-            if not math.isfinite(loss_value):
-                raise DivergenceError(
-                    f"non-finite loss {loss_value} at epoch {epoch} after "
-                    f"{state.t} optimizer steps (lr {lr})"
-                )
-            backward(tape, loss)
-            grads = [
-                p.grad if p.grad is not None else np.zeros_like(p.data) for p in params
-            ]
-            grads = clip_gradients(grads, cfg.clip)
-            adamax_step(params, grads, state, lr)
-            loss_sum += loss_value * len(batch)
-            seen += len(batch)
-        # Release the last step's tape and gradients before evaluating, so
-        # they are not held through the eval pass and on_epoch.
+                p.grad_buffer = None
+        # The last step's tape and clipped views are not held through the
+        # eval pass and on_epoch either.
         del tape, pred, loss, grads
-        for p in params:
-            p.zero_grad()
         eval_ds = eval_dataset if eval_dataset is not None else dataset
         row = {
             "epoch": epoch,

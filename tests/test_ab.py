@@ -135,3 +135,19 @@ def test_host_slowdown_is_parsed_from_the_not_gated_lines_and_reported(tmp_path)
     assert "host_slowdown (not gated): not printed in every run" in ab.report(
         results, END_TO_END[2:]
     )
+
+
+def test_step_ms_p50_is_reported_unscaled_beside_host_slowdown(tmp_path):
+    root = _PATH.parent.parent
+    (tmp_path / "bench.py").write_text(
+        FAKE_BENCH.format(perfbench=str(root / "perfbench"), src=str(root / "src"))
+    )
+    run = ab.bench_runner(tmp_path, [sys.executable, "bench.py"], "any", 1)
+    results = ab.run_pairs({"base": run, "head": run}, 3, seed=30)
+    assert [p["base"]["not_gated"]["step_ms_p50"] for p in results] == [0.8, 0.81, 0.82]
+
+    lines = ab.report(results, END_TO_END[2:])
+    slowdown, p50 = lines.index("host_slowdown (not gated)"), lines.index("step_ms_p50 (not gated)")
+    assert p50 == slowdown + 3
+    assert lines[p50 + 1] == "  base  0.8 0.81 0.82  median 0.81 (q1 0.805, q3 0.815)"
+    assert lines[p50 + 2].startswith("  head  0.8 0.81 0.82  median 0.81")

@@ -474,6 +474,61 @@ class TestDropout:
             assert T.relative_error(got, expect) < 1e-7
 
 
+class TestGradBuffer:
+    """``linear_forward``'s backward writes a parameter's first gradient of a
+    backward into its ``grad_buffer``."""
+
+    @pytest.mark.parametrize("uses", [1, 2], ids=["once", "twice"])
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    @pytest.mark.parametrize(
+        "weight, shape",
+        [((512, 256), (2, 6, 512)), ((8, 6), (3, 5, 8)), ((8, 6), (12, 8))],
+        ids=["one-gemm", "per-instance", "matrix"],
+    )
+    def test_buffered_gradients_equal_fresh_ones(self, weight, shape, rate, uses):
+        """With and without buffers, the layer applied ``uses`` times on one
+        tape gives the same bytes for every gradient. With them, each
+        parameter's ``.grad`` is its buffer, which starts out NaN, so only
+        an overwrite gives those bytes."""
+        rng = np.random.default_rng(40)
+        layer = T.linear_init(*weight, rng)
+        layer.bias.data[:] = rng.standard_normal(weight[1])
+        xs = [rng.standard_normal(shape) for _ in range(uses)]
+        gs = [rng.standard_normal(shape[:-1] + weight[1:]) for _ in range(uses)]
+        params = (layer.weight, layer.bias)
+        runs = []
+        for buffered in (False, True):
+            for p in params:
+                p.grad = None
+                p.grad_buffer = np.full_like(p.data, np.nan) if buffered else None
+            inputs = [Tensor(xd, requires_grad=True) for xd in xs]
+            draws = np.random.default_rng(41)
+            with GradTape() as tape:
+                terms = [
+                    T.sum_all(T.mul(T.linear_forward(layer, x, rate, draws), Tensor(g)))
+                    for x, g in zip(inputs, gs)
+                ]
+                loss = terms[0] if uses == 1 else T.add(*terms)
+            backward(tape, loss)
+            runs.append([p.grad for p in params] + [x.grad for x in inputs])
+        for p in params:
+            assert p.grad is p.grad_buffer
+        for got, want in zip(runs[1], runs[0]):
+            assert same_bytes(got, want)
+
+    def test_buffer_is_left_alone_while_grad_is_set(self):
+        # Repeated backward without zeroing adds into .grad, as without a buffer.
+        layer = T.linear_init(3, 2, np.random.default_rng(42))
+        x = Tensor(np.ones((4, 3)))
+        with GradTape() as tape:
+            loss = T.sum_all(T.linear_forward(layer, x))
+        backward(tape, loss)
+        layer.bias.grad_buffer = np.zeros(2)
+        backward(tape, loss)
+        assert np.array_equal(layer.bias.grad, [8.0, 8.0])
+        assert np.array_equal(layer.bias.grad_buffer, [0.0, 0.0])
+
+
 class TestCrossEntropy:
     def test_uniform_logits_give_log_k(self):
         logits = Tensor(np.zeros((4, 7)))
