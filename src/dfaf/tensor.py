@@ -8,9 +8,7 @@ into the leaves. With no tape active, operations are plain numpy compute.
 A backward closure never returns an array it keeps, and never writes into
 the adjoint it is given. ``backward`` may therefore keep a returned array
 that owns its memory as a leaf's ``.grad``, and adds further contributions
-in place into arrays it made itself. The one array a closure may return
-without making it is a leaf's own ``grad_buffer``, which is then that
-leaf's ``.grad`` too.
+in place into arrays it made itself.
 
 Activations are batches: the row ops (``mul_row``, ``attention``,
 ``avg_pool_rows``) take (B, n, d) rows, pooled vectors and logits are
@@ -53,16 +51,9 @@ def active_tape() -> "GradTape | None":
 
 
 class Tensor:
-    """A dense float64 array of 1-3 axes, optionally tracked for gradients.
+    """A dense float64 array of 1-3 axes, optionally tracked for gradients."""
 
-    ``grad_buffer``, None unless a caller sets it, is an owned array of the
-    data's shape into which ``linear_forward``'s backward writes this
-    tensor's first gradient contribution of a backward while ``.grad`` is
-    None; ``backward`` then keeps the buffer as ``.grad``. A training loop
-    sets one per parameter, so each step's gradients reuse the same memory.
-    """
-
-    __slots__ = ("data", "requires_grad", "grad", "grad_buffer")
+    __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -73,7 +64,6 @@ class Tensor:
         self.data = np.ascontiguousarray(arr)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self.grad_buffer: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -109,7 +99,6 @@ def _make(data: np.ndarray, requires_grad: bool) -> Tensor:
     t.data = data
     t.requires_grad = requires_grad
     t.grad = None
-    t.grad_buffer = None
     return t
 
 
@@ -539,12 +528,8 @@ def linear_forward(
     signed zeros, infinities and NaN included, and so does the gradient,
     ``(g * mask) * (1/(1-rate))``. Rate 0 draws nothing.
 
-    Backward writes the weight's and the bias's gradient into their
-    ``grad_buffer`` (``np.matmul`` and ``sum`` with ``out=``) when they have
-    one and their ``.grad`` is still None, so a step's first contribution
-    allocates nothing; a further use of the layer on the same tape returns
-    a fresh array, which ``backward`` adds. The bytes are the same either
-    way."""
+    Backward makes the weight's and the bias's gradients as new arrays, so
+    ``backward`` keeps them as their ``.grad`` without a copy."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if x.shape[-1] != layer.in_dim:
@@ -565,7 +550,6 @@ def linear_forward(
         out *= mask
         out *= scale
     need_x = x.requires_grad
-    weight, bias = layer.weight, layer.bias
 
     def bwd(g):
         if mask is not None:
@@ -574,16 +558,9 @@ def linear_forward(
         # One GEMM per gradient on the flattened rows, for any number of axes.
         g2 = g.reshape(-1, o)
         gx = np.matmul(g2, wd.T).reshape(xd.shape) if need_x else None
-        gw = np.matmul(xd.reshape(-1, d).T, g2, out=_first_into(weight))
-        return gx, gw, g2.sum(axis=0, out=_first_into(bias))
+        return gx, np.matmul(xd.reshape(-1, d).T, g2), g2.sum(axis=0)
 
-    return _apply((x, weight, bias), out, bwd)
-
-
-def _first_into(t: Tensor) -> np.ndarray | None:
-    # Where a backward writes t's gradient: its buffer while this backward has
-    # given t nothing yet, else a fresh array (None) that backward adds.
-    return t.grad_buffer if t.grad is None else None
+    return _apply((x, layer.weight, layer.bias), out, bwd)
 
 
 def finite_diff_gradient(

@@ -251,12 +251,10 @@ def train(
     Eval accuracy is measured on ``eval_dataset`` when given, otherwise on
     the training data. Fully deterministic given cfg.seed (wall_ms aside).
 
-    Each epoch gives every parameter one ``grad_buffer``, into which each
-    step's backward writes its gradient (a parameter the step did not reach
-    gets its buffer zero-filled), and the clip scales those arrays in place:
-    a step allocates no gradient arrays. Every parameter's ``.grad`` and
-    ``grad_buffer`` are None during each epoch-end eval and ``on_epoch``
-    call, and on return or raise.
+    A step holds one gradient set: the ``.grad`` arrays its backward makes
+    (zeros for a parameter it did not reach), which the clip scales in place
+    and which no name keeps past Adamax. Every parameter's ``.grad`` is None
+    during each epoch-end eval and ``on_epoch`` call, and on return or raise.
     """
     if dataset.n_answers != model.config.n_answers:
         raise ShapeError(
@@ -272,8 +270,6 @@ def train(
         started = time.perf_counter()
         lr = lr_schedule(epoch, cfg.base_lr)
         loss_sum, seen = 0.0, 0
-        for p in params:
-            p.grad_buffer = np.empty_like(p.data)
         try:
             for batch in make_batches(dataset, cfg.batch_size, rng):
                 for p in params:
@@ -288,23 +284,21 @@ def train(
                         f"{state.t} optimizer steps (lr {lr})"
                     )
                 backward(tape, loss)
-                for p in params:
-                    if p.grad is None:
-                        p.grad_buffer.fill(0.0)
-                        p.grad = p.grad_buffer
-                grads = clip_gradients([p.grad for p in params], cfg.clip)
-                adamax_step(params, grads, state, lr)
+                grads = [
+                    p.grad if p.grad is not None else np.zeros_like(p.data) for p in params
+                ]
+                adamax_step(params, clip_gradients(grads, cfg.clip), state, lr)
+                del grads
                 loss_sum += loss_value * len(batch)
                 seen += len(batch)
         finally:
-            # Release the gradients and their buffers before evaluating, and
-            # also when a step raises, so a diverged model holds none.
+            # Release the gradients before evaluating, and also when a step
+            # raises, so a diverged model holds none.
             for p in params:
                 p.zero_grad()
-                p.grad_buffer = None
-        # The last step's tape and clipped views are not held through the
-        # eval pass and on_epoch either.
-        del tape, pred, loss, grads
+        # The last step's tape is not held through the eval pass and
+        # on_epoch either.
+        del tape, pred, loss
         eval_ds = eval_dataset if eval_dataset is not None else dataset
         row = {
             "epoch": epoch,

@@ -103,6 +103,29 @@ def test_nine_of_ten_wins_is_enough_but_a_gap_inside_the_iqr_is_not():
     assert ab.summarize(results, END_TO_END)[1].gain
 
 
+def test_a_base_spread_wider_than_the_bound_leaves_the_verdict_unresolved():
+    # Base step times 80..125 ms: IQR 22.5 against 15% of the median 102.5.
+    base = [result(80.0 + 5 * i, 1.0, 1.0) for i in range(10)]
+
+    def step_summary(head_steps):
+        head = [result(v, 1.0, 1.0) for v in head_steps]
+        results, _ = stub_pairs(base, head, 10)
+        return ab.summarize(results, END_TO_END)[0], ab.report(results, END_TO_END)
+
+    # 1 ms worse in every pair: within the bound, but the spread hides it.
+    step, lines = step_summary([81.0 + 5 * i for i in range(10)])
+    assert step.base_iqr > 0.15 * step.base_q[1]
+    assert step.within_bound and step.unresolved
+    assert any(line.endswith("within bound: unresolved") for line in lines)
+    # Better in every pair is not enough while the runs overlap.
+    step, _ = step_summary([79.0 + 5 * i for i in range(10)])
+    assert step.wins == 10 and step.unresolved
+    # Every head run below every base run resolves it.
+    step, lines = step_summary([70.0 - i for i in range(10)])
+    assert not step.unresolved
+    assert any(line.endswith("within bound: yes") for line in lines)
+
+
 # A stand-in benchmark that prints its not-gated lines with perfbench/run.py's
 # own ``report``, then its JSON, as run.py does.
 FAKE_BENCH = """

@@ -473,60 +473,37 @@ class TestDropout:
         for got, expect in zip((layer.weight.grad, layer.bias.grad, x.grad), fd):
             assert T.relative_error(got, expect) < 1e-7
 
-
-class TestGradBuffer:
-    """``linear_forward``'s backward writes a parameter's first gradient of a
-    backward into its ``grad_buffer``."""
-
-    @pytest.mark.parametrize("uses", [1, 2], ids=["once", "twice"])
-    @pytest.mark.parametrize("rate", [0.0, 0.3])
     @pytest.mark.parametrize(
-        "weight, shape",
-        [((512, 256), (2, 6, 512)), ((8, 6), (3, 5, 8)), ((8, 6), (12, 8))],
+        "shape, one_gemm_min",
+        [((2, 5, 4), 1), ((2, 5, 4), T.ONE_GEMM_MIN_WEIGHT), ((6, 4), T.ONE_GEMM_MIN_WEIGHT)],
         ids=["one-gemm", "per-instance", "matrix"],
     )
-    def test_buffered_gradients_equal_fresh_ones(self, weight, shape, rate, uses):
-        """With and without buffers, the layer applied ``uses`` times on one
-        tape gives the same bytes for every gradient. With them, each
-        parameter's ``.grad`` is its buffer, which starts out NaN, so only
-        an overwrite gives those bytes."""
-        rng = np.random.default_rng(40)
-        layer = T.linear_init(*weight, rng)
-        layer.bias.data[:] = rng.standard_normal(weight[1])
-        xs = [rng.standard_normal(shape) for _ in range(uses)]
-        gs = [rng.standard_normal(shape[:-1] + weight[1:]) for _ in range(uses)]
-        params = (layer.weight, layer.bias)
-        runs = []
-        for buffered in (False, True):
-            for p in params:
-                p.grad = None
-                p.grad_buffer = np.full_like(p.data, np.nan) if buffered else None
-            inputs = [Tensor(xd, requires_grad=True) for xd in xs]
-            draws = np.random.default_rng(41)
-            with GradTape() as tape:
-                terms = [
-                    T.sum_all(T.mul(T.linear_forward(layer, x, rate, draws), Tensor(g)))
-                    for x, g in zip(inputs, gs)
-                ]
-                loss = terms[0] if uses == 1 else T.add(*terms)
-            backward(tape, loss)
-            runs.append([p.grad for p in params] + [x.grad for x in inputs])
-        for p in params:
-            assert p.grad is p.grad_buffer
-        for got, want in zip(runs[1], runs[0]):
-            assert same_bytes(got, want)
+    def test_layer_applied_twice_matches_finite_differences(self, monkeypatch, shape, one_gemm_min):
+        # Two dropout calls of one layer on one tape: backward adds the second
+        # weight and bias gradient into the first.
+        monkeypatch.setattr(T, "ONE_GEMM_MIN_WEIGHT", one_gemm_min)
+        rng = np.random.default_rng(37)
+        layer = T.linear_init(4, 3, rng)
+        layer.bias.data[:] = rng.standard_normal(3)
+        xs = [Tensor(rng.standard_normal(shape), requires_grad=True) for _ in range(2)]
 
-    def test_buffer_is_left_alone_while_grad_is_set(self):
-        # Repeated backward without zeroing adds into .grad, as without a buffer.
-        layer = T.linear_init(3, 2, np.random.default_rng(42))
-        x = Tensor(np.ones((4, 3)))
+        def loss_of(*inputs):
+            # The same seeds each time, so every evaluation keeps its masks.
+            ys = [T.linear_forward(layer, x, 0.3, np.random.default_rng(38 + i))
+                  for i, x in enumerate(inputs)]
+            return T.add(*(T.sum_all(T.mul(y, y)) for y in ys))
+
         with GradTape() as tape:
-            loss = T.sum_all(T.linear_forward(layer, x))
+            loss = loss_of(*xs)
         backward(tape, loss)
-        layer.bias.grad_buffer = np.zeros(2)
-        backward(tape, loss)
-        assert np.array_equal(layer.bias.grad, [8.0, 8.0])
-        assert np.array_equal(layer.bias.grad_buffer, [0.0, 0.0])
+
+        def f(params):
+            return loss_of(*params[2:]).item()
+
+        params = [layer.weight, layer.bias, *xs]
+        fd = T.finite_diff_gradient(f, params)
+        for p, expect in zip(params, fd):
+            assert T.relative_error(p.grad, expect) < 1e-7
 
 
 class TestCrossEntropy:

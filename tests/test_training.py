@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -385,7 +386,7 @@ class TestTrainLoop:
             train(model, ds, tcfg)
         for p, b in zip(model.parameters(), before):
             assert np.array_equal(p.data, b)
-            assert p.grad_buffer is None
+            assert p.grad is None
 
     def test_non_finite_gradient_with_finite_loss_stops_before_its_update(self, monkeypatch):
         model, _, ds, tcfg = tiny_setup()
@@ -401,8 +402,8 @@ class TestTrainLoop:
             train(model, ds, tcfg)
         for p, b in zip(model.parameters(), before):
             assert np.array_equal(p.data, b)
-            # The raise releases the step's gradients and their buffers.
-            assert p.grad is None and p.grad_buffer is None
+            # The raise releases the step's gradients.
+            assert p.grad is None
 
     def test_answer_space_mismatch_rejected(self):
         model, _, ds, tcfg = tiny_setup()
@@ -452,11 +453,10 @@ class TestTrainLoop:
 
     def test_default_train_step_window_peaks_under_4_2_mb(self, monkeypatch):
         # The tracemalloc peak from each step's forward to the next, for the
-        # default model at batch 4: the Adamax state and gradient buffers
-        # that train makes, one step's tape, and its gradients. It measured
-        # 3.93 MB with numpy 2.4.6, against 4.60 MB when the clip returned
-        # scaled copies and each step's clipped gradients lived on into the
-        # next step's backward.
+        # default model at batch 4: the Adamax state that train makes, one
+        # step's tape, and its gradients. It measured 3.80 MB with numpy
+        # 2.4.6, against 4.60 MB when the clip returned scaled copies and each
+        # step's clipped gradients lived on into the next step's backward.
         model, ds = default_setup()
         peaks = []
         forward_ = TR.forward
@@ -482,7 +482,7 @@ class TestTrainLoop:
         evaluate = TR.evaluate_accuracy
 
         def released():
-            return all(p.grad is None and p.grad_buffer is None for p in params)
+            return all(p.grad is None for p in params)
 
         def checking_evaluate(*args):
             seen.append(("eval", released()))
@@ -497,10 +497,11 @@ class TestTrainLoop:
         assert released()
 
     @pytest.mark.parametrize("attention_type", ["full", "intra_only"])
-    def test_each_parameter_keeps_one_gradient_array_per_epoch(self, monkeypatch, attention_type):
-        # A step clips and applies its parameters' .grad arrays, and each
-        # .grad is one array through the epoch; so is the zero-filled one of
-        # an intra_only gate layer, which no step reaches.
+    def test_step_gradients_are_freed_before_the_next_forward(self, monkeypatch, attention_type):
+        # Every array a step hands Adamax, and the .grad it views after a
+        # rescale, is dead when the next step's forward starts, so a step
+        # holds one gradient set. An intra_only gate layer, which no step
+        # reaches, gets zeros.
         spec = ToyTaskSpec(templates=("attribute",))
         ds = generate_feature_dataset(spec, 48)
         cfg = ModelConfig(
@@ -508,20 +509,29 @@ class TestTrainLoop:
             n_answers=ds.n_answers, attention_type=attention_type,
         )
         model = build_model(cfg, np.random.default_rng(0))
-        steps = []
-        step = TR.adamax_step
+        unreached = [
+            attention_type == "intra_only" and "gate_from" in name
+            for name, _ in model.named_parameters()
+        ]
+        refs, zeros, alive = [], [], []
+        step, forward_ = TR.adamax_step, TR.forward
 
         def recording_step(params, grads, state, lr):
-            assert all(g is p.grad or g.base is p.grad for p, g in zip(params, grads))
-            steps.append([p.grad for p in params])
+            refs.append([weakref.ref(a) for g in grads for a in (g, g.base) if a is not None])
+            zeros.append([not g.any() for g in grads])
             step(params, grads, state, lr)
 
+        def checking_forward(*args):
+            if refs:
+                alive.append(sum(r() is not None for r in refs[-1]))
+            return forward_(*args)
+
         monkeypatch.setattr(TR, "adamax_step", recording_step)
+        monkeypatch.setattr(TR, "forward", checking_forward)
         train(model, ds, TrainConfig(epochs=2, batch_size=16))
-        assert len(steps) == 6
-        for epoch in (steps[:3], steps[3:]):
-            assert all(a is b for grads in epoch for a, b in zip(grads, epoch[0]))
-        assert any(not g.any() for g in steps[0]) == (attention_type == "intra_only")
+        assert len(refs) == 6 and alive == [0] * 5
+        assert all(r() is None for r in refs[-1])
+        assert zeros == [unreached] * 6
 
     def test_resume_continues_step_counter(self):
         model, _, ds, tcfg = tiny_setup(epochs=1)

@@ -14,8 +14,11 @@ reads slower.
 For every end-to-end metric of BASE's ``BENCHMARK.json`` it prints the
 per-pair values, each side's median and quartiles, the pairs HEAD won (ties
 count for neither), the median gap against BASE's interquartile range, and
-whether HEAD's median is within the metric's bound. A gain holds when HEAD
-wins at least nine tenths of the pairs and the gap exceeds BASE's IQR. It
+whether HEAD's median is within the metric's bound. That verdict is
+``unresolved`` when BASE's IQR is wider than the bound, as a share of BASE's
+median, unless every HEAD run beats every BASE run: BASE's own spread then
+hides a change of the bound's size. A gain holds when HEAD wins at least
+nine tenths of the pairs and the gap exceeds BASE's IQR. It
 also says whether ``mean_train_loss`` was bitwise equal in every pair, and
 how many operations failed on each side. Each side's ``host_slowdown`` and
 ``step_ms_p50``, which the benchmark prints among its not-gated lines before
@@ -159,6 +162,11 @@ class MetricSummary:
         return self.change >= -self.bound
 
     @property
+    def unresolved(self) -> bool:
+        spread = self.base_iqr > self.bound * abs(self.base_q[1])
+        return spread and not all(self.improves(b, h) for b in self.base for h in self.head)
+
+    @property
     def gain(self) -> bool:
         return 10 * self.wins >= 9 * len(self.base) and self.gap > self.base_iqr
 
@@ -186,7 +194,7 @@ def report(results: list[dict[str, dict]], end_to_end: list[dict]) -> list[str]:
             f"  change {m.change:+.1%} (positive is better)",
             f"  head better in {m.wins}/{len(m.base)} pairs; gap {m.gap:.6g} vs base IQR "
             f"{m.base_iqr:.6g}; gain {'holds' if m.gain else 'not shown'}; "
-            f"within bound: {'yes' if m.within_bound else 'NO'}",
+            f"within bound: {'unresolved' if m.unresolved else 'yes' if m.within_bound else 'NO'}",
         ]
     for name in NOT_GATED:
         values = {s: [pair[s].get("not_gated", {}).get(name) for pair in results] for s in SIDES}
