@@ -5,6 +5,12 @@ themselves on the innermost active ``GradTape`` whenever an input requires
 gradients; ``backward`` replays the tape in reverse and accumulates adjoints
 into the leaves. With no tape active, operations are plain numpy compute.
 
+A tape is replayed once: ``backward`` removes each node as it runs it, so a
+node's output and the arrays its closure keeps are freed once no node left
+on the tape holds them, and the gradients reuse that memory. ``len(tape)``
+stays the number of nodes recorded. Gradients of one forward taken twice
+come from two tapes; ``.grad`` accumulates across them.
+
 A backward closure never returns an array it keeps, and never writes into
 the adjoint it is given. ``backward`` may therefore keep a returned array
 that owns its memory as a leaf's ``.grad``, and adds further contributions
@@ -121,6 +127,7 @@ class GradTape:
 
     def __init__(self):
         self.nodes: list[_Node] = []
+        self.recorded = 0
 
     def __enter__(self) -> "GradTape":
         _TAPES.append(self)
@@ -133,7 +140,8 @@ class GradTape:
         return False
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        """The number of nodes recorded, also after ``backward`` used them."""
+        return self.recorded
 
 
 def _recorded(inputs: tuple) -> bool:
@@ -147,25 +155,36 @@ def _apply(inputs: tuple, out_data: np.ndarray, backward) -> Tensor:
     track = _recorded(inputs)
     out = _make(out_data, track)
     if track:
-        active_tape().nodes.append(_Node(inputs, out, backward))
+        tape = active_tape()
+        tape.nodes.append(_Node(inputs, out, backward))
+        tape.recorded += 1
     return out
 
 
 def backward(tape: GradTape, loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into every requires-grad leaf on the tape.
 
-    Repeated calls keep adding into ``.grad``; callers zero grads explicitly.
+    Consumes the tape: each node is removed as its closure runs, so the
+    forward's arrays are freed during the sweep, and a second call on the
+    same tape raises ``TapeError``. ``.grad`` keeps adding across tapes;
+    callers zero grads explicitly.
     """
+    nodes = tape.nodes
+    if len(nodes) < tape.recorded:
+        raise TapeError("tape was already replayed; record the forward on a new tape")
     if loss.data.size != 1:
         raise TapeError(f"loss must be scalar, got shape {loss.shape}")
-    produced = {id(n.output) for n in tape.nodes}
+    # Adjoints are keyed by id. An output freed mid-sweep leaves its id here,
+    # which is safe because the sweep makes no Tensor that could reuse it.
+    produced = {id(n.output) for n in nodes}
     if id(loss) not in produced:
         raise TapeError("loss was not produced on this tape")
 
     adjoints: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     # Keys whose adjoint is an array made here, so later fan-in adds in place.
     owned: set[int] = set()
-    for node in reversed(tape.nodes):
+    while nodes:
+        node = nodes.pop()
         out_g = adjoints.pop(id(node.output), None)
         if out_g is None:
             continue

@@ -253,8 +253,10 @@ def train(
 
     A step holds one gradient set: the ``.grad`` arrays its backward makes
     (zeros for a parameter it did not reach), which the clip scales in place
-    and which no name keeps past Adamax. Every parameter's ``.grad`` is None
-    during each epoch-end eval and ``on_epoch`` call, and on return or raise.
+    and which no name keeps past Adamax. Backward releases the step's tape as
+    it goes, so the clip and Adamax run beside the gradients, not the
+    forward's activations. Every parameter's ``.grad`` is None during each
+    epoch-end eval and ``on_epoch`` call, and on return or raise.
     """
     if dataset.n_answers != model.config.n_answers:
         raise ShapeError(
@@ -296,9 +298,6 @@ def train(
             # raises, so a diverged model holds none.
             for p in params:
                 p.zero_grad()
-        # The last step's tape is not held through the eval pass and
-        # on_epoch either.
-        del tape, pred, loss
         eval_ds = eval_dataset if eval_dataset is not None else dataset
         row = {
             "epoch": epoch,

@@ -558,16 +558,21 @@ class TestTapeMechanics:
         backward(tape, loss)
         assert np.allclose(x.grad, 2.0 * x.data)
 
-    def test_repeated_backward_accumulates(self):
+    def test_tape_replays_once_and_grads_accumulate_across_tapes(self):
         x = Tensor([2.0], requires_grad=True)
-        with GradTape() as tape:
-            loss = T.sum_all(T.mul(x, x))
-        backward(tape, loss)
-        backward(tape, loss)
-        assert np.allclose(x.grad, 8.0)
-        x.zero_grad()
-        backward(tape, loss)
-        assert np.allclose(x.grad, 4.0)
+        tapes, losses = [], []
+        for _ in range(2):
+            with GradTape() as tape:
+                losses.append(T.sum_all(T.mul(x, x)))
+            tapes.append(tape)
+        backward(tapes[0], losses[0])
+        assert tapes[0].nodes == [] and len(tapes[0]) == 2
+        with pytest.raises(TapeError, match="already replayed"):
+            backward(tapes[0], losses[0])
+        assert np.array_equal(x.grad, [4.0])
+        backward(tapes[1], losses[1])
+        assert np.array_equal(x.grad, [8.0])
+        assert len(tapes[1]) == 2
 
     def test_reused_tensor_fans_in(self):
         x = Tensor([3.0], requires_grad=True)
