@@ -325,6 +325,52 @@ def _attention_scale(qd: np.ndarray, kd: np.ndarray, vd: np.ndarray, heads: int)
     return 1.0 / math.sqrt(qd.shape[-1] // heads)
 
 
+# Attention rows of at most this many keys are reduced column by column:
+# numpy's row reductions pay about 40 ns per row, which dominates at 6 to 14
+# keys. Up to 15 keys the columns took 0.11-0.82 of numpy's time at the
+# default and paper attention shapes, and at most 1.04 on a 23 MB batch that
+# overflows the cache; at 16 keys, a 128-byte row stride that aliases in
+# cache, up to 1.9 times it (table in CHANGES.md). _row_sum follows numpy's
+# order for at most 15 terms, so this may not exceed 15.
+ROW_LOOP_MAX = 15
+
+
+def _row_max(x: np.ndarray) -> np.ndarray:
+    # x.max(axis=-1, keepdims=True). np.maximum is exact in any order, save
+    # the sign of a +0.0 tied with -0.0, which numpy's vector reduction also
+    # picks by its lane layout; the shifted exponentials are the same.
+    if x.shape[-1] > ROW_LOOP_MAX:
+        return x.max(axis=-1, keepdims=True)
+    acc = x[..., 0].copy()
+    for j in range(1, x.shape[-1]):
+        np.maximum(acc, x[..., j], out=acc)
+    return acc[..., None]
+
+
+def _row_sum(x: np.ndarray) -> np.ndarray:
+    # x.sum(axis=-1, keepdims=True), column by column in numpy's pairwise
+    # order, so the bytes are the same: under 8 terms in sequence; 8 to 15
+    # as the tree ((x0+x1)+(x2+x3))+((x4+x5)+(x6+x7)), then the rest in
+    # sequence. numpy adds the result to the identity +0.0, which only turns
+    # a -0.0 sum into +0.0; adding +0.0 to the first term does the same.
+    m = x.shape[-1]
+    if m > ROW_LOOP_MAX:
+        return x.sum(axis=-1, keepdims=True)
+    cols = [x[..., j] for j in range(m)]
+    acc = cols[0] + 0.0
+    rest = cols[1:]
+    if m >= 8:
+        acc += cols[1]
+        acc += cols[2] + cols[3]
+        hi = cols[4] + cols[5]
+        hi += cols[6] + cols[7]
+        acc += hi
+        rest = cols[8:]
+    for col in rest:
+        acc += col
+    return acc[..., None]
+
+
 def _softmax_weights(qd: np.ndarray, kd: np.ndarray, heads: int, c: float) -> np.ndarray:
     # softmax(q·kᵀ·c) per head as (B, heads, n, m), stabilized by per-row max
     # subtraction. The keys' one copy is (B, heads, d_h, m), so each head's
@@ -334,9 +380,9 @@ def _softmax_weights(qd: np.ndarray, kd: np.ndarray, heads: int, c: float) -> np
     s = np.matmul(_heads(qd, heads), kt)
     del kt
     s *= c
-    s -= s.max(axis=-1, keepdims=True)
+    s -= _row_max(s)
     np.exp(s, out=s)
-    s /= s.sum(axis=-1, keepdims=True)
+    s /= _row_sum(s)
     return s
 
 
@@ -364,9 +410,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.n
     square root of its width d_h. Returns the merged values (``q``'s rows,
     ``v``'s width) and the (B, heads, n, m) weights, whose entry [b, h] is
     head h of instance b. Backward reads the weights, so nothing may write
-    into them. The softmax is stabilized by per-row max subtraction. Every
-    product runs on strided head views of q, k, v and the gradients; only
-    the keys are copied, once, into the transposed layout of the logits.
+    into them. The softmax is stabilized by per-row max subtraction. Rows of
+    at most ``ROW_LOOP_MAX`` keys are reduced column by column, in numpy's
+    own order, so the bytes match numpy's row reductions. Every product runs
+    on strided head views of q, k, v and the gradients; only the keys are
+    copied, once, into the transposed layout of the logits.
     """
     qd, kd, vd = q.data, k.data, v.data
     c = _attention_scale(qd, kd, vd, heads)
@@ -380,7 +428,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.n
         if not (need_q or need_k):
             return None, None, dv
         dl = np.matmul(gh, _swap(_heads(vd, heads)))
-        dl -= (dl * s).sum(axis=-1, keepdims=True)
+        dl -= _row_sum(dl * s)
         dl *= s
         dl *= c
         dq = _matmul_into(dl, _heads(kd, heads), qd.shape, heads) if need_q else None
@@ -519,12 +567,12 @@ def linear_init(in_dim: int, out_dim: int, rng: np.random.Generator | None) -> L
 # A (B, n, d) batch times a weight of at least this many elements runs as one
 # GEMM over its B·n rows. numpy's batched matmul makes one GEMM per instance,
 # and each packs the whole weight again; for small weights that still beats one
-# tall GEMM. tools/linear_sweep.py (1 BLAS thread, B in {8, 32, 256}, n in
-# {6, 14, 100}, square weights; three runs) measured one-GEMM time divided by
-# per-instance time: 0.80-1.40 at 64x64, 0.67-1.11 at 128x128, 0.55-1.00 at
-# 256x256 (2^16, where B=256, n=100 sits at parity) and 0.32-0.90 at 512x512
-# (2^18). 2^17 is the smallest power of two above every weight at which one
-# GEMM lost or tied in any run.
+# tall GEMM. One-GEMM time over per-instance time, measured with 1 BLAS
+# thread, B in {8, 32, 256}, n in {6, 14, 100} and square weights: 0.80-1.40
+# at 64x64, 0.67-1.11 at 128x128, 0.55-1.00 at 256x256 (2^16) and 0.32-0.90
+# at 512x512 (2^18); CHANGES.md keeps the sweep ("linear-layer GEMM sweep").
+# 2^17 is the smallest power of two above every weight at which one GEMM
+# lost or tied in any run.
 ONE_GEMM_MIN_WEIGHT = 1 << 17
 
 

@@ -258,6 +258,80 @@ class TestSoftmax:
         assert T.relative_error(x.grad, fd[0]) < 1e-7
 
 
+def short_rows(shape, seed):
+    """Rows of magnitudes from 1e-8 to 1e8 of either sign, holding -0.0 and
+    ±inf; row 0 of each group is all -0.0 and row 1 is nonpositive."""
+    rng = np.random.default_rng(seed)
+    x = 10.0 ** rng.uniform(-8, 8, shape) * rng.choice([-1.0, 1.0], shape)
+    pick = rng.random(shape)
+    x[pick < 0.15] = -0.0
+    x[pick > 0.95] = np.inf
+    x[(pick > 0.9) & (pick <= 0.95)] = -np.inf
+    x[..., 0, :] = -0.0
+    x[..., 1, :] = -np.abs(x[..., 1, :])
+    return x
+
+
+def nan_same(a: np.ndarray, b: np.ndarray) -> bool:
+    # NaN in the same places and the same bytes elsewhere; a NaN's payload
+    # may follow operand order.
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and same_bytes(a[~nan], b[~nan])
+
+
+class TestShortRowReductions:
+    """Rows of at most ``ROW_LOOP_MAX`` keys are reduced column by column,
+    with the bytes of numpy's own row reductions."""
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("m", range(1, T.ROW_LOOP_MAX + 2))
+    def test_max_and_sum_match_numpy_bitwise(self, m, batch):
+        x = short_rows((batch, 2, 5, m), seed=m)
+        with np.errstate(invalid="ignore"):
+            assert same_bytes(T._row_max(x), x.max(axis=-1, keepdims=True))
+            assert same_bytes(T._row_sum(x), x.sum(axis=-1, keepdims=True))
+
+    @pytest.mark.parametrize("m", [1, 7, 8, 12, T.ROW_LOOP_MAX])
+    def test_nan_rows_give_nan_in_the_same_places(self, m):
+        x = short_rows((2, 4, m), seed=m)
+        x[:, 2, m // 2] = np.nan
+        x[1, 3, 0] = np.nan
+        with np.errstate(invalid="ignore"):
+            assert nan_same(T._row_max(x), x.max(axis=-1, keepdims=True))
+            assert nan_same(T._row_sum(x), x.sum(axis=-1, keepdims=True))
+
+    @pytest.mark.parametrize("m", [2, 9, 12, T.ROW_LOOP_MAX])
+    def test_zero_tie_in_the_max_gives_the_same_weights(self, m):
+        # A maximum of +0.0 tied with -0.0 may take either sign: with 8-lane
+        # vectors numpy's reduction gives +0.0 for 9 keys ending in -0.0, the
+        # columns -0.0. The shifted exponentials do not see the sign.
+        x = np.zeros((2, 3, m))
+        x[..., -1] = -0.0
+        x[:, 1, :-2] = -1.0
+        want = x.max(axis=-1, keepdims=True)
+        got = T._row_max(x)
+        assert np.array_equal(got, want)
+        assert same_bytes(np.exp(x - got), np.exp(x - want))
+
+    @pytest.mark.parametrize("keys", [6, 12])
+    def test_attention_matches_numpy_reductions_bitwise(self, keys, monkeypatch):
+        def run():
+            rng = np.random.default_rng(keys)
+            q = Tensor(rng.standard_normal((256, 12, 64)), requires_grad=True)
+            k, v = (Tensor(rng.standard_normal((256, keys, 64)), requires_grad=True) for _ in "kv")
+            g = Tensor(rng.standard_normal((256, 12, 64)))
+            with GradTape() as tape:
+                out, w = T.attention(q, k, v, 4)
+                loss = T.sum_all(T.mul(out, g))
+            backward(tape, loss)
+            return out.data, w, q.grad, k.grad, v.grad
+
+        columns = run()
+        monkeypatch.setattr(T, "ROW_LOOP_MAX", 0)
+        rows = run()
+        assert all(same_bytes(a, b) for a, b in zip(columns, rows))
+
+
 class TestActivations:
     def test_sigmoid_identities(self):
         out = T.sigmoid(Tensor([0.0, 100.0, -100.0])).numpy()

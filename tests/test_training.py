@@ -1,12 +1,16 @@
 """Optimizer closed forms, schedule, clipping, and the training loop."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import PACKAGE_ROOT
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -284,6 +288,12 @@ class TestClipGradients:
         kept = clip_gradients(small, 0.25)
         assert all(r is x for r, x in zip(kept, small))
         assert np.array_equal(small[0], [0.06]) and np.array_equal(small[1], [[0.08, 0.0]])
+
+    def test_norm_at_the_threshold_is_left_alone(self):
+        g = [np.array([3.0]), np.array([[4.0]])]  # norm exactly 5
+        out = clip_gradients(g, 5.0)
+        assert all(r is x for r, x in zip(out, g))
+        assert np.array_equal(g[0], [3.0]) and np.array_equal(g[1], [[4.0]])
 
     def test_divergence_scales_nothing(self):
         g = [np.array([30.0, 40.0]), np.array([np.inf])]
@@ -655,3 +665,49 @@ class TestEvaluate:
         )
         assert abs(weighted / report["n"] - report["overall"]) < 1e-12
         assert report["n"] == 120
+
+
+# One train step at a size where OpenBLAS splits work by thread count: one
+# head of width 64 over 100 regions, and a 256 x 64 region embedding above
+# the ~10k elements at which its dot splits. Prints the parameters' SHA-256.
+THREAD_PROBE = """
+import hashlib
+import numpy as np
+from dfaf.data import ToyTaskSpec, generate_feature_dataset
+from dfaf.model import ModelConfig, build_model
+from dfaf.training import TrainConfig, train
+spec = ToyTaskSpec(grid_rows=10, grid_cols=10, templates=("attribute",), d_v=256, seed=1)
+data = generate_feature_dataset(spec, 2)
+config = ModelConfig(dim=64, heads=1, d_v=256, n_answers=data.n_answers)
+model = build_model(config, np.random.default_rng(0))
+train(model, data, TrainConfig(epochs=1, batch_size=2, dropout=0.0))
+print(hashlib.sha256(b"".join(p.data.tobytes() for p in model.parameters())).hexdigest())
+"""
+
+
+def _cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class TestThreadCountBytes:
+    @pytest.mark.skipif(
+        _cpus() < 2,
+        reason="one CPU: OpenBLAS caps its threads at the CPU count, so both runs use one",
+    )
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 16(b): the attention backward's strided product and the "
+        "clip norm's np.vdot round differently with 2 BLAS threads",
+    )
+    def test_trained_bytes_do_not_depend_on_blas_thread_count(self):
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=PACKAGE_ROOT)
+            proc = subprocess.run(
+                [sys.executable, "-c", THREAD_PROBE],
+                env=env, capture_output=True, text=True, timeout=300, check=True,
+            )
+            digests.append(proc.stdout.strip())
+        assert digests[0] == digests[1]
