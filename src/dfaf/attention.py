@@ -65,8 +65,8 @@ class BlockVariant(NamedTuple):
     dynamic: bool  # the intra half gates queries and keys
 
 
-# The paper's ablations. The builder, the parameter count and the forward
-# all read this table.
+# The paper's ablations. The builders and the parameter count read this
+# table; a forward runs what the built parameters hold.
 VARIANTS = {
     "full": BlockVariant(inter=True, intra=True, dynamic=True),
     "inter_only": BlockVariant(inter=True, intra=False, dynamic=False),
@@ -115,14 +115,14 @@ class InterMafParams(Params):
 class DyIntraMafParams(Params):
     """Self-attention parameters, optionally gated by the other modality.
 
-    The gate layers exist in every variant, so the parameter set has one
-    shape; the naive forward (``dynamic`` false) never reads them.
+    Dynamic variants hold both gate layers and naive ones neither (None), so
+    the forward gates exactly when the gates are here.
     """
 
     region_qkv: QkvProjection
     word_qkv: QkvProjection
-    gate_from_regions: LinearLayer  # pooled regions -> gate on word q/k
-    gate_from_words: LinearLayer  # pooled words -> gate on region q/k
+    gate_from_regions: LinearLayer | None  # pooled regions -> gate on word q/k
+    gate_from_words: LinearLayer | None  # pooled words -> gate on region q/k
     region_out: LinearLayer  # dim -> dim, applied to the residual sum
     word_out: LinearLayer
 
@@ -228,7 +228,6 @@ def dyintra_maf_forward(
     e: Tensor,
     p: DyIntraMafParams,
     heads: int = 1,
-    dynamic: bool = True,
     record: AttentionRecord | None = None,
     ctx: ForwardContext | None = None,
 ) -> tuple[Tensor, Tensor]:
@@ -236,15 +235,15 @@ def dyintra_maf_forward(
 
     Dynamic variant: each modality's queries and keys are scaled channel-wise
     by (1 + gate), the gate coming from the other modality's pooled features.
-    Values are never gated. Naive variant (``dynamic`` false) has no
-    dependence on the other modality at all. A dynamic record also keeps the
-    attention of the ungated queries and keys.
+    Values are never gated. Naive variant (no gate layers) has no dependence
+    on the other modality at all. A dynamic record also keeps the attention
+    of the ungated queries and keys.
     """
     r_q, r_k, r_v = _project(p.region_qkv, r, ctx)
     e_q, e_k, e_v = _project(p.word_qkv, e, ctx)
 
     gate_r = gate_e = None
-    if dynamic:
+    if p.gate_from_words is not None:
         if record is not None:  # what the gates modulate, without them
             record.intra_r_gates_disabled = attention_weights(r_q, r_k, heads)
             record.intra_e_gates_disabled = attention_weights(e_q, e_k, heads)
@@ -266,7 +265,7 @@ def dyintra_maf_forward(
 
     if record is not None:
         record.intra_r, record.intra_e = w_r, w_e
-        if dynamic:
+        if gate_r is not None:
             record.gate_on_regions, record.gate_on_words = gate_r.data, gate_e.data
     return r_new, e_new
 
@@ -277,7 +276,6 @@ def dfaf_block_forward(
     p: DfafBlockParams,
     heads: int,
     order: str,
-    dynamic: bool,
     record: AttentionRecord | None = None,
     ctx: ForwardContext | None = None,
 ) -> tuple[Tensor, Tensor]:
@@ -285,7 +283,7 @@ def dfaf_block_forward(
     if p.inter is not None:
         r, e = inter_maf_forward(r, e, p.inter, heads, order, record, ctx)
     if p.intra is not None:
-        r, e = dyintra_maf_forward(r, e, p.intra, heads, dynamic, record, ctx)
+        r, e = dyintra_maf_forward(r, e, p.intra, heads, record, ctx)
     return r, e
 
 
@@ -310,12 +308,17 @@ def init_inter_maf(dim: int, rng: np.random.Generator | None) -> InterMafParams:
     )
 
 
-def init_dyintra_maf(dim: int, rng: np.random.Generator | None) -> DyIntraMafParams:
+def init_dyintra_maf(
+    dim: int, rng: np.random.Generator | None, dynamic: bool = True
+) -> DyIntraMafParams:
+    def gate() -> LinearLayer | None:
+        return linear_init(dim, dim, rng) if dynamic else None
+
     return DyIntraMafParams(
         region_qkv=init_qkv(dim, rng),
         word_qkv=init_qkv(dim, rng),
-        gate_from_regions=linear_init(dim, dim, rng),
-        gate_from_words=linear_init(dim, dim, rng),
+        gate_from_regions=gate(),
+        gate_from_words=gate(),
         region_out=linear_init(dim, dim, rng),
         word_out=linear_init(dim, dim, rng),
     )
@@ -327,5 +330,5 @@ def init_dfaf_block(
     variant = VARIANTS[attention_type]
     return DfafBlockParams(
         inter=init_inter_maf(dim, rng) if variant.inter else None,
-        intra=init_dyintra_maf(dim, rng) if variant.intra else None,
+        intra=init_dyintra_maf(dim, rng, variant.dynamic) if variant.intra else None,
     )

@@ -167,7 +167,7 @@ def run_gradcheck(
     e = Tensor(rng.standard_normal((1, words, dim)))
     inter = init_inter_maf(dim, rng)
     dyintra = init_dyintra_maf(dim, rng)
-    intra = init_dyintra_maf(dim, rng)
+    intra = init_dyintra_maf(dim, rng, dynamic=False)
     block = init_dfaf_block(dim, "full", rng)
     model = build_model(config, rng)
     # ReLU is the model's only kink, and at random init the multiply-fused
@@ -187,11 +187,10 @@ def run_gradcheck(
          lambda: _sum_pair(*inter_maf_forward(r, e, inter, heads=heads, order=order))),
         ("dyintra_maf", dyintra,
          lambda: _sum_pair(*dyintra_maf_forward(r, e, dyintra, heads=heads))),
-        # Naive variant: gate layers must come back with agreed-zero gradients.
         ("intra_maf", intra,
-         lambda: _sum_pair(*dyintra_maf_forward(r, e, intra, heads=heads, dynamic=False))),
+         lambda: _sum_pair(*dyintra_maf_forward(r, e, intra, heads=heads))),
         ("dfaf_block", block,
-         lambda: _sum_pair(*dfaf_block_forward(r, e, block, heads, order, True))),
+         lambda: _sum_pair(*dfaf_block_forward(r, e, block, heads, order))),
         ("model", model,
          lambda: cross_entropy_loss(forward(raw_r, raw_e, model), targets)),
     ]

@@ -86,8 +86,9 @@ class ModelConfig:
 
         d = self.dim
         inter = 6 * linear(d, d) + 2 * linear(2 * d, d)  # q/k/v twice, two fusions
-        intra = 10 * linear(d, d)  # q/k/v twice, two gates, two outputs
         variant = VARIANTS[self.attention_type]
+        # q/k/v twice, two outputs, and two gates in a dynamic block
+        intra = (8 + 2 * variant.dynamic) * linear(d, d)
         block = variant.inter * inter + variant.intra * intra
         fused = 2 * d if self.fusion == "concat" else d
         return (
@@ -187,11 +188,10 @@ def forward(
     order, and each appends one AttentionRecord when ``records`` is a
     list."""
     config = p.config
-    dynamic = VARIANTS[config.attention_type].dynamic
     r, e = embed_inputs(raw_r, raw_e, p, ctx)
     for block in p.stack:
         record = None if records is None else AttentionRecord()
-        r, e = dfaf_block_forward(r, e, block, config.heads, config.order, dynamic, record, ctx)
+        r, e = dfaf_block_forward(r, e, block, config.heads, config.order, record, ctx)
         if records is not None:
             records.append(record)
     return fuse_and_classify(r, e, p, records=records)

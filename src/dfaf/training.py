@@ -251,9 +251,9 @@ def train(
     Eval accuracy is measured on ``eval_dataset`` when given, otherwise on
     the training data. Fully deterministic given cfg.seed (wall_ms aside).
 
-    A step holds one gradient set: the ``.grad`` arrays its backward makes
-    (zeros for a parameter it did not reach), which the clip scales in place
-    and which no name keeps past Adamax. Backward releases the step's tape as
+    A step holds one gradient set: the ``.grad`` arrays its backward makes,
+    one for every parameter, which the clip scales in place and which no
+    name keeps past Adamax. Backward releases the step's tape as
     it goes, so the clip and Adamax run beside the gradients, not the
     forward's activations. Every parameter's ``.grad`` is None during each
     epoch-end eval and ``on_epoch`` call, and on return or raise.
@@ -286,9 +286,7 @@ def train(
                         f"{state.t} optimizer steps (lr {lr})"
                     )
                 backward(tape, loss)
-                grads = [
-                    p.grad if p.grad is not None else np.zeros_like(p.data) for p in params
-                ]
+                grads = [p.grad for p in params]
                 adamax_step(params, clip_gradients(grads, cfg.clip), state, lr)
                 del grads
                 loss_sum += loss_value * len(batch)

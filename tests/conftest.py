@@ -1,4 +1,5 @@
 """Shared helpers for the test suite."""
+import dataclasses
 import math
 import os
 import subprocess
@@ -38,6 +39,12 @@ def run_cli(args, cwd, env_extra=None, timeout=600, command=None):
         text=True,
         timeout=timeout,
     )
+
+
+def without_gates(p):
+    """The same intra-modality parameters with the gate layers taken out:
+    the naive module over the dynamic one's weights."""
+    return dataclasses.replace(p, gate_from_regions=None, gate_from_words=None)
 
 
 def _np_split(x, heads):

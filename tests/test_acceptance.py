@@ -12,12 +12,11 @@ import math
 import time
 
 import numpy as np
-from conftest import run_cli
+from conftest import run_cli, without_gates
 
 from dfaf.attention import (
     ATTENTION_TYPES,
     ORDERS,
-    VARIANTS,
     AttentionRecord,
     dfaf_block_forward,
     dyintra_maf_forward,
@@ -48,16 +47,16 @@ def random_stack_inputs(rng):
     blocks = [init_dfaf_block(dim, attention_type, rng) for _ in range(n_blocks)]
     r = Tensor(scale * rng.standard_normal((1, mu, dim)))
     e = Tensor(scale * rng.standard_normal((1, length, dim)))
-    return (blocks, heads, order, VARIANTS[attention_type].dynamic), r, e
+    return (blocks, heads, order), r, e
 
 
 def stack_forward(r, e, stack, records=None):
     """Run ``stack`` (blocks and their switches) the way the model walks its
     blocks, appending one record per block when ``records`` is a list."""
-    blocks, heads, order, dynamic = stack
+    blocks, heads, order = stack
     for block in blocks:
         record = None if records is None else AttentionRecord()
-        r, e = dfaf_block_forward(r, e, block, heads, order, dynamic, record)
+        r, e = dfaf_block_forward(r, e, block, heads, order, record)
         if records is not None:
             records.append(record)
     return r, e
@@ -175,17 +174,17 @@ def test_criterion_04_dynamic_gating_dataflow():
         e = Tensor(rng.standard_normal((1, length, dim)))
         e_other = Tensor(rng.standard_normal((1, length, dim)))
 
-        def region_attention(params, dynamic):
+        def region_attention(params):
             record = AttentionRecord()
-            dyintra_maf_forward(r, e, params, heads, dynamic, record)
+            dyintra_maf_forward(r, e, params, heads, record)
             record2 = AttentionRecord()
-            dyintra_maf_forward(r, e_other, params, heads, dynamic, record2)
+            dyintra_maf_forward(r, e_other, params, heads, record2)
             return record.intra_r, record2.intra_r  # every head at once
 
-        if not np.array_equal(*region_attention(init_dyintra_maf(dim, rng), True)):
+        if not np.array_equal(*region_attention(init_dyintra_maf(dim, rng))):
             dynamic_changed += 1
 
-        if np.array_equal(*region_attention(init_dyintra_maf(dim, rng), False)):
+        if np.array_equal(*region_attention(without_gates(init_dyintra_maf(dim, rng)))):
             naive_identical += 1
 
     assert dynamic_changed >= 99, f"only {dynamic_changed}/100 changed"
@@ -337,6 +336,6 @@ def test_criterion_10_full_width_shape_conformance():
     from dfaf.model import embed_inputs
 
     r, e = embed_inputs(raw_r, raw_e, model)
-    r2, e2 = stack_forward(r, e, (model.stack, 8, config.order, True))
+    r2, e2 = stack_forward(r, e, (model.stack, 8, config.order))
     assert r2.shape == (1, mu, 512)
     assert e2.shape == (1, length, 512)

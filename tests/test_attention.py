@@ -10,7 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import np_attention
+from conftest import np_attention, without_gates
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -59,10 +59,10 @@ def inter_oracle(r, e, p, heads, order):
     return r_new, upd_e(np_linear(p.region_qkv.key, r_new), np_linear(p.region_qkv.value, r_new))
 
 
-def dyintra_oracle(r, e, p, heads, dynamic):
+def dyintra_oracle(r, e, p, heads):
     rq, rk, rv = np_qkv(p.region_qkv, r)
     eq, ek, ev = np_qkv(p.word_qkv, e)
-    if dynamic:
+    if p.gate_from_words is not None:
         gate_r = np_sigmoid(np_linear(p.gate_from_words, e.mean(axis=1)))[:, None, :]
         gate_e = np_sigmoid(np_linear(p.gate_from_regions, r.mean(axis=1)))[:, None, :]
         rq, rk = rq * (1 + gate_r), rk * (1 + gate_r)
@@ -462,9 +462,11 @@ class TestDyIntraMaf:
     def test_matches_composition_oracle(self, dynamic, heads):
         rng = np.random.default_rng(15)
         p = A.init_dyintra_maf(8, rng)
+        if not dynamic:
+            p = without_gates(p)
         r, e = rand_re(rng, dim=8)
-        r_new, e_new = A.dyintra_maf_forward(r, e, p, heads=heads, dynamic=dynamic)
-        er, ee = dyintra_oracle(r.data, e.data, p, heads, dynamic)
+        r_new, e_new = A.dyintra_maf_forward(r, e, p, heads=heads)
+        er, ee = dyintra_oracle(r.data, e.data, p, heads)
         assert np.max(np.abs(r_new.numpy() - er)) < 1e-10
         assert np.max(np.abs(e_new.numpy() - ee)) < 1e-10
 
@@ -482,8 +484,8 @@ class TestDyIntraMaf:
         )
         r = Tensor(np.array([[[1.0, 0.0], [0.0, 1.0]]]))
         e = Tensor(np.array([[[2.0, -1.0]]]))
-        r_new, e_new = A.dyintra_maf_forward(r, e, p, dynamic=True)
-        er, ee = dyintra_oracle(r.data, e.data, p, 1, True)
+        r_new, e_new = A.dyintra_maf_forward(r, e, p)
+        er, ee = dyintra_oracle(r.data, e.data, p, 1)
         assert np.max(np.abs(r_new.numpy() - er)) < 1e-10
         assert np.max(np.abs(e_new.numpy() - ee)) < 1e-10
 
@@ -492,19 +494,19 @@ class TestDyIntraMaf:
         p = A.init_dyintra_maf(8, rng)
         r, e = rand_re(rng, dim=8)
         rec1, rec2 = A.AttentionRecord(), A.AttentionRecord()
-        A.dyintra_maf_forward(r, e, p, dynamic=True, record=rec1)
+        A.dyintra_maf_forward(r, e, p, record=rec1)
         e2 = Tensor(e.data + rng.standard_normal(e.shape) * 0.1)
-        A.dyintra_maf_forward(r, e2, p, dynamic=True, record=rec2)
+        A.dyintra_maf_forward(r, e2, p, record=rec2)
         assert not np.array_equal(rec1.intra_r, rec2.intra_r)
 
     def test_naive_region_attention_ignores_words_bitwise(self):
         rng = np.random.default_rng(17)
-        p = A.init_dyintra_maf(8, rng)
+        p = without_gates(A.init_dyintra_maf(8, rng))
         r, e = rand_re(rng, dim=8)
         rec1, rec2 = A.AttentionRecord(), A.AttentionRecord()
-        A.dyintra_maf_forward(r, e, p, dynamic=False, record=rec1)
+        A.dyintra_maf_forward(r, e, p, record=rec1)
         e2 = Tensor(rng.standard_normal(e.shape) * 9)
-        A.dyintra_maf_forward(r, e2, p, dynamic=False, record=rec2)
+        A.dyintra_maf_forward(r, e2, p, record=rec2)
         assert np.array_equal(rec1.intra_r, rec2.intra_r)
         assert rec1.gate_on_regions is None and rec1.gate_on_words is None
 
@@ -519,8 +521,8 @@ class TestDyIntraMaf:
         p.gate_from_regions.bias.data[:] = 0.0
         r, e = rand_re(rng, mu=6, length=4, dim=8)
         rec_d, rec_n = A.AttentionRecord(), A.AttentionRecord()
-        A.dyintra_maf_forward(r, e, p, dynamic=True, record=rec_d)
-        A.dyintra_maf_forward(r, e, p, dynamic=False, record=rec_n)
+        A.dyintra_maf_forward(r, e, p, record=rec_d)
+        A.dyintra_maf_forward(r, e, without_gates(p), record=rec_n)
         assert np.array_equal(rec_d.intra_r.argmax(axis=-1), rec_n.intra_r.argmax(axis=-1))
         assert np.array_equal(rec_d.intra_e.argmax(axis=-1), rec_n.intra_e.argmax(axis=-1))
         assert np.allclose(rec_d.gate_on_regions, 0.5)
@@ -537,8 +539,8 @@ class TestDyIntraMaf:
             qkv.key.weight.data[:] = 0.0
             qkv.key.bias.data[:] = 0.0
         r, e = rand_re(rng, dim=8)
-        r_dyn, e_dyn = A.dyintra_maf_forward(r, e, p, dynamic=True)
-        r_nv, e_nv = A.dyintra_maf_forward(r, e, p, dynamic=False)
+        r_dyn, e_dyn = A.dyintra_maf_forward(r, e, p)
+        r_nv, e_nv = A.dyintra_maf_forward(r, e, without_gates(p))
         assert np.array_equal(r_dyn.numpy(), r_nv.numpy())
         assert np.array_equal(e_dyn.numpy(), e_nv.numpy())
 
@@ -546,10 +548,10 @@ class TestDyIntraMaf:
         rng = np.random.default_rng(20)
         p = A.init_dyintra_maf(8, rng)
         r, e = rand_re(rng, mu=4, length=3, dim=8, batch=2)
-        r_new, e_new = A.dyintra_maf_forward(r, e, p, heads=2, dynamic=True)
+        r_new, e_new = A.dyintra_maf_forward(r, e, p, heads=2)
         for i in range(2):
             ri, ei = A.dyintra_maf_forward(
-                Tensor(r.data[i : i + 1]), Tensor(e.data[i : i + 1]), p, heads=2, dynamic=True
+                Tensor(r.data[i : i + 1]), Tensor(e.data[i : i + 1]), p, heads=2
             )
             assert np.max(np.abs(r_new.numpy()[i] - ri.numpy()[0])) < 1e-12
             assert np.max(np.abs(e_new.numpy()[i] - ei.numpy()[0])) < 1e-12
@@ -557,7 +559,7 @@ class TestDyIntraMaf:
 
 def full_block_forward(r, e, block, heads, **kw):
     """A full block's forward with the model's default order."""
-    return A.dfaf_block_forward(r, e, block, heads, "r_then_e", True, **kw)
+    return A.dfaf_block_forward(r, e, block, heads, "r_then_e", **kw)
 
 
 class TestDfafBlock:
@@ -585,12 +587,11 @@ class TestDfafBlock:
     def test_every_parameter_gradient_matches_finite_differences(self, attention_type):
         rng = np.random.default_rng(24)
         block = A.init_dfaf_block(8, attention_type, rng)
-        dynamic = A.VARIANTS[attention_type].dynamic
         r, e = rand_re(rng, mu=3, length=2, dim=8)
         weights = rng.standard_normal((1, 3, 8)), rng.standard_normal((1, 2, 8))
 
         with GradTape() as tape:
-            r_new, e_new = A.dfaf_block_forward(r, e, block, 2, "r_then_e", dynamic)
+            r_new, e_new = A.dfaf_block_forward(r, e, block, 2, "r_then_e")
             loss = T.add(
                 T.sum_all(T.mul(r_new, Tensor(weights[0]))),
                 T.sum_all(T.mul(e_new, Tensor(weights[1]))),
@@ -601,13 +602,12 @@ class TestDfafBlock:
         params = [p for _, p in block.named_parameters()]
 
         def f(ps):
-            rn, en = A.dfaf_block_forward(r, e, block, 2, "r_then_e", dynamic)
+            rn, en = A.dfaf_block_forward(r, e, block, 2, "r_then_e")
             return float((rn.data * weights[0]).sum() + (en.data * weights[1]).sum())
 
         fd = T.finite_diff_gradient(f, params)
         for name, p, g in zip(names, params, fd):
-            analytic = p.grad if p.grad is not None else np.zeros_like(p.data)
-            err = T.relative_error(analytic, g)
+            err = T.relative_error(p.grad, g)
             assert err < 1e-4, f"{attention_type}:{name} rel err {err:.2e}"
 
     def test_width_mismatch_rejected(self):
@@ -711,8 +711,8 @@ class TestDfafStack:
         for block, rec in zip(model.stack, records):
             naive = A.AttentionRecord()
             # the naive module sees what the dynamic one saw: the prior block's output
-            A.dyintra_maf_forward(r, e, block.intra, heads, False, naive)
-            r, e = A.dfaf_block_forward(r, e, block, heads, "r_then_e", True)
+            A.dyintra_maf_forward(r, e, without_gates(block.intra), heads, naive)
+            r, e = A.dfaf_block_forward(r, e, block, heads, "r_then_e")
             for got, want in ((rec.intra_r_gates_disabled, naive.intra_r),
                               (rec.intra_e_gates_disabled, naive.intra_e)):
                 assert got.shape[1] == want.shape[1] == heads

@@ -1,4 +1,5 @@
 """End-to-end command-line tests (subprocess level plus a few unit probes)."""
+import dataclasses
 import json
 import os
 import shutil
@@ -403,6 +404,27 @@ class TestEval:
         assert proc.returncode == 3
         assert proc.stdout == ""
         assert proc.stderr.splitlines() == ["data error: mlp_out.bias holds a non-finite value"]
+
+    def test_intra_only_checkpoint_with_gate_layers_exits_3(self, workspace, tmp_path):
+        # intra_only once built gate layers as dynamic blocks do: such a file
+        # is a dyintra_only one under the intra_only name, with 4 tensors per
+        # block more than intra_only builds.
+        root, _, _ = workspace
+        _, config, _ = load_checkpoint(str(root / "ckpt.bin"))
+        config = dataclasses.replace(config, n_blocks=2, attention_type="dyintra_only")
+        path = tmp_path / "gated.bin"
+        save_checkpoint(str(path), build_model(config, np.random.default_rng(0)), config)
+        assert run_cli(["eval", *TINY, "gated.bin", str(root / "data.bin")], tmp_path).returncode == 0
+        blob = path.read_bytes()
+        old, new = (len(s).to_bytes(2, "little") + s for s in (b"dyintra_only", b"intra_only"))
+        assert blob.count(old) == 1
+        path.write_bytes(blob.replace(old, new))
+        proc = run_cli(["eval", *TINY, "gated.bin", str(root / "data.bin")], tmp_path)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            "data error: checkpoint holds 48 tensors, architecture needs 40"
+        ]
 
     def test_fusion_name_not_utf8_exits_3(self, workspace, tmp_path):
         root, _, _ = workspace

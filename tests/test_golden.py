@@ -12,7 +12,10 @@ same.
 Eval logits are pinned for every attention type, order and fusion: a
 2-block model per combination, from a seeded build, scores
 ``golden_dataset()`` as one batch and as batches of one. They pin
-which switch each forward reads, as the checkpoint pins cannot.
+which switch each forward reads, as the checkpoint pins cannot. The
+``intra_only`` pins of the layout that built gate layers in every block
+stay as a check that its forward did not change: a seeded
+``dyintra_only`` build with its gates taken out must still score them.
 
 A trained checkpoint pins a whole train run: the default run config for
 2 epochs (dropout 0.1), saved with its Adamax trailer. Float arithmetic
@@ -32,11 +35,13 @@ the key order, every error and norm, and which blocks fail. It is float
 output too, so it is tied to the same build.
 """
 
+import dataclasses
 import hashlib
 import itertools
 import json
 
 import numpy as np
+from conftest import without_gates
 
 from dfaf.attention import ATTENTION_TYPES, ORDERS
 from dfaf.checkpoint import load_checkpoint, save_checkpoint
@@ -61,7 +66,7 @@ GENERATED_SHA256 = "21e00ab1dab62ef2281d633943860edc3141bc126bbf92b0da0ffdfb1e7a
 CHECKPOINT_CASES = {
     "full": (1, CHECKPOINT_SHA256),
     "inter_only": (2, "00ab6ae9d41ca84ca6ffc82fcd987e8d486b531bc45e0dc145beccba9791353f"),
-    "intra_only": (2, "628f745dbd7e7ff03ec9fad8dafc7dab57e50ffd8d8cc4ae9b75620656148b6d"),
+    "intra_only": (2, "08651cb3f76251c6743b350bdb5e66d8f07bbd7bc83bcfae4b0885e575513d82"),
     "dyintra_only": (2, "14bd4645971afb4e33666a741cf7c1a2dcd8020ec9c62396751504ac301eb338"),
 }
 # 64 instances (seed 0) of each spec: the default, a 2x6 grid with
@@ -108,15 +113,15 @@ LOGITS_CASES = {
     ('inter_only', 'e_then_r', 'multiply'): "82061d2ea16b219195050b91316647f96d3d944eb00a59d3148d19d3b0b706cb",
     ('inter_only', 'e_then_r', 'add'): "2d3e449848b9c6f75786590cb693bd687cc947a927da9f6f8a4de27bbfd1a009",
     ('inter_only', 'e_then_r', 'concat'): "c5febb35d8b397357f5102affd52e1ad1e04936b17b404a81919fe30bb7914ab",
-    ('intra_only', 'parallel', 'multiply'): "e2a501327bbd5d67588409327e04fca60781b9d7da815c8768762ea2d37c0d7a",
-    ('intra_only', 'parallel', 'add'): "aaaf8ba06e066dd7cb8348114fd21ec0dd04456b970c3db2c7d156a92999ebc7",
-    ('intra_only', 'parallel', 'concat'): "28399e072217848068f71854ef01218b5f597354a9c4f9243817291d208df714",
-    ('intra_only', 'r_then_e', 'multiply'): "e2a501327bbd5d67588409327e04fca60781b9d7da815c8768762ea2d37c0d7a",
-    ('intra_only', 'r_then_e', 'add'): "aaaf8ba06e066dd7cb8348114fd21ec0dd04456b970c3db2c7d156a92999ebc7",
-    ('intra_only', 'r_then_e', 'concat'): "28399e072217848068f71854ef01218b5f597354a9c4f9243817291d208df714",
-    ('intra_only', 'e_then_r', 'multiply'): "e2a501327bbd5d67588409327e04fca60781b9d7da815c8768762ea2d37c0d7a",
-    ('intra_only', 'e_then_r', 'add'): "aaaf8ba06e066dd7cb8348114fd21ec0dd04456b970c3db2c7d156a92999ebc7",
-    ('intra_only', 'e_then_r', 'concat'): "28399e072217848068f71854ef01218b5f597354a9c4f9243817291d208df714",
+    ('intra_only', 'parallel', 'multiply'): "296b8db5958fe5ed7e1b83781e6719c2984cdcdb32464345f18c2a31472994c7",
+    ('intra_only', 'parallel', 'add'): "0f0fc84f3458531959b95dbe4f12b31cf254938c32fda66dd9ea30fd96d8820e",
+    ('intra_only', 'parallel', 'concat'): "4910d08cfd0dd957e54a797949c103f47321583ca4b1a8f7d6de54b4ec4a21d2",
+    ('intra_only', 'r_then_e', 'multiply'): "296b8db5958fe5ed7e1b83781e6719c2984cdcdb32464345f18c2a31472994c7",
+    ('intra_only', 'r_then_e', 'add'): "0f0fc84f3458531959b95dbe4f12b31cf254938c32fda66dd9ea30fd96d8820e",
+    ('intra_only', 'r_then_e', 'concat'): "4910d08cfd0dd957e54a797949c103f47321583ca4b1a8f7d6de54b4ec4a21d2",
+    ('intra_only', 'e_then_r', 'multiply'): "296b8db5958fe5ed7e1b83781e6719c2984cdcdb32464345f18c2a31472994c7",
+    ('intra_only', 'e_then_r', 'add'): "0f0fc84f3458531959b95dbe4f12b31cf254938c32fda66dd9ea30fd96d8820e",
+    ('intra_only', 'e_then_r', 'concat'): "4910d08cfd0dd957e54a797949c103f47321583ca4b1a8f7d6de54b4ec4a21d2",
     ('dyintra_only', 'parallel', 'multiply'): "3e27905d38af9b498412050805fee5a175f14489e26ea016d19918d984bf440f",
     ('dyintra_only', 'parallel', 'add'): "d809a3705053892a99d170bad9465952613c95e9a828dac014afc9d81c79eb8f",
     ('dyintra_only', 'parallel', 'concat'): "fe446d7ac60221cc7c51d9054fca37f7fedbe7cdedbf6a95949a2d17937af916",
@@ -126,6 +131,21 @@ LOGITS_CASES = {
     ('dyintra_only', 'e_then_r', 'multiply'): "3e27905d38af9b498412050805fee5a175f14489e26ea016d19918d984bf440f",
     ('dyintra_only', 'e_then_r', 'add'): "d809a3705053892a99d170bad9465952613c95e9a828dac014afc9d81c79eb8f",
     ('dyintra_only', 'e_then_r', 'concat'): "fe446d7ac60221cc7c51d9054fca37f7fedbe7cdedbf6a95949a2d17937af916",
+}
+
+# Eval logits per (order, fusion) of the seeded intra_only models of the
+# layout that built gate layers for every variant; see
+# test_ungated_dyintra_build_scores_as_the_gated_intra_only_layout.
+GATED_LAYOUT_INTRA_ONLY_LOGITS = {
+    ('parallel', 'multiply'): "e2a501327bbd5d67588409327e04fca60781b9d7da815c8768762ea2d37c0d7a",
+    ('parallel', 'add'): "aaaf8ba06e066dd7cb8348114fd21ec0dd04456b970c3db2c7d156a92999ebc7",
+    ('parallel', 'concat'): "28399e072217848068f71854ef01218b5f597354a9c4f9243817291d208df714",
+    ('r_then_e', 'multiply'): "e2a501327bbd5d67588409327e04fca60781b9d7da815c8768762ea2d37c0d7a",
+    ('r_then_e', 'add'): "aaaf8ba06e066dd7cb8348114fd21ec0dd04456b970c3db2c7d156a92999ebc7",
+    ('r_then_e', 'concat'): "28399e072217848068f71854ef01218b5f597354a9c4f9243817291d208df714",
+    ('e_then_r', 'multiply'): "e2a501327bbd5d67588409327e04fca60781b9d7da815c8768762ea2d37c0d7a",
+    ('e_then_r', 'add'): "aaaf8ba06e066dd7cb8348114fd21ec0dd04456b970c3db2c7d156a92999ebc7",
+    ('e_then_r', 'concat'): "28399e072217848068f71854ef01218b5f597354a9c4f9243817291d208df714",
 }
 
 
@@ -169,11 +189,10 @@ def seeded_model(attention_type: str, order: str, fusion: str):
     return build_model(config, np.random.default_rng(0))
 
 
-def logits_digest(attention_type: str, order: str, fusion: str) -> str:
-    """SHA-256 of a seeded 2-block model's eval logits on golden_dataset(),
-    as one batch, then one batch of one per instance (BLAS may round the two
+def logits_digest(params) -> str:
+    """SHA-256 of a model's eval logits on golden_dataset(), as one batch,
+    then one batch of one per instance (BLAS may round the two
     differently)."""
-    params = seeded_model(attention_type, order, fusion)
     ds = golden_dataset()
     batched = predict(Tensor(ds.regions), Tensor(ds.tokens), params).logits.data
     single = np.concatenate([
@@ -235,7 +254,20 @@ def test_eval_logits_are_pinned_for_every_switch():
     cases = list(itertools.product(ATTENTION_TYPES, ORDERS, FUSIONS))
     assert sorted(LOGITS_CASES) == sorted(cases)
     for case in cases:
-        assert logits_digest(*case) == LOGITS_CASES[case], case
+        assert logits_digest(seeded_model(*case)) == LOGITS_CASES[case], case
+
+
+def test_ungated_dyintra_build_scores_as_the_gated_intra_only_layout():
+    # intra_only models once held gate layers that their forward never read.
+    # A seeded dyintra_only build with its gates taken out and its config
+    # relabelled intra_only holds those models' surviving weights, so it
+    # must score what they scored.
+    for (order, fusion), digest in GATED_LAYOUT_INTRA_ONLY_LOGITS.items():
+        params = seeded_model("dyintra_only", order, fusion)
+        for block in params.stack:
+            block.intra = without_gates(block.intra)
+        params.config = dataclasses.replace(params.config, attention_type="intra_only")
+        assert logits_digest(params) == digest, (order, fusion)
 
 
 
@@ -244,11 +276,11 @@ def test_eval_logits_are_pinned_for_every_switch():
 GRADCHECK_ARGS = ["--set", "dim=4", "--set", "heads=2", "--set", "n_blocks=1",
                   "--set", "gradcheck_regions=3", "--set", "gradcheck_words=2"]
 GRADCHECK_CASES = {
-    "order=parallel": "f5990298bc30c24f5671e6442820029e6f3c2f4a810c6ce1942f1b52c2a9f648",
-    "order=r_then_e": "702bf75d7d95bdff622d761392a73d9eb09aad899287d2cc3b3758ce7b782fdb",
-    "order=e_then_r": "d55774ede197476f54d8257382e02e086eb3a27e06b0a2c88a602c1bd5ab9120",
+    "order=parallel": "8a89b77b4806bff48a31752acee3af00d55cc3f31e6e0387b47f70be9b5dedac",
+    "order=r_then_e": "3460ef7a9d552046f9f11a63413ca193e49e1538d7615c0f7cad5f8880ad91d3",
+    "order=e_then_r": "3306918b57c5100e9737c72d60cc05f7fb9c09ad49aef8c527035edf88df8ed7",
     "gradcheck_corrupt=dfaf_block/intra.region_out.weight":
-        "73780dc530cdb1e11e372015a00c829020cad0d554da47a74c4692eeb1aac1cf",
+        "1dae75cef71cd65431e2bcc45f742e22420218603c03ff94f7788233fda53ed4",
 }
 
 

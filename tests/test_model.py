@@ -22,7 +22,7 @@ from dfaf.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from dfaf.attention import VARIANTS
+from dfaf.attention import ORDERS, VARIANTS, ForwardContext
 from dfaf.model import ModelConfig, Prediction, build_model
 from dfaf.tensor import GradTape, ShapeError, Tensor, backward
 from dfaf.training import AdamaxState
@@ -224,6 +224,21 @@ class TestPredict:
             with pytest.raises(ShapeError, match="at least one key row|empty input"):
                 M.predict(raw_r, raw_e, p, record=record)
 
+    @pytest.mark.parametrize("order", ORDERS)
+    @pytest.mark.parametrize("kind", sorted(VARIANTS))
+    def test_train_step_gives_every_parameter_a_gradient(self, kind, order):
+        # Every parameter a model holds feeds its loss: a naive intra half
+        # holds no gate layers for backward to miss.
+        cfg = small_config(attention_type=kind, order=order)
+        rng = np.random.default_rng(17)
+        p = build_model(cfg, rng)
+        raw_r, raw_e = rand_inputs(rng, cfg, batch=2)
+        with GradTape() as tape:
+            pred = M.forward(raw_r, raw_e, p, ForwardContext(0.1, rng))
+            loss = M.cross_entropy_loss(pred, [0, 1])
+        backward(tape, loss)
+        assert [name for name, t in p.named_parameters() if t.grad is None] == []
+
     def test_loss_decreases_on_separable_batch(self):
         cfg = small_config(n_blocks=1, n_answers=2)
         rng = np.random.default_rng(15)
@@ -403,6 +418,9 @@ class TestCheckpoint:
         variant = VARIANTS[kind]
         for block in loaded.stack:
             assert (block.inter is not None, block.intra is not None) == variant[:2]
+            if block.intra is not None:
+                gates = (block.intra.gate_from_regions, block.intra.gate_from_words)
+                assert [g is not None for g in gates] == [variant.dynamic] * 2
 
     def test_optimizer_state_roundtrip(self, tmp_path):
         cfg = small_config()
