@@ -42,6 +42,7 @@ from __future__ import annotations
 import mmap
 import os
 import struct
+from itertools import zip_longest
 from typing import BinaryIO
 
 import numpy as np
@@ -95,11 +96,20 @@ def save_checkpoint(
 ) -> None:
     """Write parameters (and optionally optimizer state as
     (step, first_moments, inf_norms) aligned with named-parameter order).
-    ``config`` must be the one the parameters were built from."""
+    ``config`` must be the one the parameters were built from, and they must
+    have the tensor names and shapes that it builds, which the loader checks."""
+    # Every check runs before ``open_output`` unlinks the file this may replace.
     if config != params.config:
         raise CheckpointError(f"config {config} is not the parameters' own {params.config}")
     named = list(params.named_parameters())
-    # Every check runs before ``open_output`` unlinks the file this may replace.
+    layout = config.layout()
+    held = [(name, t.shape) for name, t in named]
+    if held != layout:
+        got, want = next(pair for pair in zip_longest(held, layout) if pair[0] != pair[1])
+        raise CheckpointError(
+            f"parameters hold {len(held)} tensors, architecture needs {len(layout)}; "
+            f"first difference: {got} where it needs {want}"
+        )
     if optimizer_state is not None:
         step, moments, inf_norms = optimizer_state
         if len(moments) != len(named) or len(inf_norms) != len(named):

@@ -9,7 +9,8 @@ cross entropy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import math
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -78,26 +79,40 @@ class ModelConfig:
                 f"attention_type must be one of {ATTENTION_TYPES}, got {self.attention_type!r}"
             )
 
-    def n_parameters(self) -> int:
-        """Parameter count of the model ``build_model`` makes, without making it."""
+    def layout(self) -> list[tuple[str, tuple[int, ...]]]:
+        """The (name, shape) of each tensor ``build_model`` makes, in
+        ``named_parameters`` order, without making them."""
 
-        def linear(n_in: int, n_out: int) -> int:
-            return (n_in + 1) * n_out
+        def linear(name: str, n_in: int, n_out: int) -> list:
+            return [(f"{name}.weight", (n_in, n_out)), (f"{name}.bias", (n_out,))]
+
+        def qkv(name: str) -> list:
+            return [t for part in ("query", "key", "value") for t in linear(f"{name}.{part}", d, d)]
 
         d = self.dim
-        inter = 6 * linear(d, d) + 2 * linear(2 * d, d)  # q/k/v twice, two fusions
         variant = VARIANTS[self.attention_type]
-        # q/k/v twice, two outputs, and two gates in a dynamic block
-        intra = (8 + 2 * variant.dynamic) * linear(d, d)
-        block = variant.inter * inter + variant.intra * intra
+        out = linear("region_embed", self.d_v, d) + linear("word_embed", self.d_w, d)
+        for i in range(self.n_blocks):
+            if variant.inter:
+                half = f"stack.{i}.inter"
+                out += qkv(f"{half}.region_qkv") + qkv(f"{half}.word_qkv")
+                out += linear(f"{half}.region_out", 2 * d, d) + linear(f"{half}.word_out", 2 * d, d)
+            if variant.intra:
+                half = f"stack.{i}.intra"
+                out += qkv(f"{half}.region_qkv") + qkv(f"{half}.word_qkv")
+                gates = ("gate_from_regions", "gate_from_words") if variant.dynamic else ()
+                for layer in (*gates, "region_out", "word_out"):
+                    out += linear(f"{half}.{layer}", d, d)
         fused = 2 * d if self.fusion == "concat" else d
-        return (
-            linear(self.d_v, d)
-            + linear(self.d_w, d)
-            + self.n_blocks * block
-            + linear(fused, self.hidden)
-            + linear(self.hidden, self.n_answers)
-        )
+        out += linear("mlp_hidden", fused, self.hidden)
+        return out + linear("mlp_out", self.hidden, self.n_answers)
+
+    def n_parameters(self) -> int:
+        """Parameter count of the model ``build_model`` makes, without making it.
+        It sizes one block, so a forged header's ``n_blocks`` costs no time."""
+        one = replace(self, n_blocks=1).layout()
+        block = sum(math.prod(shape) for name, shape in one if name.startswith("stack.0."))
+        return sum(math.prod(shape) for _, shape in one) + (self.n_blocks - 1) * block
 
 
 # The positive-integer and the string fields, in declaration order; the

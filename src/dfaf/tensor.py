@@ -23,12 +23,14 @@ with a ``ShapeError`` that names the shapes. ``linear_forward`` alone is
 rank-generic: it multiplies a batch by a large weight as one GEMM over all
 rows, and by a small one instance by instance. It is also the only dropout:
 given a rate, it masks its own output in place and keeps one boolean per
-element for backward, so a layer and its dropout are one tape node.
+element for backward, so a layer and its dropout are one tape node. Each
+element's keep-or-drop comes from a 16-bit field of the generator's raw
+64-bit words, four per word, so the rate in effect is round(rate·2^16)/2^16.
 Elementwise ops take equal shapes.
 
 Ops raise ``ShapeError`` on operands they would otherwise compute garbage
 from. Parameter containers check nothing: builders derive every shape from
-one config, and the checkpoint loader checks each stored shape.
+one config, and the checkpoint saver and loader check each shape against it.
 """
 
 from __future__ import annotations
@@ -575,6 +577,21 @@ def linear_init(in_dim: int, out_dim: int, rng: np.random.Generator | None) -> L
 # lost or tied in any run.
 ONE_GEMM_MIN_WEIGHT = 1 << 17
 
+# Dropout draws one 16-bit field per element: four from each raw 64-bit word.
+DROPOUT_LEVELS = 1 << 16
+
+
+def dropout_threshold(rate: float) -> int:
+    """t = round(rate·2^16): dropout at ``rate`` zeroes an element whose field
+    is below t, so the rate in effect is t/2^16. A rate outside [0, 1), or one
+    of at least 1 − 2^-17, whose t is 2^16, raises ``ValueError``."""
+    if not 0.0 <= rate < 1.0:
+        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
+    t = round(rate * DROPOUT_LEVELS)
+    if t == DROPOUT_LEVELS:
+        raise ValueError(f"dropout rate {rate} rounds to 1 in 16 bits; it must be below 1 - 2**-17")
+    return t
+
 
 def linear_forward(
     layer: LinearLayer, x: Tensor, rate: float = 0.0, rng: np.random.Generator | None = None
@@ -587,18 +604,19 @@ def linear_forward(
     and paper model widths, but one GEMM may round an instance's last bits
     differently at some other widths.
 
-    A ``rate`` above 0 applies inverted dropout to the output: one uniform
-    draw ``rng.random(out.shape)`` per call, and each element with a draw
-    below ``rate`` is zeroed while the others are scaled by 1/(1-rate). Only
-    the boolean mask is kept for backward. Masking before scaling gives the
-    bytes of ``out * keep`` for a float mask ``keep`` of 0 and 1/(1-rate),
+    A ``rate`` applies inverted dropout to the output at the rate in effect
+    p = t/2^16, t = ``dropout_threshold(rate)``. One call takes ⌈n/4⌉ words
+    from ``rng.bit_generator.random_raw`` for the output's n elements and
+    splits each word into four 16-bit fields, low bits first; element i is
+    zeroed when field i is below t, and the others are scaled by 1/(1-p).
+    Only the boolean mask is kept for backward. Masking before scaling gives
+    the bytes of ``out * keep`` for a float mask ``keep`` of 0 and 1/(1-p),
     signed zeros, infinities and NaN included, and so does the gradient,
-    ``(g * mask) * (1/(1-rate))``. Rate 0 draws nothing.
+    ``(g * mask) * (1/(1-p))``. A rate whose t is 0 draws nothing.
 
     Backward makes the weight's and the bias's gradients as new arrays, so
     ``backward`` keeps them as their ``.grad`` without a copy."""
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
+    t = dropout_threshold(rate)
     if x.shape[-1] != layer.in_dim:
         raise ShapeError(
             f"linear layer expects width {layer.in_dim}, input has shape {x.shape}"
@@ -611,9 +629,12 @@ def linear_forward(
         out = np.matmul(xd, wd)
     out += layer.bias.data
     mask = None
-    if rate:
-        scale = 1.0 / (1.0 - rate)
-        mask = rng.random(out.shape) >= rate
+    if t:
+        scale = 1.0 / (1.0 - t / DROPOUT_LEVELS)
+        words = rng.bit_generator.random_raw(-(-out.size // 4))
+        # Little-endian 16-bit views split each word by value, low bits first.
+        fields = words.astype("<u8", copy=False).view("<u2")[: out.size]
+        mask = fields.reshape(out.shape) >= t
         out *= mask
         out *= scale
     need_x = x.requires_grad

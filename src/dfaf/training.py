@@ -21,7 +21,7 @@ import numpy as np
 from .attention import ForwardContext
 from .data import FeatureDataset, make_batches
 from .model import ModelParams, cross_entropy_loss, forward, predict
-from .tensor import GradTape, ShapeError, Tensor, backward
+from .tensor import GradTape, ShapeError, Tensor, backward, dropout_threshold
 
 BETA1 = 0.9
 BETA2 = 0.999
@@ -83,6 +83,8 @@ class TrainConfig:
     epochs: int = 30
     batch_size: int = 32
     clip: float = 0.25
+    # Applied at the rate in effect round(dropout·2^16)/2^16 (6554/65536 for
+    # 0.1); see tensor.dropout_threshold.
     dropout: float = 0.1
     seed: int = 0
     eval_batch_size: int = 256
@@ -96,8 +98,7 @@ class TrainConfig:
             raise ValueError("batch sizes must be at least 1")
         if self.clip <= 0:
             raise ValueError(f"clip threshold must be positive, got {self.clip}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
+        dropout_threshold(self.dropout)
 
 
 def adamax_step(

@@ -91,7 +91,7 @@ GENERATED_CASES = [
 ]
 
 # The default run config trained for 2 epochs.
-TRAINED_SHA256 = "89c19a5e20513d0e7dc95ac63a392e6143e011bb7c3ebbd8a0761a558b1f6bcd"
+TRAINED_SHA256 = "466f2130f99fb0ea3257eda492d180b0cf6953aa817e788525a8ba652d222b09"
 
 # Eval logits per (attention_type, order, fusion); see logits_digest.
 LOGITS_CASES = {

@@ -330,6 +330,13 @@ class TestModelConfigValidation:
         cfg = small_config(attention_type=kind, fusion=fusion, n_blocks=3)
         assert cfg.n_parameters() == build_model(cfg, np.random.default_rng(0)).n_parameters()
 
+    @pytest.mark.parametrize("kind", ["full", "inter_only", "intra_only", "dyintra_only"])
+    @pytest.mark.parametrize("fusion", ["multiply", "concat"])
+    def test_layout_matches_built_model(self, kind, fusion):
+        cfg = small_config(attention_type=kind, fusion=fusion, n_blocks=3, d_v=11, hidden=13)
+        built = build_model(cfg, None).named_parameters()
+        assert cfg.layout() == [(name, t.shape) for name, t in built]
+
     def test_config_roundtrip_through_model(self):
         for kind in ("full", "inter_only", "intra_only", "dyintra_only"):
             cfg = small_config(attention_type=kind, fusion="concat", order="e_then_r")
@@ -391,6 +398,25 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="parameters"):
             save_checkpoint(str(path), p, other)
         assert not path.exists()
+
+    def test_save_rejects_parameters_of_another_layout(self, tmp_path):
+        # A dyintra_only build relabelled intra_only still holds its gate
+        # layers; saved as they are, load_checkpoint would refuse the file.
+        cfg = small_config(attention_type="intra_only")
+        gated = build_model(dataclasses.replace(cfg, attention_type="dyintra_only"),
+                            np.random.default_rng(21))
+        gated.config = cfg
+        misshapen = build_model(cfg, np.random.default_rng(22))
+        misshapen.mlp_out.bias = Tensor(np.zeros(cfg.n_answers + 1), requires_grad=True)
+        path = tmp_path / "keep.ckpt"
+        save_checkpoint(str(path), build_model(cfg, np.random.default_rng(23)), cfg)
+        before = path.read_bytes()
+        with pytest.raises(CheckpointError, match="hold 48 tensors, architecture needs 40"):
+            save_checkpoint(str(path), gated, cfg)
+        with pytest.raises(CheckpointError, match=r"'mlp_out.bias', \(5,\)\) where it needs"):
+            save_checkpoint(str(path), misshapen, cfg)
+        assert path.read_bytes() == before
+        load_checkpoint(str(path))
 
     def test_load_draws_no_random_model(self, tmp_path, monkeypatch):
         cfg = small_config()

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dfaf import tensor as T
+from dfaf.cli import main
 from dfaf.tensor import (
     GradTape,
     LinearLayer,
@@ -17,6 +18,7 @@ from dfaf.tensor import (
     Tensor,
     backward,
 )
+from dfaf.training import TrainConfig
 
 
 def matmul_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -415,16 +417,18 @@ def reference_linear_forward(layer: LinearLayer, x: Tensor) -> Tensor:
 
 
 def reference_dropout(t: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
-    """The float-mask dropout op that ``linear_forward``'s rate replaced,
-    verbatim."""
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if rate == 0.0:
+    """Float-mask dropout on the 16-bit rule, written apart from the op.
+    Element i reads the value of bits 16·(i % 4) to 16·(i % 4) + 15 of raw
+    word i // 4, and survives, scaled by 2^16/(2^16 - t), when that value is
+    at least t = round(rate·2^16)."""
+    threshold = round(rate * 65536)
+    if threshold == 0:
         return t
-    # One array: the uniform draws become the 0/1 mask, then the scaled mask.
-    keep = rng.random(t.shape)
-    np.greater_equal(keep, rate, out=keep)
-    keep *= 1.0 / (1.0 - rate)
+    n = t.data.size
+    words = rng.bit_generator.random_raw((n + 3) // 4)
+    fields = [(int(words[i // 4]) >> (16 * (i % 4))) & 0xFFFF for i in range(n)]
+    keep = np.array([1.0 if f >= threshold else 0.0 for f in fields]).reshape(t.shape)
+    keep *= 65536 / (65536 - threshold)
 
     def bwd(g):
         return (g * keep,)
@@ -479,6 +483,52 @@ class TestDropout:
             with pytest.raises(ValueError, match="dropout rate"):
                 T.linear_forward(layer, x, rate, np.random.default_rng(0))
 
+    def test_field_equal_to_the_threshold_keeps_its_element(self):
+        # The rate is set so that t equals the field of element 1; element 1
+        # survives, and every element is kept exactly when its field is >= t.
+        words = np.random.default_rng(40).bit_generator.random_raw(2)
+        fields = [(int(words[i // 4]) >> (16 * (i % 4))) & 0xFFFF for i in range(8)]
+        assert 0 < fields[1] < 65536
+        rate = fields[1] / 65536
+        ones = LinearLayer(Tensor(np.zeros((1, 8))), Tensor(np.ones(8)))
+        out = T.linear_forward(ones, Tensor(np.zeros((1, 1))), rate, np.random.default_rng(40))
+        assert out.data[0, 1] == 65536 / (65536 - fields[1])
+        assert (out.data[0] != 0.0).tolist() == [f >= fields[1] for f in fields]
+
+    @pytest.mark.parametrize("rate", [2.0**-17, 1e-9])
+    def test_rate_rounding_to_zero_draws_nothing_and_gives_eval_bytes(self, rate):
+        rng = np.random.default_rng(41)
+        layer = T.linear_init(3, 3, rng)
+        x = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        state = rng.bit_generator.state
+        with GradTape() as tape:
+            out = T.linear_forward(layer, x, rate, rng)
+        assert rng.bit_generator.state == state
+        assert len(tape) == 1
+        assert same_bytes(out.data, T.linear_forward(layer, x).data)
+
+    @pytest.mark.parametrize("rate", [1.0 - 2.0**-17, 1.0 - 2.0**-20])
+    def test_rate_rounding_to_one_is_refused(self, rate, capsys):
+        layer = T.linear_init(3, 3, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="dropout rate"):
+            T.linear_forward(layer, Tensor(np.ones(3)), rate, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="dropout rate"):
+            TrainConfig(dropout=rate)
+        assert main(["train", "--set", f"dropout={rate!r}", "data.bin", "ckpt.bin"]) == 2
+        assert "config error: training: dropout rate" in capsys.readouterr().err
+        # The largest rate below the limit has t = 65535 and keeps one field value.
+        TrainConfig(dropout=1.0 - 2.0**-16)
+
+    @pytest.mark.parametrize("shape", [(1,), (2, 3), (3, 5), (1, 3, 3), (2, 2, 4)])
+    def test_draws_one_word_per_four_elements_rounded_up(self, shape):
+        n = math.prod(shape)
+        layer = LinearLayer(Tensor(np.zeros((1, shape[-1]))), Tensor(np.ones(shape[-1])))
+        x = Tensor(np.zeros(shape[:-1] + (1,)))
+        rng, twin = np.random.default_rng(42), np.random.default_rng(42)
+        T.linear_forward(layer, x, 0.1, rng)
+        twin.bit_generator.advance(-(-n // 4))
+        assert rng.bit_generator.state == twin.bit_generator.state
+
     @pytest.mark.parametrize("rate", [0.1, 0.5])
     @pytest.mark.parametrize(
         "weight, shape",
@@ -486,11 +536,12 @@ class TestDropout:
         ids=["one-gemm", "per-instance", "matrix"],
     )
     def test_equals_linear_then_float_mask_dropout(self, weight, shape, rate):
-        """The fused op gives the bytes of the two ops it replaced: values,
-        the three gradients and the generator state afterwards. Three input
-        rows hold +inf, -inf and NaN, the rest are finite and of both signs,
-        and every other output column is so large that scaling a dropped
-        element before masking it would give inf·0 = NaN instead of 0."""
+        """The fused op gives the bytes of the linear op it replaced followed
+        by ``reference_dropout``: values, the three gradients and the
+        generator state afterwards. Three input rows hold +inf, -inf and NaN,
+        the rest are finite and of both signs, and every other output column
+        is so large that scaling a dropped element before masking it would
+        give inf·0 = NaN instead of 0."""
         rng = np.random.default_rng(33)
         layer = T.linear_init(*weight, rng)
         layer.bias.data[:] = rng.standard_normal(weight[1])
@@ -505,7 +556,7 @@ class TestDropout:
             for fused in (True, False):
                 layer.weight.grad = layer.bias.grad = None
                 x = Tensor(xd, requires_grad=True)
-                draws = np.random.default_rng(34)
+                draws = np.random.default_rng(35)
                 with GradTape() as tape:
                     if fused:
                         out = T.linear_forward(layer, x, rate, draws)

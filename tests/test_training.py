@@ -441,6 +441,19 @@ class TestTrainLoop:
         train(model, ds, TrainConfig(epochs=1))
         assert counts == [45]
 
+    def test_default_train_forward_draws_82944_generator_words(self):
+        # 18 of the 22 linear layers drop out: 9 on (32, 12, 64) region rows
+        # and 9 on (32, 6, 64) word rows, 331,776 elements of 16 bits each,
+        # four to a generator word. The gates and the classifier draw none.
+        model, ds = default_setup()
+        batch = next(make_batches(ds, 32))
+        rng, twin = np.random.default_rng(3), np.random.default_rng(3)
+        with GradTape():
+            forward(Tensor(batch.regions), Tensor(batch.tokens), model,
+                    ForwardContext(TrainConfig().dropout, rng))
+        twin.bit_generator.advance(82_944)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
     def test_default_train_forward_tape_holds_under_6_5_mb(self):
         # The bytes a default-size train-mode forward leaves live on its tape:
         # node outputs, and what the closures keep. It measured 5.67 MB with
