@@ -90,14 +90,14 @@ class TrainConfig:
     eval_batch_size: int = 256
 
     def __post_init__(self):
-        if self.base_lr < 0:
-            raise ValueError(f"base_lr must be nonnegative, got {self.base_lr}")
+        if not 0 <= self.base_lr < math.inf:
+            raise ValueError(f"base_lr must be finite and nonnegative, got {self.base_lr}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be at least 1, got {self.epochs}")
         if self.batch_size < 1 or self.eval_batch_size < 1:
             raise ValueError("batch sizes must be at least 1")
-        if self.clip <= 0:
-            raise ValueError(f"clip threshold must be positive, got {self.clip}")
+        if not 0 < self.clip < math.inf:
+            raise ValueError(f"clip threshold must be finite and positive, got {self.clip}")
         dropout_threshold(self.dropout)
 
 
@@ -187,7 +187,7 @@ def clip_gradients(
     were, so a caller can tell a rescale by object identity. A non-finite
     norm raises DivergenceError before any array or parameter changes.
     """
-    if threshold <= 0:
+    if not threshold > 0:
         raise ValueError(f"clip threshold must be positive, got {threshold}")
     total = math.sqrt(sum(float(np.vdot(g, g)) for g in grads))
     if not math.isfinite(total):

@@ -47,6 +47,21 @@ def without_gates(p):
     return dataclasses.replace(p, gate_from_regions=None, gate_from_words=None)
 
 
+def matmul_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Triple-loop reference product, no numpy matmul involved."""
+    n, d = a.shape
+    d2, k = b.shape
+    assert d == d2
+    out = np.zeros((n, k))
+    for i in range(n):
+        for j in range(k):
+            acc = 0.0
+            for m in range(d):
+                acc += a[i, m] * b[m, j]
+            out[i, j] = acc
+    return out
+
+
 def _np_split(x, heads):
     # (B, n, d) -> (B·heads, n, d/heads); entry b·heads + h is column group h
     # of instance b.

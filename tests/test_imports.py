@@ -1,5 +1,6 @@
 """Every module in the package, the test suite and the tools reads every name
-it imports, and every name the package defines at module level has a reader."""
+it imports, and every name the package and the test suite define at module
+level has a reader."""
 import ast
 import re
 from collections import Counter
@@ -9,7 +10,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "dfaf").glob("*.py"))
-MODULES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py"), *(ROOT / "tools").glob("*.py")])
+TESTS = sorted((ROOT / "tests").glob("*.py"))
+MODULES = sorted([*PACKAGE, *TESTS, *(ROOT / "tools").glob("*.py")])
 READERS = sorted([*MODULES, *(ROOT / "perfbench").glob("*.py")])
 
 
@@ -122,3 +124,10 @@ def test_orphan_checker_finds_unread_definitions():
 def test_every_package_name_has_a_reader():
     definers = {f"dfaf.{p.stem}": p.read_text(encoding="utf-8") for p in PACKAGE}
     assert orphans(definers, [p.read_text(encoding="utf-8") for p in READERS]) == []
+
+
+def test_every_test_helper_has_a_reader():
+    # The classes and functions pytest collects are read by pytest itself.
+    definers = {f"tests.{p.stem}": p.read_text(encoding="utf-8") for p in TESTS}
+    found = orphans(definers, [p.read_text(encoding="utf-8") for p in READERS])
+    assert [name for name in found if not re.fullmatch(r"tests\.\w+\.(Test|test_)\w*", name)] == []

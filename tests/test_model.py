@@ -34,11 +34,9 @@ def small_config(**kw) -> ModelConfig:
     return ModelConfig(**base)
 
 
-def rand_inputs(rng, cfg, mu=5, length=3, batch=None):
-    """Random raw features for ``batch`` instances, or for one (a batch of
-    one) when ``batch`` is None."""
-    b = 1 if batch is None else batch
-    rs, es = (b, mu, cfg.d_v), (b, length, cfg.d_w)
+def rand_inputs(rng, cfg, mu=5, length=3, batch=1):
+    """Random raw features for ``batch`` instances."""
+    rs, es = (batch, mu, cfg.d_v), (batch, length, cfg.d_w)
     return Tensor(rng.standard_normal(rs)), Tensor(rng.standard_normal(es))
 
 
@@ -210,7 +208,7 @@ class TestPredict:
             one = M.predict(Tensor(raw_r.data[i : i + 1]), Tensor(raw_e.data[i : i + 1]), p)
             assert np.max(np.abs(batch_logits[i] - one.logits.numpy()[0])) < 1e-12
 
-    @pytest.mark.parametrize("batch", [None, 3])
+    @pytest.mark.parametrize("batch", [1, 3])
     @pytest.mark.parametrize("empty", ["regions", "words"])
     @pytest.mark.parametrize("kind", sorted(VARIANTS))
     def test_empty_modality_is_shape_error(self, kind, empty, batch):

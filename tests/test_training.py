@@ -274,8 +274,13 @@ class TestClipGradients:
             clip_gradients(g, 0.25)
 
     def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            clip_gradients([np.ones(2)], 0.0)
+        # A NaN threshold fails every comparison, so it must be refused by
+        # name: clipping to it would make every gradient NaN.
+        for threshold in (0.0, -1.0, float("nan")):
+            grads = [np.full(3, 10.0)]
+            with pytest.raises(ValueError, match="clip threshold"):
+                clip_gradients(grads, threshold)
+            assert np.array_equal(grads[0], np.full(3, 10.0))
 
     def test_scales_in_place_and_returns_new_objects_only_on_rescale(self):
         g = [np.array([3.0]), np.array([[4.0, 0.0]])]  # norm 5, factor 1/2
@@ -300,6 +305,20 @@ class TestClipGradients:
         with pytest.raises(DivergenceError):
             clip_gradients(g, 0.25)
         assert np.array_equal(g[0], [30.0, 40.0])
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            *((f, v) for f in ("clip", "base_lr") for v in (float("nan"), float("inf"), -1.0)),
+            ("clip", 0.0),
+        ],
+    )
+    def test_rejects_clip_and_base_lr_out_of_range(self, field, value):
+        with pytest.raises(ValueError, match=f"{field}.*must be finite"):
+            TrainConfig(**{field: value})
+        TrainConfig(base_lr=0.0)
 
 
 def tiny_setup(seed=0, n=96, templates=("attribute",), dim=16, heads=2, **train_kw):
@@ -675,22 +694,34 @@ class TestEvaluate:
         assert report["n"] == 120
 
 
-# One train step at a size where OpenBLAS splits work by thread count: one
-# head of width 64 over 100 regions, and a 256 x 64 region embedding above
-# the ~10k elements at which its dot splits. Prints the parameters' SHA-256.
+# One train step of two instances, printing the parameters' SHA-256, for each
+# (task, model) by keyword arguments. "width-64": a size where OpenBLAS splits
+# work by thread count, one head of width 64 over 100 regions and a 256 x 64
+# region embedding above the ~10k elements at which its dot splits. "paper":
+# the train-paper workload's task and model in perfbench/run.py.
 THREAD_PROBE = """
 import hashlib
 import numpy as np
 from dfaf.data import ToyTaskSpec, generate_feature_dataset
 from dfaf.model import ModelConfig, build_model
 from dfaf.training import TrainConfig, train
-spec = ToyTaskSpec(grid_rows=10, grid_cols=10, templates=("attribute",), d_v=256, seed=1)
+spec = ToyTaskSpec({task})
 data = generate_feature_dataset(spec, 2)
-config = ModelConfig(dim=64, heads=1, d_v=256, n_answers=data.n_answers)
+config = ModelConfig({model}, n_answers=data.n_answers)
 model = build_model(config, np.random.default_rng(0))
 train(model, data, TrainConfig(epochs=1, batch_size=2, dropout=0.0))
 print(hashlib.sha256(b"".join(p.data.tobytes() for p in model.parameters())).hexdigest())
 """
+THREAD_PROBE_SIZES = {
+    "width-64": (
+        "grid_rows=10, grid_cols=10, templates=('attribute',), d_v=256, seed=1",
+        "dim=64, heads=1, d_v=256",
+    ),
+    "paper": (
+        "grid_rows=10, grid_cols=10, n_colors=26, n_shapes=4, token_len=14, d_v=2048, d_w=300",
+        "dim=512, heads=8, d_v=2048, d_w=300",
+    ),
+}
 
 
 def _cpus() -> int:
@@ -706,15 +737,18 @@ class TestThreadCountBytes:
     )
     @pytest.mark.xfail(
         strict=True,
+        raises=AssertionError,
         reason="ROADMAP item 16(b): the attention backward's strided product and the "
         "clip norm's np.vdot round differently with 2 BLAS threads",
     )
-    def test_trained_bytes_do_not_depend_on_blas_thread_count(self):
+    @pytest.mark.parametrize("size", sorted(THREAD_PROBE_SIZES))
+    def test_trained_bytes_do_not_depend_on_blas_thread_count(self, size):
+        task, model = THREAD_PROBE_SIZES[size]
         digests = []
         for threads in ("1", "2"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=PACKAGE_ROOT)
             proc = subprocess.run(
-                [sys.executable, "-c", THREAD_PROBE],
+                [sys.executable, "-c", THREAD_PROBE.format(task=task, model=model)],
                 env=env, capture_output=True, text=True, timeout=300, check=True,
             )
             digests.append(proc.stdout.strip())
