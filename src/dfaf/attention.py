@@ -65,8 +65,8 @@ class BlockVariant(NamedTuple):
     dynamic: bool  # the intra half gates queries and keys
 
 
-# The paper's ablations. The builders and the parameter count read this
-# table; a forward runs what the built parameters hold.
+# The paper's ablations, which the block builder reads; a forward runs what
+# the built parameters hold.
 VARIANTS = {
     "full": BlockVariant(inter=True, intra=True, dynamic=True),
     "inter_only": BlockVariant(inter=True, intra=False, dynamic=False),

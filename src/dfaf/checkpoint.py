@@ -102,12 +102,12 @@ def save_checkpoint(
     if config != params.config:
         raise CheckpointError(f"config {config} is not the parameters' own {params.config}")
     named = list(params.named_parameters())
-    layout = config.layout()
     held = [(name, t.shape) for name, t in named]
-    if held != layout:
-        got, want = next(pair for pair in zip_longest(held, layout) if pair[0] != pair[1])
+    built = [(name, t.shape) for name, t in build_model(config, None).named_parameters()]
+    if held != built:
+        got, want = next(pair for pair in zip_longest(held, built) if pair[0] != pair[1])
         raise CheckpointError(
-            f"parameters hold {len(held)} tensors, architecture needs {len(layout)}; "
+            f"parameters hold {len(held)} tensors, architecture needs {len(built)}; "
             f"first difference: {got} where it needs {want}"
         )
     if optimizer_state is not None:
@@ -159,9 +159,9 @@ def load_checkpoint(
             fields[f] = read_str(fh, f, CheckpointError)
         try:
             config = ModelConfig(**fields)
+            need = 8 * config.n_parameters()
         except ValueError as exc:
             raise CheckpointError(f"invalid checkpoint config: {exc}") from exc
-        need = 8 * config.n_parameters()
         size = os.fstat(fh.fileno()).st_size
         left = size - fh.tell()
         if left < need:

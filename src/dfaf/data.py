@@ -63,7 +63,7 @@ import io
 import math
 import os
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Iterator
 
 import numpy as np
@@ -102,9 +102,14 @@ class ToyTaskSpec:
     codebook_seed: int = 7777
 
     def __post_init__(self):
-        for name in ("grid_rows", "grid_cols", "n_colors", "n_shapes", "token_len"):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.type == "int" and not isinstance(v, int):
+                raise ValueError(f"{f.name} must be an integer, got {v!r}")
+        # d_v is bounded below by the feature width, checked further down.
+        for name in ("grid_rows", "grid_cols", "n_colors", "n_shapes", "token_len", "d_w"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
+            if v < 1:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
         if not self.templates:
             raise ValueError("at least one question template required")
@@ -141,6 +146,11 @@ class ToyTaskSpec:
                 "relational_direct_fraction must lie in [0, 1], got "
                 f"{self.relational_direct_fraction}"
             )
+        # After the counting guard, which reports a negative max_count its own way.
+        for name in ("max_count", "seed", "codebook_seed"):
+            v = getattr(self, name)
+            if v < 0:
+                raise ValueError(f"{name} must be nonnegative, got {v}")
 
     @property
     def n_regions(self) -> int:

@@ -9,7 +9,6 @@ cross entropy.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
@@ -18,7 +17,6 @@ import numpy as np
 from .attention import (
     ATTENTION_TYPES,
     ORDERS,
-    VARIANTS,
     AttentionRecord,
     DfafBlockParams,
     ForwardContext,
@@ -79,40 +77,12 @@ class ModelConfig:
                 f"attention_type must be one of {ATTENTION_TYPES}, got {self.attention_type!r}"
             )
 
-    def layout(self) -> list[tuple[str, tuple[int, ...]]]:
-        """The (name, shape) of each tensor ``build_model`` makes, in
-        ``named_parameters`` order, without making them."""
-
-        def linear(name: str, n_in: int, n_out: int) -> list:
-            return [(f"{name}.weight", (n_in, n_out)), (f"{name}.bias", (n_out,))]
-
-        def qkv(name: str) -> list:
-            return [t for part in ("query", "key", "value") for t in linear(f"{name}.{part}", d, d)]
-
-        d = self.dim
-        variant = VARIANTS[self.attention_type]
-        out = linear("region_embed", self.d_v, d) + linear("word_embed", self.d_w, d)
-        for i in range(self.n_blocks):
-            if variant.inter:
-                half = f"stack.{i}.inter"
-                out += qkv(f"{half}.region_qkv") + qkv(f"{half}.word_qkv")
-                out += linear(f"{half}.region_out", 2 * d, d) + linear(f"{half}.word_out", 2 * d, d)
-            if variant.intra:
-                half = f"stack.{i}.intra"
-                out += qkv(f"{half}.region_qkv") + qkv(f"{half}.word_qkv")
-                gates = ("gate_from_regions", "gate_from_words") if variant.dynamic else ()
-                for layer in (*gates, "region_out", "word_out"):
-                    out += linear(f"{half}.{layer}", d, d)
-        fused = 2 * d if self.fusion == "concat" else d
-        out += linear("mlp_hidden", fused, self.hidden)
-        return out + linear("mlp_out", self.hidden, self.n_answers)
-
     def n_parameters(self) -> int:
-        """Parameter count of the model ``build_model`` makes, without making it.
-        It sizes one block, so a forged header's ``n_blocks`` costs no time."""
-        one = replace(self, n_blocks=1).layout()
-        block = sum(math.prod(shape) for name, shape in one if name.startswith("stack.0."))
-        return sum(math.prod(shape) for _, shape in one) + (self.n_blocks - 1) * block
+        """Parameter count of the model ``build_model`` makes. It builds
+        placeholders of one block and counts that block ``n_blocks`` times, so
+        a forged header's ``n_blocks`` costs no time, and its widths no memory."""
+        one = build_model(replace(self, n_blocks=1), None)
+        return one.n_parameters() + (self.n_blocks - 1) * one.stack[0].n_parameters()
 
 
 # The positive-integer and the string fields, in declaration order; the
@@ -144,8 +114,10 @@ class Prediction:
 
 def build_model(config: ModelConfig, rng: np.random.Generator | None) -> ModelParams:
     """Fresh parameters; rng draw order is fixed, so equal seeds build equal
-    models. Without a generator every parameter is zero, for a loader to
-    fill."""
+    models. This is the one declaration of each tensor's name, shape and
+    order. Without a generator every parameter is a read-only zero
+    placeholder that owns no memory: the checkpoint saver and loader check
+    names and shapes against it, and the loader replaces each with its data."""
     fused_width = 2 * config.dim if config.fusion == "concat" else config.dim
     return ModelParams(
         region_embed=linear_init(config.d_v, config.dim, rng),

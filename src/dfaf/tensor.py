@@ -557,13 +557,19 @@ class LinearLayer(Params):
 
 
 def linear_init(in_dim: int, out_dim: int, rng: np.random.Generator | None) -> LinearLayer:
-    # Uniform +-1/sqrt(fan_in) weights, zero bias; zero weights without a generator.
+    # Uniform +-1/sqrt(fan_in) weights, zero bias. Without a generator both are
+    # placeholders for a loader to replace: read-only zeros with zero strides
+    # over one 8-byte buffer, so they own no memory (``Tensor()`` would copy
+    # them). numpy refuses a shape of more bytes than its largest array with
+    # ValueError.
+    if rng is None:
+        zero = bytes(8)
+        weight = np.ndarray((in_dim, out_dim), np.float64, zero, 0, (0, 0))
+        bias = np.ndarray((out_dim,), np.float64, zero, 0, (0,))
+        return LinearLayer(_make(weight, True), _make(bias, True))
     bound = 1.0 / math.sqrt(in_dim)
-    shape = (in_dim, out_dim)
-    w = np.zeros(shape) if rng is None else rng.uniform(-bound, bound, size=shape)
-    weight = Tensor(w, requires_grad=True)
-    bias = Tensor(np.zeros(out_dim), requires_grad=True)
-    return LinearLayer(weight, bias)
+    w = rng.uniform(-bound, bound, size=(in_dim, out_dim))
+    return LinearLayer(Tensor(w, requires_grad=True), Tensor(np.zeros(out_dim), requires_grad=True))
 
 
 # A (B, n, d) batch times a weight of at least this many elements runs as one

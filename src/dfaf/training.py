@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -90,6 +90,12 @@ class TrainConfig:
     eval_batch_size: int = 256
 
     def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.type == "int" and not isinstance(v, int):
+                raise ValueError(f"{f.name} must be an integer, got {v!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if not 0 <= self.base_lr < math.inf:
             raise ValueError(f"base_lr must be finite and nonnegative, got {self.base_lr}")
         if self.epochs < 1:

@@ -374,9 +374,10 @@ class TestEval:
         (line,) = proc.stderr.splitlines()
         assert line.startswith("data error:")
 
-    @pytest.mark.parametrize("offset, value", [(8, 2**20), (16, 0xFFFFFFF0)])
+    @pytest.mark.parametrize("offset, value", [(8, 2**20), (16, 0xFFFFFFF0), (8, 2**30)])
     def test_forged_config_size_exits_3(self, workspace, tmp_path, offset, value):
-        # dim 2^20 implies 8 TiB of weights; 2^32 - 16 blocks take minutes to build
+        # dim 2^20 implies 8 TiB of weights; 2^32 - 16 blocks take minutes to
+        # build; dim 2^30 makes a weight of more bytes than numpy can shape
         root, _, _ = workspace
         blob = bytearray((root / "ckpt.bin").read_bytes())
         blob[offset : offset + 4] = value.to_bytes(4, "little")

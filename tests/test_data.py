@@ -95,6 +95,16 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="d_v"):
             ToyTaskSpec(d_v=16)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("max_count", 4.5), ("d_w", 2.5), ("d_v", 64.0), ("d_w", 0), ("seed", -1),
+         ("codebook_seed", -1), ("max_count", -1)],
+    )
+    def test_int_field_of_wrong_type_or_range_rejected_by_name(self, field, value):
+        # Without a counting template no other check reads max_count.
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            spec_for(["attribute"], **{field: value})
+
     def test_unknown_template_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             spec_for(["attribute", "why"])

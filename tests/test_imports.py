@@ -1,6 +1,7 @@
 """Every module in the package, the test suite and the tools reads every name
-it imports, and every name the package and the test suite define at module
-level has a reader."""
+it imports, every name the package and the test suite define at module level
+has a reader, and so does every method and property of the package's
+classes."""
 import ast
 import re
 from collections import Counter
@@ -75,6 +76,19 @@ def module_level_names(tree: ast.Module) -> dict[str, ast.AST]:
     return {name: node for name, node in defined.items() if not name.startswith("__")}
 
 
+def class_members(tree: ast.Module) -> dict[str, ast.AST]:
+    """``Class.name`` of each method and property the module's top-level
+    classes define, with its definition; dunder names are left out."""
+    return {
+        f"{cls.name}.{node.name}": node
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("__")
+    }
+
+
 def read_names(tree: ast.AST) -> Counter:
     """How often ``tree`` reads each name: loaded names, attributes, imported
     names, quoted annotations, and strings that are a (dotted) name, such as
@@ -94,16 +108,20 @@ def read_names(tree: ast.AST) -> Counter:
     return reads
 
 
-def orphans(definers: dict[str, str], readers: list[str]) -> list[str]:
+def orphans(definers: dict[str, str], readers: list[str], members: bool = False) -> list[str]:
     """``module.name`` of each module-level name a ``definers`` source (by
     module name) defines that no source in ``readers`` reads outside its own
-    definition."""
+    definition; with ``members``, also ``module.Class.name`` of each such
+    method and property."""
     total = sum((read_names(ast.parse(source)) for source in readers), Counter())
     found = []
     for module, source in definers.items():
-        for name, node in module_level_names(ast.parse(source)).items():
+        tree = ast.parse(source)
+        defined = module_level_names(tree) | (class_members(tree) if members else {})
+        for qualified, node in defined.items():
+            name = qualified.rpartition(".")[2]
             if total[name] - read_names(node)[name] <= 0:
-                found.append(f"{module}.{name}")
+                found.append(f"{module}.{qualified}")
     return sorted(found)
 
 
@@ -119,11 +137,22 @@ def test_orphan_checker_finds_unread_definitions():
     )
     user = "from pkg import Z\nimport pkg\npkg.g()\nsetattr(pkg, 'patched', None)\n"
     assert orphans({"pkg": package}, [package, user]) == ["pkg.Y", "pkg.recurse"]
+    methods = (
+        "class C:\n"
+        "    def __init__(self): self.run()\n"
+        "    def run(self): return self.size\n"
+        "    @property\n"
+        "    def size(self): return 1\n"
+        "    def layout(self): return self.layout()\n"
+        "C()\n"
+    )
+    assert orphans({"pkg": methods}, [methods], members=True) == ["pkg.C.layout"]
+    assert orphans({"pkg": methods}, [methods]) == []
 
 
 def test_every_package_name_has_a_reader():
     definers = {f"dfaf.{p.stem}": p.read_text(encoding="utf-8") for p in PACKAGE}
-    assert orphans(definers, [p.read_text(encoding="utf-8") for p in READERS]) == []
+    assert orphans(definers, [p.read_text(encoding="utf-8") for p in READERS], members=True) == []
 
 
 def test_every_test_helper_has_a_reader():

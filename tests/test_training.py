@@ -320,6 +320,14 @@ class TestTrainConfig:
             TrainConfig(**{field: value})
         TrainConfig(base_lr=0.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("eval_batch_size", float("nan")), ("batch_size", 2.5), ("epochs", 1.5), ("seed", -1)],
+    )
+    def test_rejects_int_field_of_wrong_type_or_range_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            TrainConfig(**{field: value})
+
 
 def tiny_setup(seed=0, n=96, templates=("attribute",), dim=16, heads=2, **train_kw):
     spec = ToyTaskSpec(templates=tuple(templates), seed=seed)
